@@ -37,20 +37,24 @@ def closed_components(W: sp.spmatrix) -> list[list[int]]:
     n_comp, labels = csgraph.connected_components(W, directed=True, connection="strong")
     row_sums = np.asarray(W.sum(axis=1)).ravel()
     coo = W.tocoo()
+    leaky = np.bincount(labels, weights=row_sums < 1.0 - PIVOT_TOL, minlength=n_comp) > 0
     escapes = np.zeros(n_comp, dtype=bool)
-    leaky = np.zeros(n_comp, dtype=bool)
-    for comp in range(n_comp):
-        members = labels == comp
-        if np.any(row_sums[members] < 1.0 - PIVOT_TOL):
-            leaky[comp] = True
     cross = labels[coo.row] != labels[coo.col]
-    escapes[np.unique(labels[coo.row[cross & (coo.data != 0)]])] = True
-    closed = [
-        np.flatnonzero(labels == comp).tolist()
-        for comp in range(n_comp)
-        if not (escapes[comp] or leaky[comp])
+    escapes[labels[coo.row[cross & (coo.data != 0)]]] = True
+    order, bounds = _group_by_component(labels, n_comp)
+    return [
+        order[bounds[comp] : bounds[comp + 1]].tolist()
+        for comp in np.flatnonzero(~(escapes | leaky))
     ]
-    return closed
+
+
+def _group_by_component(labels: np.ndarray, n_comp: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node indices sorted by component label, ascending within each
+    component, and the bounds of each component's slice of them.
+    """
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(n_comp + 1))
+    return order, bounds
 
 
 class AbsorbingSolver:
@@ -145,9 +149,7 @@ def fundamental_diagonals(
         return diag_u, diag_u2
     W = W.tocsr()
     n_comp, labels = csgraph.connected_components(W, directed=True, connection="strong")
-    order = np.argsort(labels, kind="stable")
-    starts = np.searchsorted(labels[order], np.arange(n_comp))
-    bounds = np.append(starts, n)
+    order, bounds = _group_by_component(labels, n_comp)
     loops = W.diagonal()
     for comp in range(n_comp):
         members = order[bounds[comp] : bounds[comp + 1]]

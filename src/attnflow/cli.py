@@ -39,10 +39,7 @@ from .flowcalc import (
 from .ingest import LogFormat, parse_log, serialize_log, sessionize, to_transition_edges
 from .network import (
     build_flow_network,
-    balance,
     certify,
-    drop_uncertified,
-    read_edges,
     read_network,
     validate,
     write_edges,
@@ -223,10 +220,7 @@ def _read_log(cfg: RunConfig):
 
 
 def _load_network(cfg: RunConfig):
-    net = read_network(cfg.input)
-    report = validate(net)
-    if not report.certified:
-        net = drop_uncertified(net, report)
+    net, _ = certify(read_network(cfg.input))
     return net
 
 
@@ -257,15 +251,9 @@ def cmd_ingest(cfg: RunConfig, art: ArtifactDir) -> None:
 
 def cmd_build(cfg: RunConfig, art: ArtifactDir) -> None:
     _require_input(cfg)
-    edges = read_edges(cfg.input)
-    net = balance(build_flow_network(edges))
-    report = validate(net)
-    dropped = 0
-    if not report.certified:
-        before = net.n_interior
-        net = drop_uncertified(net, report)
-        report = validate(net)
-        dropped = before - net.n_interior
+    built = read_network(cfg.input)
+    net, report = certify(built)
+    dropped = built.n_interior - net.n_interior
     write_network(net, art.path("network.csv"), art.path("network.json"), report)
     art.write_json(
         "build.json",
@@ -493,20 +481,15 @@ def cmd_pipeline(cfg: RunConfig, art: ArtifactDir) -> None:
         log = _read_log(cfg)
         edges = to_transition_edges(log, cfg.mode)
         write_edges(art.path("edges.csv"), edges)
-        net = balance(build_flow_network(edges))
+        built = build_flow_network(edges)
         summary["users"] = log.n_users
         summary["sessions"] = log.n_sessions
         summary["visits"] = log.n_visits
-    elif cfg.input_kind == "edges":
-        net = balance(build_flow_network(read_edges(cfg.input)))
-    elif cfg.input_kind == "network":
-        net = read_network(cfg.input)
+    elif cfg.input_kind in ("edges", "network"):
+        built = read_network(cfg.input)
     else:
         raise ValueError(f"unknown input kind {cfg.input_kind!r}")
-    report = validate(net)
-    if not report.certified:
-        net = drop_uncertified(net, report)
-        report = validate(net)
+    net, report = certify(built)
     write_network(net, art.path("network.csv"), art.path("network.json"), report)
     summary["nodes"] = net.n_interior
     summary["edges"] = net.n_edges

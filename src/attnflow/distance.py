@@ -15,10 +15,12 @@ import csv
 import math
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import UnreachablePair
 from .flowcalc import FundamentalMatrix
+from .network import reachable
 
 PAIRWISE_CAP = 2000
 
@@ -33,11 +35,20 @@ def _structural_reachability(pattern) -> np.ndarray:
     return np.isfinite(hops)
 
 
-def _reachable_from(pattern, i: int) -> np.ndarray:
-    order = csgraph.breadth_first_order(pattern, i, directed=True, return_predecessors=False)
-    mask = np.zeros(pattern.shape[0], dtype=bool)
-    mask[order] = True
-    return mask
+def _reachable_from_source(W: sp.csr_matrix, m0: np.ndarray) -> np.ndarray:
+    """Interior nodes reachable from any node with source flow ``m0 > 0``.
+
+    One BFS from a virtual super-source over the pattern
+    ``[0, (m0 > 0) ; 0, W]``; row 0 is built from ``m0`` itself, so explicit
+    zeros in the transition matrix cannot add start nodes.
+    """
+    start = np.flatnonzero(m0 > 0)
+    indptr = np.concatenate(([0], W.indptr + start.size))
+    indices = np.concatenate((start, W.indices)) + 1
+    data = np.concatenate((np.ones(start.size), W.data))
+    n = W.shape[0] + 1
+    pattern = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    return reachable(pattern, 0)[1:]
 
 
 def return_times(fm: FundamentalMatrix) -> np.ndarray:
@@ -49,7 +60,7 @@ def total_distance_row(fm: FundamentalMatrix, i: int) -> np.ndarray:
     """t_ij for one origin i over all interior targets; NaN if unreachable."""
     r = fm.row(i)
     s = fm.solve_transpose(r)
-    mask = _reachable_from(fm.transition.interior, i)
+    mask = reachable(fm.transition.interior, i)
     t = np.full(fm.n, np.nan)
     t[mask] = s[mask] / r[mask] - 1.0
     return t
@@ -60,11 +71,7 @@ def source_total_distances(fm: FundamentalMatrix) -> np.ndarray:
     m0 = fm.transition.source_row()
     v = fm.solve_transpose(m0)
     w = fm.solve_transpose(v)
-    start = np.flatnonzero(m0 > 0)
-    mask = np.zeros(fm.n, dtype=bool)
-    pattern = fm.transition.interior
-    for i in start:
-        mask |= _reachable_from(pattern, i)
+    mask = _reachable_from_source(fm.transition.interior, m0)
     t = np.full(fm.n, np.nan)
     t[mask] = w[mask] / v[mask]
     return t

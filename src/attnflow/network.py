@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -92,11 +93,15 @@ class FlowNetwork:
         return float(self.flow[0].sum())
 
     def edges(self):
-        """Yield ``(src_label, dst_label, weight)`` sorted by (row, col)."""
+        """Iterate ``(src_label, dst_label, weight)`` sorted by (row, col)."""
         coo = self.flow.tocoo()
         order = np.lexsort((coo.col, coo.row))
-        for k in order:
-            yield self.label(int(coo.row[k])), self.label(int(coo.col[k])), float(coo.data[k])
+        labels = np.array((SOURCE, *self.items, SINK), dtype=object)
+        return zip(
+            labels[coo.row[order]].tolist(),
+            labels[coo.col[order]].tolist(),
+            coo.data[order].tolist(),
+        )
 
 
 def _check_edge(src: str, dst: str, weight: float) -> None:
@@ -218,7 +223,8 @@ class ValidationReport:
         }
 
 
-def _reachable(pattern: sp.csr_matrix, start: int) -> np.ndarray:
+def reachable(pattern: sp.csr_matrix, start: int) -> np.ndarray:
+    """Boolean mask of the nodes a BFS from ``start`` reaches, ``start`` included."""
     order = breadth_first_order(pattern, start, directed=True, return_predecessors=False)
     mask = np.zeros(pattern.shape[0], dtype=bool)
     mask[order] = True
@@ -231,8 +237,8 @@ def validate(net: FlowNetwork) -> ValidationReport:
     """
     pattern = net.flow.copy().tocsr()
     pattern.eliminate_zeros()
-    from_source = _reachable(pattern, net.source_index)
-    to_sink = _reachable(pattern.T.tocsr(), net.sink_index)
+    from_source = reachable(pattern, net.source_index)
+    to_sink = reachable(pattern.T.tocsr(), net.sink_index)
 
     unreachable = tuple(
         net.items[i - 1] for i in range(1, net.sink_index) if not from_source[i]
@@ -301,11 +307,15 @@ def write_edges(path, edges) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "weight"])
-        for s, d, w in triples:
-            writer.writerow([s, d, repr(float(w))])
+        writer.writerows((s, d, repr(float(w))) for s, d, w in triples)
 
 
 def read_edges(path) -> dict[tuple[str, str], float]:
+    """Read ``src,dst,weight`` CSV, summing duplicate edges.
+
+    Raises :class:`InvalidEdge` naming the file and 1-based line for a row
+    without exactly three columns or with a non-numeric or non-finite weight.
+    """
     edges: dict[tuple[str, str], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -314,9 +324,21 @@ def read_edges(path) -> dict[tuple[str, str], float]:
             raise InvalidEdge(f"{path}: empty edge file")
         for row in reader:
             if len(row) != 3:
-                raise InvalidEdge(f"{path}: expected 3 columns, got {len(row)}")
+                raise InvalidEdge(
+                    f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}"
+                )
+            try:
+                weight = float(row[2])
+            except ValueError:
+                raise InvalidEdge(
+                    f"{path}:{reader.line_num}: weight {row[2]!r} is not a number"
+                ) from None
+            if not math.isfinite(weight):
+                raise InvalidEdge(
+                    f"{path}:{reader.line_num}: weight {row[2]!r} is not finite"
+                )
             key = (row[0], row[1])
-            edges[key] = edges.get(key, 0.0) + float(row[2])
+            edges[key] = edges.get(key, 0.0) + weight
     return edges
 
 

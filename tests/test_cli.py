@@ -1,6 +1,7 @@
 """Command line interface: artifact layout, config precedence, error
 reporting, and byte determinism of outputs.
 """
+import csv
 import json
 import os
 import subprocess
@@ -397,6 +398,35 @@ class TestErrorHandling:
         info = read_json(out / "build.json")
         assert info["dropped_nodes"] == 2
         assert info["certified"] is True
+
+
+class TestCertifiedInputs:
+    """Every network-reading command balances its input before computing."""
+
+    UNBALANCED = "src,dst,weight\n__source__,a,2\na,b,5\nb,__sink__,2\n"
+
+    @pytest.mark.parametrize(
+        "command", [["stats"], ["pipeline", "--input-kind", "network"]]
+    )
+    def test_unbalanced_network_is_balanced(self, tmp_path, command):
+        edges = tmp_path / "net.csv"
+        edges.write_text(self.UNBALANCED)
+        out = tmp_path / "out"
+        assert run([*command, "--input", edges, "--out", out]) == 0
+        assert read_json(out / "stats.json")["flux_residual"] <= 1e-9
+        with open(out / "stats.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["item"] for r in rows] == ["a", "b"]
+        for row in rows:
+            assert float(row["A"]) == pytest.approx(float(row["phi"]), rel=1e-12)
+
+    def test_non_finite_weight_fails_typed(self, tmp_path, capsys):
+        edges = tmp_path / "net.csv"
+        edges.write_text("src,dst,weight\n__source__,a,1\na,__sink__,nan\n")
+        code = run(["stats", "--input", edges, "--out", tmp_path / "out"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"InvalidEdge: {edges}:3: weight 'nan' is not finite\n"
 
 
 class TestDeterminism:

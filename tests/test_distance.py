@@ -6,8 +6,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from attnflow import (
+    FundamentalMatrix,
+    TransitionMatrix,
     UnreachablePair,
     build_flow_network,
     first_passage,
@@ -22,6 +25,8 @@ from attnflow import (
     write_pairwise,
     write_source_distances,
 )
+from attnflow.distance import _reachable_from_source
+from attnflow.network import reachable
 
 
 def _fm(net):
@@ -104,6 +109,76 @@ class TestSourceDistances:
         assert t[idx["A"]] == pytest.approx(1.0)
         assert math.isnan(t[idx["B"]])
         assert math.isnan(source_distances(fm)[idx["B"]])
+
+
+def _union_of_start_masks(fm) -> np.ndarray:
+    """Reachability from the source the long way: one BFS per start node."""
+    W = fm.transition.interior
+    mask = np.zeros(fm.n, dtype=bool)
+    for i in np.flatnonzero(fm.transition.source_row() > 0):
+        mask |= reachable(W, i)
+    return mask
+
+
+def _random_uncertified_net(seed: int):
+    """Random interior edges, sink edges everywhere (so I - W is regular),
+    and source edges into a random subset, leaving some nodes unreachable.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(5, 80))
+    names = [f"n{i}" for i in range(n)]
+    edges = {(name, "__sink__"): 1.0 for name in names}
+    for _ in range(int(rng.integers(n, 3 * n))):
+        a, b = rng.integers(0, n, size=2)
+        edges[(names[a], names[b])] = float(rng.integers(1, 5))
+    for a in rng.choice(n, size=int(rng.integers(1, max(2, n // 4))), replace=False):
+        edges[("__source__", names[a])] = 1.0
+    return build_flow_network(edges)
+
+
+class TestSourceReachability:
+    """The super-source BFS gives the union of the per-start BFS masks."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_uncertified(self, seed):
+        fm = _fm(_random_uncertified_net(seed))
+        expected = _union_of_start_masks(fm)
+        got = _reachable_from_source(fm.transition.interior, fm.transition.source_row())
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(np.isfinite(source_total_distances(fm)), expected)
+
+    def test_random_certified(self, random_suite):
+        for net in random_suite[:20]:
+            fm = _fm(net)
+            np.testing.assert_array_equal(
+                np.isfinite(source_total_distances(fm)), _union_of_start_masks(fm)
+            )
+
+    def test_unreachable_node(self):
+        net = build_flow_network(
+            {("__source__", "A"): 1, ("A", "__sink__"): 1, ("B", "__sink__"): 1}
+        )
+        fm = _fm(net)
+        got = _reachable_from_source(fm.transition.interior, fm.transition.source_row())
+        np.testing.assert_array_equal(got, _union_of_start_masks(fm))
+        np.testing.assert_array_equal(got, [True, False])
+
+    def test_explicit_zero_in_source_row_adds_no_start(self):
+        # source -> A stored, source -> B stored as an explicit zero; B only
+        # leaks to the sink, so no walk from the source ever reaches it
+        M = sp.csr_matrix(
+            (
+                [1.0, 0.0, 1.0, 1.0],
+                [1, 2, 3, 3],
+                [0, 2, 3, 4, 4],
+            ),
+            shape=(4, 4),
+        )
+        assert M[0].nnz == 2
+        fm = FundamentalMatrix(TransitionMatrix(items=("A", "B"), matrix=M))
+        t = source_total_distances(fm)
+        assert t[0] == pytest.approx(1.0)
+        assert math.isnan(t[1])
 
 
 class TestTotalDistanceRow:

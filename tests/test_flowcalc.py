@@ -5,7 +5,9 @@ the impact double sum.
 """
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import connected_components
 
 from attnflow import (
     DENSE_THRESHOLD,
@@ -25,6 +27,22 @@ from attnflow import (
     validate,
     write_stats_csv,
 )
+from attnflow._linalg import PIVOT_TOL, closed_components
+
+
+def _closed_components_loop(W) -> list[list[int]]:
+    """closed_components written as one O(N) mask per component."""
+    n_comp, labels = connected_components(W, directed=True, connection="strong")
+    row_sums = np.asarray(W.sum(axis=1)).ravel()
+    coo = W.tocoo()
+    closed = []
+    for comp in range(n_comp):
+        members = labels == comp
+        leaky = np.any(row_sums[members] < 1.0 - PIVOT_TOL)
+        escapes = np.any(members[coo.row] & ~members[coo.col] & (coo.data != 0))
+        if not (leaky or escapes):
+            closed.append(np.flatnonzero(members).tolist())
+    return closed
 
 
 def _neumann_series(W, tol=1e-15, max_terms=5000) -> np.ndarray:
@@ -186,6 +204,24 @@ class TestFundamentalMatrix:
             fundamental_matrix(transition_matrix(net))
         # interior indices of the closed pair (A is index 0)
         assert set(exc.value.component) == {1, 2}
+
+    def test_closed_components_unchanged(self):
+        # closed: the 2-cycle {2, 3} and the self-loop {6}; open: the leaky
+        # 2-cycle {0, 1}, the 2-cycle {4, 5} escaping into 6, the leaky
+        # singleton 7 and the singleton 8 escaping into 2
+        entries = {
+            (0, 1): 0.5, (1, 0): 0.5,
+            (2, 3): 1.0, (3, 2): 1.0,
+            (4, 5): 0.5, (4, 6): 0.5, (5, 4): 1.0,
+            (6, 6): 1.0,
+            (7, 7): 0.3,
+            (8, 2): 1.0,
+        }
+        rows, cols = zip(*entries)
+        W = sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(9, 9))
+        closed = closed_components(W)
+        assert closed == _closed_components_loop(W)
+        assert sorted(closed) == [[2, 3], [6]]
 
     def test_dense_guard(self, balanced_cyclic_net):
         tm = transition_matrix(balanced_cyclic_net)

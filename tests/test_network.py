@@ -1,4 +1,6 @@
 """Network construction, balancing, certification, and serialization."""
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -200,6 +202,77 @@ class TestSerialization:
         write_network(balanced_cyclic_net, p1)
         write_network(balanced_cyclic_net, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _reference_write_network(net, path):
+    """Per-edge writer: one label lookup and one writerow call per edge."""
+    coo = net.flow.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["src", "dst", "weight"])
+        for k in order:
+            writer.writerow(
+                [
+                    net.label(int(coo.row[k])),
+                    net.label(int(coo.col[k])),
+                    repr(float(coo.data[k])),
+                ]
+            )
+
+
+class TestArrayEdgeWriter:
+    """The array-built edge list writes the same bytes as a per-edge writer."""
+
+    def _assert_same_bytes(self, tmp_path, net):
+        fast, slow = tmp_path / "fast.csv", tmp_path / "slow.csv"
+        write_network(net, fast)
+        _reference_write_network(net, slow)
+        assert fast.read_bytes() == slow.read_bytes()
+
+    def test_quoted_labels_and_extreme_weights(self, tmp_path):
+        net = build_flow_network(
+            {
+                (SOURCE, "a,b"): 1e-300,
+                ("a,b", 'say "hi"'): 0.1 + 0.2,
+                ('say "hi"', "café"): 1e300,
+                ("café", "東京"): 3.0,
+                ("東京", SINK): 7.5,
+                ("東京", "a,b"): 2.0,
+            }
+        )
+        self._assert_same_bytes(tmp_path, net)
+        text = (tmp_path / "fast.csv").read_text(encoding="utf-8")
+        assert '"a,b"' in text and '"say ""hi"""' in text
+        assert "1e-300" in text and "1e+300" in text and "0.30000000000000004" in text
+
+    def test_generated_networks(self, tmp_path, random_suite):
+        for net in random_suite[:10]:
+            self._assert_same_bytes(tmp_path, net)
+
+    def test_edges_are_python_triples(self, chain_net):
+        edges = list(chain_net.edges())
+        assert edges == [(SOURCE, "A", 2.0), ("A", "B", 2.0), ("B", SINK, 2.0)]
+        assert all(type(w) is float for _, _, w in edges)
+
+
+class TestReadEdgesErrors:
+    @pytest.mark.parametrize(
+        "row, reason",
+        [
+            ("A,__sink__,x", "weight 'x' is not a number"),
+            ("A,__sink__,nan", "weight 'nan' is not finite"),
+            ("A,__sink__,inf", "weight 'inf' is not finite"),
+            ("A,__sink__,-inf", "weight '-inf' is not finite"),
+            ("A,__sink__", "expected 3 columns, got 2"),
+        ],
+    )
+    def test_bad_row_names_file_and_line(self, tmp_path, row, reason):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"src,dst,weight\n{SOURCE},A,1\n{row}\n")
+        with pytest.raises(InvalidEdge) as exc:
+            read_edges(path)
+        assert str(exc.value) == f"{path}:3: {reason}"
 
 
 def test_zero_weight_edges_are_dropped():
