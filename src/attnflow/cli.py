@@ -46,6 +46,7 @@ from .network import (
     write_network,
 )
 from .oracle import (
+    _FAMILIES,
     GeneratorSpec,
     WalkEstimate,
     compare,
@@ -664,14 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "generate":
             p.add_argument(
                 "--family",
-                choices=[
-                    "chain",
-                    "star",
-                    "random-tree",
-                    "random-cyclic",
-                    "session-log",
-                    "planted-dissipation",
-                ],
+                choices=_FAMILIES,
                 help="generator family (default: random-cyclic)",
             )
             p.add_argument("--size", type=int, help="node count")

@@ -22,13 +22,6 @@ from .network import SINK, SOURCE
 
 
 @dataclass(frozen=True)
-class LogRecord:
-    user_id: str
-    item_id: str
-    timestamp: int | None = None
-
-
-@dataclass(frozen=True)
 class LogFormat:
     """Shape of the delimited input: separator and header presence."""
 

@@ -23,6 +23,7 @@ from .errors import (
     DroppedNodesWarning,
     InvalidEdge,
     NegativeWeight,
+    NotCertified,
     SelfEdgeOnSourceOrSink,
 )
 
@@ -36,6 +37,8 @@ BALANCE_TOL = 1e-9
 
 # Relative slack below which balance() leaves a node alone; keeps the
 # operation idempotent on real weights without adding ulp-sized edges.
+# It never exceeds BALANCE_TOL, so every node validate() would reject
+# for its residual gets a compensation edge.
 _REBALANCE_EPS = 1e-12
 
 
@@ -185,7 +188,7 @@ def balance(net: FlowNetwork) -> FlowNetwork:
     out = net.out_flow()[1:-1]
     inn = net.in_flow()[1:-1]
     scale = np.maximum(1.0, np.maximum(out, inn))
-    needs = np.abs(res) > _REBALANCE_EPS * scale
+    needs = np.abs(res) > np.minimum(_REBALANCE_EPS * scale, BALANCE_TOL)
     if not np.any(needs):
         if net.balanced:
             return net
@@ -287,12 +290,22 @@ def drop_uncertified(net: FlowNetwork, report: ValidationReport) -> FlowNetwork:
 
 
 def certify(net: FlowNetwork) -> tuple[FlowNetwork, ValidationReport]:
-    """Balance, validate, and prune until the network certifies."""
+    """Balance, validate, and prune until the network certifies.
+
+    Raises :class:`NotCertified` if the residuals still exceed
+    ``BALANCE_TOL`` after that, as float rounding can leave them on
+    networks with very large weights.
+    """
     net = balance(net)
     report = validate(net)
     if not report.certified:
         net = drop_uncertified(net, report)
         report = validate(net)
+    if not report.certified:
+        raise NotCertified(
+            f"network does not certify after balancing: max residual "
+            f"{report.max_residual:.3g} exceeds {BALANCE_TOL:g}"
+        )
     return net, report
 
 

@@ -23,8 +23,14 @@ from .network import FlowNetwork, build_flow_network, validate
 
 STEP_CAP = 1_000_000
 
-# Batches are sized so scratch matrices stay near this many entries.
+# Fixes the batch size, and with it how walkers are split over the
+# SeedSequence child streams. Changing the value changes every simulated
+# tally for a given seed, so it must stay as it is.
 _BATCH_ENTRY_BUDGET = 8_000_000
+
+# Queued arrivals are folded into a batch's per-(walker, node) table once
+# they reach this count or the table's size, whichever is larger.
+_ARRIVAL_CHUNK = 1 << 20
 
 _FAMILIES = (
     "chain",
@@ -291,6 +297,46 @@ def _batch_size(n_nodes: int, n_walkers: int) -> int:
     return max(1024, min(n_walkers, _BATCH_ENTRY_BUDGET // max(n_nodes, 1)))
 
 
+class _PairTally:
+    """Arrival count and first arrival step per ``walker * n_total + node``
+    key, for the walkers of one batch.
+
+    Arrivals queue in step order and are folded into a sorted table of
+    distinct keys by one stable sort, so each key's earliest arrival comes
+    first. Folding whenever the queue reaches max(_ARRIVAL_CHUNK, table
+    size) bounds memory by the distinct pairs as well as by the arrivals.
+    """
+
+    def __init__(self):
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros(0, dtype=np.int64)
+        self.first = np.zeros(0, dtype=np.int64)
+        self._queued: list[np.ndarray] = []
+        self._steps: list[np.ndarray] = []
+        self._n_queued = 0
+
+    def add(self, keys: np.ndarray, step: int) -> None:
+        self._queued.append(keys)
+        self._steps.append(np.full(keys.size, step, dtype=np.int64))
+        self._n_queued += keys.size
+        if self._n_queued >= max(_ARRIVAL_CHUNK, self.keys.size):
+            self.fold()
+
+    def fold(self) -> None:
+        keys = np.concatenate([self.keys, *self._queued])
+        counts = np.concatenate([self.counts, np.ones(self._n_queued, dtype=np.int64)])
+        first = np.concatenate([self.first, *self._steps])
+        self._queued, self._steps, self._n_queued = [], [], 0
+        if not keys.size:
+            return
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        self.keys = keys[starts]
+        self.counts = np.add.reduceat(counts[order], starts)
+        self.first = first[order][starts]
+
+
 def simulate_walkers(
     net: FlowNetwork,
     n_walkers: int,
@@ -304,6 +350,8 @@ def simulate_walkers(
     in fixed-size batches with SeedSequence-spawned child streams, so the
     result is independent of any execution schedule. Walkers still alive
     at step_cap are counted in cap_exceeded and excluded from absorption.
+    Tallies are kept per visited (walker, node) pair, so memory follows
+    walkers times path length, not the node count.
     """
     if n_walkers < 1:
         raise ValueError("n_walkers must be >= 1")
@@ -343,9 +391,9 @@ def simulate_walkers(
         rng = np.random.default_rng(child)
         pos = np.zeros(b, dtype=np.int64)
         alive = np.arange(b)
-        visits = np.zeros((b, n_total), dtype=np.int32)
-        first_step = np.zeros((b, n_total), dtype=np.int32)
         length = np.zeros(b, dtype=np.int64)
+        absorbed_from: list[np.ndarray] = []
+        pairs = _PairTally()
         step = 0
         while alive.size and step < step_cap:
             step += 1
@@ -359,30 +407,27 @@ def simulate_walkers(
             pos[alive] = nxt
             hit_sink = nxt == sink
             if hit_sink.any():
-                absorption += np.bincount(p[hit_sink], minlength=n_total)
+                absorbed_from.append(p[hit_sink])
                 length[alive[hit_sink]] = step - 1
-            arrive = alive[~hit_sink]
-            tgt = nxt[~hit_sink]
-            if arrive.size:
-                if step == 1:
-                    first_arrival += np.bincount(tgt, minlength=n_total)
-                visits[arrive, tgt] += 1
-                new = first_step[arrive, tgt] == 0
-                if new.any():
-                    nt = tgt[new]
-                    fp_sum += step * np.bincount(nt, minlength=n_total)
-                    fp_sumsq += step * step * np.bincount(nt, minlength=n_total)
-                    fp_count += np.bincount(nt, minlength=n_total)
-                    first_step[arrive[new], nt] = step
             alive = alive[~hit_sink]
+            pairs.add(alive * n_total + nxt[~hit_sink], step)
         if alive.size:
             cap_exceeded += alive.size
             length[alive] = step
-        visit_sum += visits.sum(axis=0, dtype=np.float64)
-        visit_sumsq += (visits.astype(np.float64) ** 2).sum(axis=0)
+        if absorbed_from:
+            absorption += np.bincount(np.concatenate(absorbed_from), minlength=n_total)
+        pairs.fold()
+        node = pairs.keys % n_total
+        first = pairs.first
+        first_arrival += np.bincount(node[first == 1], minlength=n_total)
+        visit_sum += np.bincount(node, weights=pairs.counts, minlength=n_total)
+        visit_sumsq += np.bincount(node, weights=pairs.counts**2, minlength=n_total)
+        fp_count += np.bincount(node, minlength=n_total)
+        fp_sum += np.bincount(node, weights=first, minlength=n_total)
+        fp_sumsq += np.bincount(node, weights=first * first, minlength=n_total)
         if track_subtree:
-            onward = (length[:, None] - first_step + 1) * (first_step > 0)
-            subtree_sum += onward.sum(axis=0, dtype=np.float64)
+            onward = length[pairs.keys // n_total] - first + 1
+            subtree_sum += np.bincount(node, weights=onward, minlength=n_total)
     if cap_exceeded:
         warnings.warn(
             f"{cap_exceeded} walkers hit the {step_cap}-step cap", StepCapWarning
@@ -593,8 +638,7 @@ def enumerate_walks(net: FlowNetwork, max_nodes: int = 16) -> EnumerationResult:
     if n > max_nodes:
         raise ValueError(f"enumeration limited to {max_nodes} interior nodes, got {n}")
     M = transition_matrix(net).matrix.tocsr()
-    order, _ = _topological_or_raise(M, net)
-    del order
+    _topological_or_raise(M, net)
     sink = net.sink_index
     rows: list[list[tuple[int, float]]] = []
     for i in range(M.shape[0]):
@@ -647,7 +691,6 @@ def _topological_or_raise(M, net: FlowNetwork):
     """Reject cyclic interiors; enumeration would not terminate."""
     n = net.n_interior
     W = M[1 : n + 1, 1 : n + 1]
-    n_comp, labels = csgraph.connected_components(W, directed=True, connection="strong")
+    n_comp, _ = csgraph.connected_components(W, directed=True, connection="strong")
     if n_comp != n or W.diagonal().any():
         raise ValueError("network interior has cycles; enumeration requires a DAG")
-    return labels, n_comp

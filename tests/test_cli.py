@@ -420,6 +420,26 @@ class TestCertifiedInputs:
         for row in rows:
             assert float(row["A"]) == pytest.approx(float(row["phi"]), rel=1e-12)
 
+    def test_large_flow_imbalance_certifies(self, tmp_path):
+        edges = tmp_path / "net.csv"
+        edges.write_text("src,dst,weight\n__source__,a,1000000\na,__sink__,1000000.0000005\n")
+        out = tmp_path / "out"
+        assert run(["build", "--input", edges, "--out", out]) == 0
+        assert read_json(out / "build.json")["certified"] is True
+        assert run(["stats", "--input", edges, "--out", tmp_path / "stats"]) == 0
+        assert read_json(tmp_path / "stats" / "stats.json")["flux_residual"] <= 1e-9
+
+    def test_uncertifiable_network_fails_build(self, tmp_path, capsys):
+        edges = tmp_path / "net.csv"
+        edges.write_text(
+            "src,dst,weight\n__source__,a,9007199254740992\n__source__,b,1\n"
+            "b,a,1\na,__sink__,9007199254740994\n"
+        )
+        out = tmp_path / "out"
+        assert run(["build", "--input", edges, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("NotCertified: ")
+        assert not (out / "network.csv").exists()
+
     def test_non_finite_weight_fails_typed(self, tmp_path, capsys):
         edges = tmp_path / "net.csv"
         edges.write_text("src,dst,weight\n__source__,a,1\na,__sink__,nan\n")

@@ -19,9 +19,16 @@ from attnflow.errors import (
     DroppedNodesWarning,
     InvalidEdge,
     NegativeWeight,
+    NotCertified,
     SelfEdgeOnSourceOrSink,
 )
-from attnflow.network import read_edges, read_network, write_edges, write_network
+from attnflow.network import (
+    BALANCE_TOL,
+    read_edges,
+    read_network,
+    write_edges,
+    write_network,
+)
 
 
 def _tally(net):
@@ -180,6 +187,39 @@ class TestDropUncertified:
     def test_certify_convenience(self, chain_net):
         net, report = certify(chain_net)
         assert report.certified
+
+
+class TestBalanceMeetsValidate:
+    """balance() closes every residual that validate() would reject."""
+
+    def test_large_flow_small_relative_imbalance(self):
+        # 5e-7 is below 1e-12 of the node's flow but above BALANCE_TOL
+        net = build_flow_network({(SOURCE, "a"): 1_000_000, ("a", SINK): 1_000_000.0000005})
+        assert not validate(net).certified
+        certified, report = certify(net)
+        assert report.certified
+        assert report.max_residual <= BALANCE_TOL
+        assert certified.items == ("a",)
+
+    def test_certifying_input_keeps_its_flow(self):
+        # one ulp at flow 1e6 (1.2e-10) passes validate and is left alone
+        net = build_flow_network({(SOURCE, "a"): 1_000_000, ("a", SINK): 1_000_000 + 2.0**-33})
+        assert validate(net).certified
+        assert (balance(net).flow != net.flow).nnz == 0
+
+    def test_rounding_that_cannot_close_raises(self):
+        # a's in-flow 2**53 + 1 rounds to an even float on every
+        # compensation, so its residual stays at 2
+        net = build_flow_network(
+            {
+                (SOURCE, "a"): 2.0**53,
+                (SOURCE, "b"): 1.0,
+                ("b", "a"): 1.0,
+                ("a", SINK): 2.0**53 + 2,
+            }
+        )
+        with pytest.raises(NotCertified, match="max residual 2 "):
+            certify(net)
 
 
 class TestSerialization:

@@ -2,11 +2,13 @@
 exhaustive path enumerator, and the analytic-vs-simulated comparison
 harness.
 """
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from attnflow import oracle
 from attnflow import (
     GeneratorSpec,
     InvalidSpec,
@@ -206,6 +208,152 @@ class TestSimulateWalkers:
     def test_impact_estimate_requires_tracking(self, chain_net):
         est = simulate_walkers(chain_net, 100, seed=0)
         assert est.impact_estimate() is None
+
+
+TALLIES = (
+    "visit_sum",
+    "visit_sumsq",
+    "absorption",
+    "first_arrival",
+    "fp_sum",
+    "fp_sumsq",
+    "fp_count",
+    "subtree_sum",
+)
+
+
+def _dense_reference(net, n_walkers, seed, step_cap=oracle.STEP_CAP):
+    """The simulator as it was before its tallies went sparse: two dense
+    batch x N int32 matrices per batch, on the same seeded streams.
+    Returns every tally over interior nodes (subtree tracking on) plus
+    cap_exceeded.
+    """
+    M = transition_matrix(net).matrix.tocsr()
+    n_total = M.shape[0]
+    sink = net.sink_index
+    data, indptr, indices = M.data, M.indptr, M.indices
+    cum = np.concatenate([[0.0], np.cumsum(data)])
+    row_mass = cum[indptr[1:]] - cum[indptr[:-1]]
+    out = {name: np.zeros(n_total) for name in TALLIES}
+    cap_exceeded = 0
+    batch = oracle._batch_size(n_total, n_walkers)
+    n_batches = -(-n_walkers // batch)
+    done = 0
+    for child in np.random.SeedSequence(seed).spawn(n_batches):
+        b = min(batch, n_walkers - done)
+        done += b
+        rng = np.random.default_rng(child)
+        pos = np.zeros(b, dtype=np.int64)
+        alive = np.arange(b)
+        visits = np.zeros((b, n_total), dtype=np.int32)
+        first_step = np.zeros((b, n_total), dtype=np.int32)
+        length = np.zeros(b, dtype=np.int64)
+        step = 0
+        while alive.size and step < step_cap:
+            step += 1
+            p = pos[alive]
+            u = rng.random(alive.size)
+            start = indptr[p]
+            target = cum[start] + u * row_mass[p]
+            k = np.searchsorted(cum, target, side="right")
+            k = np.minimum(np.maximum(k - 1, start), indptr[p + 1] - 1)
+            nxt = indices[k]
+            pos[alive] = nxt
+            hit_sink = nxt == sink
+            if hit_sink.any():
+                out["absorption"] += np.bincount(p[hit_sink], minlength=n_total)
+                length[alive[hit_sink]] = step - 1
+            arrive = alive[~hit_sink]
+            tgt = nxt[~hit_sink]
+            if arrive.size:
+                if step == 1:
+                    out["first_arrival"] += np.bincount(tgt, minlength=n_total)
+                visits[arrive, tgt] += 1
+                new = first_step[arrive, tgt] == 0
+                if new.any():
+                    nt = tgt[new]
+                    out["fp_sum"] += step * np.bincount(nt, minlength=n_total)
+                    out["fp_sumsq"] += step * step * np.bincount(nt, minlength=n_total)
+                    out["fp_count"] += np.bincount(nt, minlength=n_total)
+                    first_step[arrive[new], nt] = step
+            alive = alive[~hit_sink]
+        if alive.size:
+            cap_exceeded += alive.size
+            length[alive] = step
+        out["visit_sum"] += visits.sum(axis=0, dtype=np.float64)
+        out["visit_sumsq"] += (visits.astype(np.float64) ** 2).sum(axis=0)
+        onward = (length[:, None] - first_step + 1) * (first_step > 0)
+        out["subtree_sum"] += onward.sum(axis=0, dtype=np.float64)
+    interior = slice(1, net.n_interior + 1)
+    return {name: tally[interior] for name, tally in out.items()}, cap_exceeded
+
+
+def _heavy_loop_net():
+    """One node that loops back with probability 0.8."""
+    return build_flow_network(
+        {("__source__", "X"): 2, ("X", "X"): 8, ("X", "__sink__"): 2}
+    )
+
+
+class TestSparseTallies:
+    """The per-(walker, node) tallies equal the dense reference bit for bit."""
+
+    def _assert_matches_dense(self, net, n_walkers, seed, step_cap=oracle.STEP_CAP):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", StepCapWarning)
+            est = simulate_walkers(
+                net, n_walkers, seed=seed, step_cap=step_cap, track_subtree=True
+            )
+        ref, ref_cap = _dense_reference(net, n_walkers, seed, step_cap)
+        for name in TALLIES:
+            np.testing.assert_array_equal(getattr(est, name), ref[name], err_msg=name)
+        assert est.cap_exceeded == ref_cap
+        return est
+
+    def test_balanced_cyclic(self, balanced_cyclic_net):
+        self._assert_matches_dense(balanced_cyclic_net, 7_777, seed=2)
+
+    def test_generated_random_cyclic(self):
+        net = generate(
+            GeneratorSpec(family="random-cyclic", size=300, recirculation=0.4, seed=17)
+        )
+        # 300 nodes give batches of 8e6 // 302 walkers: three batches here
+        self._assert_matches_dense(net, 60_000, seed=9)
+
+    def test_step_cap(self):
+        est = self._assert_matches_dense(_heavy_loop_net(), 2_000, seed=1, step_cap=3)
+        assert est.cap_exceeded > 0
+
+    def test_folds_within_a_batch(self, monkeypatch, balanced_cyclic_net):
+        """A tiny fold threshold merges the queue into the pair table many
+        times per batch; the tallies must not move.
+        """
+        monkeypatch.setattr(oracle, "_ARRIVAL_CHUNK", 7)
+        self._assert_matches_dense(balanced_cyclic_net, 3_000, seed=4)
+        self._assert_matches_dense(_heavy_loop_net(), 2_000, seed=5, step_cap=40)
+
+    def test_memory_follows_path_length(self):
+        """100k nodes, each leaking half its flow to the sink: walkers take
+        about two steps, so the tallies need kilobytes where two dense
+        1024 x 100k int32 matrices would need about 800 MB.
+        """
+        n = 100_000
+        names = [f"n{i}" for i in range(n)]
+        edges = {("__source__", name): 1.0 for name in names}
+        for a, b in zip(names, names[1:]):
+            edges[(a, b)] = 1.0
+        for name in names[1:-1]:
+            edges[(name, "__sink__")] = 1.0
+        edges[(names[-1], "__sink__")] = 2.0
+        net = build_flow_network(edges)
+        tracemalloc.start()
+        try:
+            est = simulate_walkers(net, 2_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.absorption.sum() == 2_000
+        assert peak < 50 * 2**20
 
 
 class TestCompare:
