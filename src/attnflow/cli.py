@@ -65,22 +65,6 @@ from .stats import (
     write_zipf_csv,
 )
 
-COMMANDS = (
-    "ingest",
-    "build",
-    "stats",
-    "distance",
-    "fit",
-    "gini",
-    "zipf",
-    "duplication",
-    "regress",
-    "simulate",
-    "generate",
-    "pipeline",
-    "compare",
-)
-
 SUMMARY_SCHEMA_VERSION = 1
 
 
@@ -611,7 +595,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--dense-threshold",
             type=int,
-            help=f"max size for dense linear algebra (default: {DENSE_THRESHOLD})",
+            help="max order of the dense inverses: per strongly connected component "
+            f"for the U diagonals, and of a materialized U (default: {DENSE_THRESHOLD})",
         )
         p.add_argument(
             "--pairwise-cap",
@@ -631,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--header", action="store_const", const=True, help="log has a header row"
         )
 
-    for name in COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name, help=f"{name} step")
         common(p)
         if name in ("ingest", "duplication", "pipeline"):

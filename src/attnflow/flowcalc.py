@@ -81,16 +81,17 @@ def transition_matrix(net: FlowNetwork) -> TransitionMatrix:
 class FundamentalMatrix:
     """Query interface for U = (I - W)^-1 over the interior block.
 
-    Rows, columns, diagonals, and row sums come from triangular solves
-    against one LU factorization; the full matrix is only materialized on
-    request and only below the dense threshold.
+    Rows, columns, and row sums come from triangular solves against one
+    sparse LU factorization, diagonals from per-component inverses; the
+    full matrix is only materialized on request and only below the dense
+    threshold.
     """
 
     def __init__(self, tm: TransitionMatrix, dense_threshold: int = DENSE_THRESHOLD):
         self.items = tm.items
         self.transition = tm
         self.dense_threshold = dense_threshold
-        self._solver = AbsorbingSolver(tm.interior, dense_threshold)
+        self._solver = AbsorbingSolver(tm.interior)
         self._diagonals: tuple[np.ndarray, np.ndarray] | None = None
 
     @property
@@ -127,18 +128,25 @@ class FundamentalMatrix:
             self.diagonal()
         return self._diagonals[1]
 
-    def matrix(self) -> np.ndarray:
-        """Dense U. Guarded: refuses above the dense threshold."""
+    def _refuse_above_threshold(self) -> None:
         if self.n > self.dense_threshold:
             raise MemoryError(
                 f"dense fundamental matrix of order {self.n} exceeds threshold "
                 f"{self.dense_threshold}"
             )
-        return self.solve(np.eye(self.n))
+
+    def matrix(self) -> np.ndarray:
+        """Dense U. Guarded: refuses above the dense threshold."""
+        self._refuse_above_threshold()
+        return np.linalg.inv(np.eye(self.n) - self.transition.interior.toarray())
 
     def identity_residual(self) -> float:
-        """max-norm of U (I - W) - I; direct check of the factorization."""
-        U = self.matrix()
+        """max-norm of U (I - W) - I, with U solved against the sparse
+        factorization rather than inverted densely: a direct check of the
+        solver in use.
+        """
+        self._refuse_above_threshold()
+        U = self.solve(np.eye(self.n))
         W = self.transition.interior.toarray()
         res = U @ (np.eye(self.n) - W) - np.eye(self.n)
         return float(np.abs(res).max()) if self.n else 0.0

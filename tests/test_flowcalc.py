@@ -23,11 +23,12 @@ from attnflow import (
     generate,
     node_flows,
     read_stats_csv,
+    to_transition_edges,
     transition_matrix,
     validate,
     write_stats_csv,
 )
-from attnflow._linalg import PIVOT_TOL, closed_components
+from attnflow._linalg import PIVOT_TOL, AbsorbingSolver, closed_components
 
 
 def _closed_components_loop(W) -> list[list[int]]:
@@ -43,6 +44,11 @@ def _closed_components_loop(W) -> list[list[int]]:
         if not (leaky or escapes):
             closed.append(np.flatnonzero(members).tolist())
     return closed
+
+
+def _largest_scc(W) -> int:
+    _, labels = connected_components(W, directed=True, connection="strong")
+    return int(np.bincount(labels).max())
 
 
 def _neumann_series(W, tol=1e-15, max_terms=5000) -> np.ndarray:
@@ -178,17 +184,35 @@ class TestFundamentalMatrix:
 
     def test_sparse_path_matches_dense(self, balanced_cyclic_net):
         tm = transition_matrix(balanced_cyclic_net)
-        dense = fundamental_matrix(tm, dense_threshold=DENSE_THRESHOLD)
-        sparse = fundamental_matrix(tm, dense_threshold=8)
-        b = np.linspace(0.5, 1.5, dense.n)
-        np.testing.assert_allclose(sparse.solve(b), dense.solve(b), rtol=1e-10)
-        np.testing.assert_allclose(
-            sparse.solve_transpose(b), dense.solve_transpose(b), rtol=1e-10
-        )
-        np.testing.assert_allclose(sparse.diagonal(), dense.diagonal(), rtol=1e-10)
-        np.testing.assert_allclose(
-            sparse.squared_diagonal(), dense.squared_diagonal(), rtol=1e-10
-        )
+        n = tm.n_interior
+        # reference kept here: a dense inverse, independent of the factor
+        U = np.linalg.inv(np.eye(n) - tm.interior.toarray())
+        b = np.linspace(0.5, 1.5, n)
+        B = np.column_stack([b, b[::-1], np.ones(n)])
+        # threshold 8 sends the components above 8 nodes through the
+        # per-column sparse diagonal loop instead of a dense inverse
+        for threshold in (DENSE_THRESHOLD, 8):
+            fm = fundamental_matrix(tm, dense_threshold=threshold)
+            np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-10)
+            np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-10)
+            np.testing.assert_allclose(fm.solve(B), U @ B, rtol=1e-10)
+            np.testing.assert_allclose(fm.solve_transpose(B), U.T @ B, rtol=1e-10)
+            np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-10)
+            np.testing.assert_allclose(
+                fm.squared_diagonal(), np.diag(U @ U), rtol=1e-10
+            )
+
+    def test_ordering_follows_scc_structure(self):
+        # random-cyclic keeps its SCCs inside 64-node blocks
+        cyclic = generate(GeneratorSpec(family="random-cyclic", size=500, seed=3))
+        W = transition_matrix(cyclic).interior
+        assert _largest_scc(W) <= 64
+        assert AbsorbingSolver(W).ordering == "COLAMD"
+        # a session log's hub items tie almost every item into one SCC
+        log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
+        W = transition_matrix(build_flow_network(to_transition_edges(log))).interior
+        assert _largest_scc(W) > W.shape[0] // 2
+        assert AbsorbingSolver(W).ordering == "MMD_AT_PLUS_A"
 
     def test_trapped_cycle_is_singular(self):
         net = build_flow_network(
@@ -204,6 +228,25 @@ class TestFundamentalMatrix:
             fundamental_matrix(transition_matrix(net))
         # interior indices of the closed pair (A is index 0)
         assert set(exc.value.component) == {1, 2}
+
+    def test_trapped_cycle_is_singular_at_scale(self):
+        # the same trapped pair among more than DENSE_THRESHOLD open nodes
+        edges = {
+            ("__source__", "A"): 2,
+            ("A", "__sink__"): 1,
+            ("A", "C1"): 1,
+            ("C1", "C2"): 1,
+            ("C2", "C1"): 1,
+        }
+        for k in range(DENSE_THRESHOLD + 100):
+            edges[("__source__", f"x{k}")] = 1
+            edges[(f"x{k}", "__sink__")] = 1
+        net = build_flow_network(edges)
+        assert net.n_interior > DENSE_THRESHOLD
+        with pytest.raises(SingularSystem) as exc:
+            fundamental_matrix(transition_matrix(net))
+        trapped = {net.items[i] for i in exc.value.component}
+        assert trapped == {"C1", "C2"}
 
     def test_closed_components_unchanged(self):
         # closed: the 2-cycle {2, 3} and the self-loop {6}; open: the leaky
