@@ -18,8 +18,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from attnflow import (
     GeneratorSpec,
-    balance,
     build_flow_network,
+    certify,
     duplication_filter,
     fit_power_law,
     fundamental_matrix,
@@ -31,7 +31,6 @@ from attnflow import (
     source_distances,
     to_transition_edges,
     transition_matrix,
-    validate,
 )
 
 
@@ -48,8 +47,7 @@ def main() -> int:
         f"{log.n_visits} visits over {len(log.item_registry)} items"
     )
 
-    net = balance(build_flow_network(to_transition_edges(log)))
-    report = validate(net)
+    net, report = certify(build_flow_network(to_transition_edges(log)))
     print(
         f"network: {net.n_interior} nodes, {net.n_edges} edges, "
         f"certified={report.certified}"

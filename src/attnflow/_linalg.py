@@ -7,12 +7,17 @@ and diagonal queries on demand.
 """
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import SingularSystem
+
+if TYPE_CHECKING:
+    from .flowcalc import TransitionMatrix
 
 # Pivot magnitudes below this mean (I - W) is numerically singular, which
 # for a substochastic W signals a closed recurrent component.
@@ -56,8 +61,13 @@ def _group_by_component(labels: np.ndarray, n_comp: int) -> tuple[np.ndarray, np
 
 
 class AbsorbingSolver:
-    """Sparse LU factorization of (I - W) answering U-queries without
-    forming U.
+    """U = (I - W)^-1 of a transition matrix's interior block, answered
+    from one sparse LU factorization of (I - W) without forming U.
+
+    Rows, columns and row sums come from triangular solves against the
+    factor, the diagonals of U and U^2 from per-component inverses (cached
+    after the first call); the full matrix is only materialized on request
+    and only up to ``dense_threshold`` nodes.
 
     The SuperLU column ordering follows the SCC structure of W. With small
     components (I - W) is close to block triangular and COLAMD keeps the
@@ -71,9 +81,13 @@ class AbsorbingSolver:
     trapped nodes.
     """
 
-    def __init__(self, W: sp.spmatrix):
-        self.n = W.shape[0]
-        self.W = W.tocsr()
+    def __init__(self, tm: TransitionMatrix, dense_threshold: int = DENSE_THRESHOLD):
+        self.transition = tm
+        self.items = tm.items
+        self.dense_threshold = dense_threshold
+        self.W = tm.interior.tocsr()
+        self.n = self.W.shape[0]
+        self._diagonals: tuple[np.ndarray, np.ndarray] | None = None
         _, labels = csgraph.connected_components(self.W, directed=True, connection="strong")
         largest = int(np.bincount(labels).max()) if self.n else 0
         self._ordering = "MMD_AT_PLUS_A" if 2 * largest > self.n else "COLAMD"
@@ -119,6 +133,39 @@ class AbsorbingSolver:
     def row_sums(self) -> np.ndarray:
         """U @ 1: expected visits to all interior nodes per start node."""
         return self.solve(np.ones(self.n))
+
+    def diagonal(self) -> np.ndarray:
+        """Expected visits to each node by walks started there (>= 1)."""
+        if self._diagonals is None:
+            self._diagonals = fundamental_diagonals(self.W, self.dense_threshold)
+        return self._diagonals[0]
+
+    def squared_diagonal(self) -> np.ndarray:
+        """diag(U^2), computed per recurrent component alongside diag(U)."""
+        self.diagonal()
+        return self._diagonals[1]
+
+    def _refuse_above_threshold(self) -> None:
+        if self.n > self.dense_threshold:
+            raise MemoryError(
+                f"dense fundamental matrix of order {self.n} exceeds threshold "
+                f"{self.dense_threshold}"
+            )
+
+    def matrix(self) -> np.ndarray:
+        """Dense U. Guarded: refuses above the dense threshold."""
+        self._refuse_above_threshold()
+        return np.linalg.inv(np.eye(self.n) - self.W.toarray())
+
+    def identity_residual(self) -> float:
+        """max-norm of U (I - W) - I, with U solved against the sparse
+        factorization rather than inverted densely: a direct check of the
+        solver in use.
+        """
+        self._refuse_above_threshold()
+        U = self.solve(np.eye(self.n))
+        res = U @ (np.eye(self.n) - self.W.toarray()) - np.eye(self.n)
+        return float(np.abs(res).max()) if self.n else 0.0
 
     def condition_estimate(self) -> float:
         """1-norm condition estimate of (I - W) via the factorization."""

@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .distance import (
 )
 from .errors import AttnFlowError
 from .flowcalc import (
-    STATS_HEADER,
     NodeFlowStats,
     fundamental_matrix,
     node_flows,
@@ -197,92 +197,98 @@ def _error_payload(exc: Exception) -> dict:
     return {"error": {"code": code, "message": str(exc)}}
 
 
-def _read_log(cfg: RunConfig):
-    fmt = LogFormat(delimiter=cfg.delimiter, has_header=cfg.header)
-    with open(cfg.input, "rb") as fh:
-        log = parse_log(fh, fmt)
-    return sessionize(log, cfg.gap_seconds)
+class Run:
+    """What the steps of one command share. Each piece is built on first
+    use and at most once, so a command computes only what its steps read.
+    """
+
+    def __init__(self, cfg: RunConfig, art: ArtifactDir):
+        self.cfg = cfg
+        self.art = art
+
+    @property
+    def input(self) -> str:
+        """``--input``, checked to exist on every read."""
+        if self.cfg.input is None:
+            raise ValueError("--input is required for this command")
+        if not os.path.exists(self.cfg.input):
+            raise FileNotFoundError(f"input path does not exist: {self.cfg.input}")
+        return self.cfg.input
+
+    @cached_property
+    def log(self):
+        """The sessionized input log; None when pipeline reads a network."""
+        fmt = LogFormat(delimiter=self.cfg.delimiter, has_header=self.cfg.header)
+        with open(self.input, "rb") as fh:
+            log = parse_log(fh, fmt)
+        return sessionize(log, self.cfg.gap_seconds)
+
+    @cached_property
+    def net(self):
+        """The certified input network, unless the build step set one."""
+        net, _ = certify(read_network(self.input))
+        return net
+
+    @cached_property
+    def solver(self):
+        return fundamental_matrix(transition_matrix(self.net), self.cfg.dense_threshold)
+
+    @cached_property
+    def stats(self) -> NodeFlowStats:
+        return node_flows(self.net, self.solver)
+
+    @cached_property
+    def l0(self) -> np.ndarray:
+        return source_distances(self.solver)
 
 
-def _load_network(cfg: RunConfig):
-    net, _ = certify(read_network(cfg.input))
-    return net
+# --- steps: each writes its artifacts and returns its summary fields ------
+
+def _step_ingest(run: Run) -> dict:
+    """Session log -> edges.csv; the edges stay on the run for the build."""
+    log = run.log
+    run.edges = to_transition_edges(log, run.cfg.mode)
+    write_edges(run.art.path("edges.csv"), run.edges)
+    return {"users": log.n_users, "sessions": log.n_sessions, "visits": log.n_visits}
 
 
-def _require_input(cfg: RunConfig) -> None:
-    if cfg.input is None:
-        raise ValueError("--input is required for this command")
-    if not os.path.exists(cfg.input):
-        raise FileNotFoundError(f"input path does not exist: {cfg.input}")
-
-
-def cmd_ingest(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    log = _read_log(cfg)
-    edges = to_transition_edges(log, cfg.mode)
-    write_edges(art.path("edges.csv"), edges)
-    art.write_json(
-        "ingest.json",
-        {
-            "users": log.n_users,
-            "sessions": log.n_sessions,
-            "visits": log.n_visits,
-            "records": log.n_records,
-            "items": len(log.item_registry),
-            "mode": cfg.mode,
-        },
-    )
-
-
-def cmd_build(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    built = read_network(cfg.input)
-    net, report = certify(built)
-    dropped = built.n_interior - net.n_interior
-    write_network(net, art.path("network.csv"), art.path("network.json"), report)
-    art.write_json(
-        "build.json",
-        {
-            "nodes": net.n_interior,
-            "edges": net.n_edges,
-            "dropped_nodes": dropped,
-            "certified": report.certified,
-            "max_residual": report.max_residual,
-        },
-    )
-
-
-def _stats_payload(net, stats: NodeFlowStats) -> dict:
-    totals = stats.totals()
+def _step_build(run: Run, built) -> dict:
+    """Certify ``built`` into the run's network and write it; returns the
+    fields of build.json, of which pipeline's summary takes two.
+    """
+    run.net, report = certify(built)
+    write_network(run.net, run.art.path("network.csv"), run.art.path("network.json"), report)
     return {
-        "nodes": net.n_interior,
-        "edges": net.n_edges,
-        "sum_A": totals["A"],
-        "sum_D": totals["D"],
-        "sum_S": totals["S"],
-        "source_outflow": net.total_source_outflow(),
-        "flux_residual": stats.flux_residual(),
+        "nodes": run.net.n_interior,
+        "edges": run.net.n_edges,
+        "dropped_nodes": built.n_interior - run.net.n_interior,
+        "certified": report.certified,
+        "max_residual": report.max_residual,
     }
 
 
-def cmd_stats(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    net = _load_network(cfg)
-    fm = fundamental_matrix(transition_matrix(net), cfg.dense_threshold)
-    stats = node_flows(net, fm)
-    write_stats_csv(art.path("stats.csv"), stats)
-    art.write_json("stats.json", _stats_payload(net, stats))
+def _step_stats(run: Run) -> dict:
+    net, stats = run.net, run.stats
+    totals = stats.totals()
+    write_stats_csv(run.art.path("stats.csv"), stats)
+    run.art.write_json(
+        "stats.json",
+        {
+            "nodes": net.n_interior,
+            "edges": net.n_edges,
+            "sum_A": totals["A"],
+            "sum_D": totals["D"],
+            "sum_S": totals["S"],
+            "source_outflow": net.total_source_outflow(),
+            "flux_residual": stats.flux_residual(),
+        },
+    )
+    return {}
 
 
-def cmd_distance(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    net = _load_network(cfg)
-    fm = fundamental_matrix(transition_matrix(net), cfg.dense_threshold)
-    l0 = source_distances(fm)
-    write_source_distances(art.path("source_distance.csv"), net.items, l0)
-    if cfg.pairwise:
-        t, l, c = pairwise_distances(fm, cfg.pairwise_cap)
-        write_pairwise(art.path("pairwise.csv"), net.items, t, l, c)
+def _step_distance(run: Run) -> dict:
+    write_source_distances(run.art.path("source_distance.csv"), run.net.items, run.l0)
+    return {}
 
 
 def _stats_column(stats: NodeFlowStats, name: str) -> np.ndarray:
@@ -292,73 +298,130 @@ def _stats_column(stats: NodeFlowStats, name: str) -> np.ndarray:
     return cols[name]
 
 
-def cmd_fit(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    stats = read_stats_csv(cfg.input)
-    fit = fit_power_law(_stats_column(stats, cfg.x), _stats_column(stats, cfg.y))
-    art.write_json(f"fit_{cfg.y}_vs_{cfg.x}.json", {"x": cfg.x, "y": cfg.y, **fit.to_dict()})
+def _step_fits(run: Run) -> dict:
+    fits = {}
+    for x, y in (("A", "D"), ("S", "A"), ("A", "C")):
+        name = f"fit_{y}_vs_{x}"
+        try:
+            fit = fit_power_law(_stats_column(run.stats, x), _stats_column(run.stats, y))
+        except Exception as exc:  # recorded, not fatal: small inputs
+            fits[name] = _error_payload(exc)["error"]
+        else:
+            fits[name] = fit.to_dict()
+            run.art.write_json(f"{name}.json", fit.to_dict())
+    return {"fits": fits}
 
 
-def cmd_gini(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    stats = read_stats_csv(cfg.input)
-    value = gini(_stats_column(stats, cfg.column))
-    art.write_json(f"gini_{cfg.column}.json", {"column": cfg.column, "gini": value})
+def _step_gini(run: Run) -> dict:
+    ginis = {}
+    for column in ("A", "D"):
+        try:
+            ginis[column] = gini(_stats_column(run.stats, column))
+        except Exception as exc:
+            ginis[column] = _error_payload(exc)["error"]
+    return {"gini": ginis}
 
 
-def cmd_zipf(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    stats = read_stats_csv(cfg.input)
-    report = concentration(_stats_column(stats, cfg.column), stats.items)
-    write_zipf_csv(art.path(f"zipf_{cfg.column}.csv"), report.zipf)
-    art.write_json(
-        f"zipf_{cfg.column}.json", {"column": cfg.column, "gini": report.gini}
-    )
+def _step_zipf(run: Run) -> dict:
+    report = concentration(run.stats.through_flow, run.stats.items)
+    write_zipf_csv(run.art.path("zipf_A.csv"), report.zipf)
+    return {"zipf_A": {"gini": report.gini, "rows": len(report.zipf)}}
 
 
-def cmd_duplication(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    log = _read_log(cfg)
-    report = duplication_filter(log)
-    write_duplication_csv(art.path("duplication.csv"), report)
-    art.write_json(
-        "duplication.json",
-        {
+def _step_regress(run: Run) -> dict:
+    table = regression_feature_table(run.stats, run.l0)
+    result = ols_regress(table.response, table.columns)
+    payload = result.to_dict()
+    payload["dropped_rows"] = table.dropped
+    run.art.write_json("regression.json", payload)
+    run.art.write_text("regression.txt", result.table() + "\n")
+    return {"regression": payload}
+
+
+def _step_duplication(run: Run) -> dict:
+    if run.log is None:
+        skipped = {"code": "Skipped", "message": "duplication needs a session log input"}
+        return {"duplication": skipped}
+    report = duplication_filter(run.log)
+    write_duplication_csv(run.art.path("duplication.csv"), report)
+    return {
+        "duplication": {
             "users": report.n_users,
-            "items": len(report.items),
             "edges_before": len(report.observed),
             "edges_after": len(report.kept),
             "retained_fraction": report.retained_fraction(),
+        }
+    }
+
+
+#: pipeline analyses in run order: the step, and the summary key that
+#: records its error (None: an error fails the run)
+_ANALYSES = {
+    "stats": (_step_stats, None),
+    "distance": (_step_distance, None),
+    "fits": (_step_fits, "fits"),
+    "gini": (_step_gini, "gini"),
+    "zipf": (_step_zipf, "zipf_A"),
+    "regress": (_step_regress, "regression"),
+    "duplication": (_step_duplication, "duplication"),
+}
+
+
+# --- commands: stats and regress are their pipeline steps -----------------
+
+def cmd_ingest(run: Run) -> None:
+    fields = _step_ingest(run)
+    run.art.write_json(
+        "ingest.json",
+        {
+            **fields,
+            "records": run.log.n_records,
+            "items": len(run.log.item_registry),
+            "mode": run.cfg.mode,
         },
     )
 
 
-def _regression(net, stats: NodeFlowStats, l0: np.ndarray):
-    table = regression_feature_table(stats, l0)
-    result = ols_regress(table.response, table.columns)
-    payload = result.to_dict()
-    payload["dropped_rows"] = table.dropped
-    return payload, result
+def cmd_build(run: Run) -> None:
+    run.art.write_json("build.json", _step_build(run, read_network(run.input)))
 
 
-def cmd_regress(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    net = _load_network(cfg)
-    fm = fundamental_matrix(transition_matrix(net), cfg.dense_threshold)
-    stats = node_flows(net, fm)
-    l0 = source_distances(fm)
-    payload, result = _regression(net, stats, l0)
-    art.write_json("regression.json", payload)
-    art.write_text("regression.txt", result.table() + "\n")
+def cmd_distance(run: Run) -> None:
+    _step_distance(run)
+    if run.cfg.pairwise:
+        t, l, c = pairwise_distances(run.solver, run.cfg.pairwise_cap)
+        write_pairwise(run.art.path("pairwise.csv"), run.net.items, t, l, c)
 
 
-def cmd_simulate(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    net = _load_network(cfg)
-    est = simulate_walkers(net, cfg.walkers, cfg.seed)
-    write_estimates_csv(art.path("estimates.csv"), est)
-    art.write_json("tallies.json", _tallies_to_json(est))
-    art.write_json(
+def cmd_fit(run: Run) -> None:
+    cfg, stats = run.cfg, read_stats_csv(run.input)
+    fit = fit_power_law(_stats_column(stats, cfg.x), _stats_column(stats, cfg.y))
+    run.art.write_json(f"fit_{cfg.y}_vs_{cfg.x}.json", {"x": cfg.x, "y": cfg.y, **fit.to_dict()})
+
+
+def cmd_gini(run: Run) -> None:
+    column, stats = run.cfg.column, read_stats_csv(run.input)
+    value = gini(_stats_column(stats, column))
+    run.art.write_json(f"gini_{column}.json", {"column": column, "gini": value})
+
+
+def cmd_zipf(run: Run) -> None:
+    column, stats = run.cfg.column, read_stats_csv(run.input)
+    report = concentration(_stats_column(stats, column), stats.items)
+    write_zipf_csv(run.art.path(f"zipf_{column}.csv"), report.zipf)
+    run.art.write_json(f"zipf_{column}.json", {"column": column, "gini": report.gini})
+
+
+def cmd_duplication(run: Run) -> None:
+    fields = _step_duplication(run)["duplication"]
+    run.art.write_json("duplication.json", {**fields, "items": len(run.log.item_registry)})
+
+
+def cmd_simulate(run: Run) -> None:
+    est = simulate_walkers(run.net, run.cfg.walkers, run.cfg.seed)
+    write_estimates_csv(run.art.path("estimates.csv"), est)
+    run.art.write_json("tallies.json", _tallies_to_json(est))
+    run.art.write_json(
         "simulate.json",
         {
             "walkers": est.n_walkers,
@@ -404,19 +467,15 @@ def _tallies_from_json(payload: dict) -> WalkEstimate:
     )
 
 
-def cmd_compare(cfg: RunConfig, art: ArtifactDir) -> None:
-    _require_input(cfg)
-    net = _load_network(cfg)
+def cmd_compare(run: Run) -> None:
+    cfg, net = run.cfg, run.net
     if cfg.tallies:
         with open(cfg.tallies) as fh:
             est = _tallies_from_json(json.load(fh))
     else:
         est = simulate_walkers(net, cfg.walkers, cfg.seed)
-    fm = fundamental_matrix(transition_matrix(net), cfg.dense_threshold)
-    stats = node_flows(net, fm)
-    l0 = source_distances(fm)
-    report = compare(est, stats, l0, cfg.multiplier)
-    art.write_json("compare.json", report.to_dict())
+    report = compare(est, run.stats, run.l0, cfg.multiplier)
+    run.art.write_json("compare.json", report.to_dict())
     print(
         f"compare: {'pass' if report.passed else 'FAIL'} "
         f"(overall pass fraction {report.overall_pass_fraction:.4f} "
@@ -424,7 +483,8 @@ def cmd_compare(cfg: RunConfig, art: ArtifactDir) -> None:
     )
 
 
-def cmd_generate(cfg: RunConfig, art: ArtifactDir) -> None:
+def cmd_generate(run: Run) -> None:
+    cfg, art = run.cfg, run.art
     spec = GeneratorSpec(
         family=cfg.family,
         size=cfg.size,
@@ -456,121 +516,58 @@ def cmd_generate(cfg: RunConfig, art: ArtifactDir) -> None:
         )
 
 
-def cmd_pipeline(cfg: RunConfig, art: ArtifactDir) -> None:
-    """Full chain with per-analysis error capture in the summary."""
-    _require_input(cfg)
+def cmd_pipeline(run: Run) -> None:
+    """Ingest (log input), certify, then every requested analysis in
+    ``_ANALYSES`` order, with per-analysis error capture in the summary.
+    """
+    cfg = run.cfg
     wanted = {a.strip() for a in cfg.analyses.split(",") if a.strip()}
+    if not wanted <= _ANALYSES.keys():
+        raise ValueError(
+            f"unknown analyses {sorted(wanted - _ANALYSES.keys())}; "
+            f"choose from {list(_ANALYSES)}"
+        )
+    source = run.input  # a missing input is reported before a bad input kind
     summary: dict = {"schema_version": SUMMARY_SCHEMA_VERSION}
-    log = None
     if cfg.input_kind == "log":
-        log = _read_log(cfg)
-        edges = to_transition_edges(log, cfg.mode)
-        write_edges(art.path("edges.csv"), edges)
-        built = build_flow_network(edges)
-        summary["users"] = log.n_users
-        summary["sessions"] = log.n_sessions
-        summary["visits"] = log.n_visits
+        summary.update(_step_ingest(run))
+        built = build_flow_network(run.edges)
     elif cfg.input_kind in ("edges", "network"):
-        built = read_network(cfg.input)
+        run.log = None
+        built = read_network(source)
     else:
         raise ValueError(f"unknown input kind {cfg.input_kind!r}")
-    net, report = certify(built)
-    write_network(net, art.path("network.csv"), art.path("network.json"), report)
-    summary["nodes"] = net.n_interior
-    summary["edges"] = net.n_edges
-    summary["source_outflow"] = net.total_source_outflow()
-
-    fm = fundamental_matrix(transition_matrix(net), cfg.dense_threshold)
-    stats = node_flows(net, fm)
-    if "stats" in wanted:
-        write_stats_csv(art.path("stats.csv"), stats)
-        art.write_json("stats.json", _stats_payload(net, stats))
-    totals = stats.totals()
-    summary["sum_A"] = totals["A"]
-    summary["sum_D"] = totals["D"]
-
-    l0 = None
-    if "distance" in wanted or "regress" in wanted:
-        l0 = source_distances(fm)
-    if "distance" in wanted:
-        write_source_distances(art.path("source_distance.csv"), net.items, l0)
-
-    if "fits" in wanted:
-        fit_specs = [
-            ("fit_D_vs_A", stats.through_flow, stats.dissipation),
-            ("fit_A_vs_S", stats.source_inflow, stats.through_flow),
-            ("fit_C_vs_A", stats.through_flow, stats.impact),
-        ]
-        summary["fits"] = {}
-        for name, x, y in fit_specs:
-            try:
-                fit = fit_power_law(x, y)
-            except Exception as exc:  # recorded, not fatal: small inputs
-                summary["fits"][name] = _error_payload(exc)["error"]
-            else:
-                summary["fits"][name] = fit.to_dict()
-                art.write_json(f"{name}.json", fit.to_dict())
-
-    if "gini" in wanted:
-        summary["gini"] = {}
-        for column in ("A", "D"):
-            try:
-                summary["gini"][column] = gini(_stats_column(stats, column))
-            except Exception as exc:
-                summary["gini"][column] = _error_payload(exc)["error"]
-
-    if "zipf" in wanted:
+    network = _step_build(run, built)
+    totals = run.stats.totals()
+    summary.update(
+        nodes=network["nodes"],
+        edges=network["edges"],
+        source_outflow=run.net.total_source_outflow(),
+        sum_A=totals["A"],
+        sum_D=totals["D"],
+    )
+    for name, (step, error_key) in _ANALYSES.items():
+        if name not in wanted:
+            continue
         try:
-            zipf_report = concentration(stats.through_flow, stats.items)
+            summary.update(step(run))
         except Exception as exc:
-            summary["zipf_A"] = _error_payload(exc)["error"]
-        else:
-            write_zipf_csv(art.path("zipf_A.csv"), zipf_report.zipf)
-            summary["zipf_A"] = {"gini": zipf_report.gini, "rows": len(zipf_report.zipf)}
-
-    if "regress" in wanted:
-        try:
-            payload, result = _regression(net, stats, l0)
-        except Exception as exc:
-            summary["regression"] = _error_payload(exc)["error"]
-        else:
-            summary["regression"] = payload
-            art.write_json("regression.json", payload)
-            art.write_text("regression.txt", result.table() + "\n")
-
-    if "duplication" in wanted:
-        if log is None:
-            summary["duplication"] = {
-                "code": "Skipped",
-                "message": "duplication needs a session log input",
-            }
-        else:
-            try:
-                dup = duplication_filter(log)
-            except Exception as exc:
-                summary["duplication"] = _error_payload(exc)["error"]
-            else:
-                write_duplication_csv(art.path("duplication.csv"), dup)
-                summary["duplication"] = {
-                    "users": dup.n_users,
-                    "edges_before": len(dup.observed),
-                    "edges_after": len(dup.kept),
-                    "retained_fraction": dup.retained_fraction(),
-                }
-
-    art.write_json("summary.json", summary)
+            if error_key is None:
+                raise
+            summary[error_key] = _error_payload(exc)["error"]
+    run.art.write_json("summary.json", summary)
 
 
 _HANDLERS = {
     "ingest": cmd_ingest,
     "build": cmd_build,
-    "stats": cmd_stats,
+    "stats": _step_stats,
     "distance": cmd_distance,
     "fit": cmd_fit,
     "gini": cmd_gini,
     "zipf": cmd_zipf,
     "duplication": cmd_duplication,
-    "regress": cmd_regress,
+    "regress": _step_regress,
     "simulate": cmd_simulate,
     "generate": cmd_generate,
     "pipeline": cmd_pipeline,
@@ -672,7 +669,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         _echo_config(cfg, art, args.command)
-        _HANDLERS[args.command](cfg, art)
+        _HANDLERS[args.command](Run(cfg, art))
     except Exception as exc:
         art.cleanup()
         print(f"{_error_payload(exc)['error']['code']}: {exc}", file=sys.stderr)

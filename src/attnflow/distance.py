@@ -19,7 +19,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
 from .errors import UnreachablePair
-from .flowcalc import FundamentalMatrix
+from .flowcalc import AbsorbingSolver
 from .network import reachable
 
 PAIRWISE_CAP = 2000
@@ -51,12 +51,12 @@ def _reachable_from_source(W: sp.csr_matrix, m0: np.ndarray) -> np.ndarray:
     return reachable(pattern, 0)[1:]
 
 
-def return_times(fm: FundamentalMatrix) -> np.ndarray:
+def return_times(fm: AbsorbingSolver) -> np.ndarray:
     """t_jj for every interior node: 0 unless the node can revisit itself."""
     return fm.squared_diagonal() / fm.diagonal() - 1.0
 
 
-def total_distance_row(fm: FundamentalMatrix, i: int) -> np.ndarray:
+def total_distance_row(fm: AbsorbingSolver, i: int) -> np.ndarray:
     """t_ij for one origin i over all interior targets; NaN if unreachable."""
     r = fm.row(i)
     s = fm.solve_transpose(r)
@@ -66,7 +66,7 @@ def total_distance_row(fm: FundamentalMatrix, i: int) -> np.ndarray:
     return t
 
 
-def source_total_distances(fm: FundamentalMatrix) -> np.ndarray:
+def source_total_distances(fm: AbsorbingSolver) -> np.ndarray:
     """t_0j from the source to every interior node via two transpose solves."""
     m0 = fm.transition.source_row()
     v = fm.solve_transpose(m0)
@@ -77,13 +77,13 @@ def source_total_distances(fm: FundamentalMatrix) -> np.ndarray:
     return t
 
 
-def source_distances(fm: FundamentalMatrix) -> np.ndarray:
+def source_distances(fm: AbsorbingSolver) -> np.ndarray:
     """First-passage distance from the source, l_0j = t_0j - t_jj."""
     return source_total_distances(fm) - return_times(fm)
 
 
 def pairwise_distances(
-    fm: FundamentalMatrix, cap: int = PAIRWISE_CAP
+    fm: AbsorbingSolver, cap: int = PAIRWISE_CAP
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (t, l, c) matrices over interior nodes; NaN marks unreachable.
 
@@ -109,7 +109,7 @@ def pairwise_distances(
     return t, l, c
 
 
-def first_passage(fm: FundamentalMatrix, i: int, j: int) -> float:
+def first_passage(fm: AbsorbingSolver, i: int, j: int) -> float:
     """Scalar l_ij; raises UnreachablePair when j is unreachable from i."""
     if i == j:
         return 0.0
@@ -119,7 +119,7 @@ def first_passage(fm: FundamentalMatrix, i: int, j: int) -> float:
     return float(t[j] - return_times(fm)[j])
 
 
-def symmetric_distance(fm: FundamentalMatrix, i: int, j: int) -> float:
+def symmetric_distance(fm: AbsorbingSolver, i: int, j: int) -> float:
     """Harmonic-mean distance c_ij; needs reachability in both directions."""
     if i == j:
         return 0.0

@@ -24,6 +24,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
+# fundamental_diagonals is re-exported: the solver layer is reached through flowcalc
 from ._linalg import DENSE_THRESHOLD, AbsorbingSolver, fundamental_diagonals
 from .errors import ZeroOutflowRow
 from .network import FlowNetwork
@@ -78,87 +79,11 @@ def transition_matrix(net: FlowNetwork) -> TransitionMatrix:
     return TransitionMatrix(items=net.items, matrix=M.tocsr())
 
 
-class FundamentalMatrix:
-    """Query interface for U = (I - W)^-1 over the interior block.
-
-    Rows, columns, and row sums come from triangular solves against one
-    sparse LU factorization, diagonals from per-component inverses; the
-    full matrix is only materialized on request and only below the dense
-    threshold.
-    """
-
-    def __init__(self, tm: TransitionMatrix, dense_threshold: int = DENSE_THRESHOLD):
-        self.items = tm.items
-        self.transition = tm
-        self.dense_threshold = dense_threshold
-        self._solver = AbsorbingSolver(tm.interior)
-        self._diagonals: tuple[np.ndarray, np.ndarray] | None = None
-
-    @property
-    def n(self) -> int:
-        return len(self.items)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self._solver.solve(b)
-
-    def solve_transpose(self, b: np.ndarray) -> np.ndarray:
-        return self._solver.solve_transpose(b)
-
-    def row(self, i: int) -> np.ndarray:
-        return self._solver.row(i)
-
-    def column(self, j: int) -> np.ndarray:
-        return self._solver.column(j)
-
-    def row_sums(self) -> np.ndarray:
-        """Expected total interior visits for a walk started at each node."""
-        return self._solver.row_sums()
-
-    def diagonal(self) -> np.ndarray:
-        """Expected visits to each node by walks started there (>= 1)."""
-        if self._diagonals is None:
-            self._diagonals = fundamental_diagonals(
-                self.transition.interior, self.dense_threshold
-            )
-        return self._diagonals[0]
-
-    def squared_diagonal(self) -> np.ndarray:
-        """diag(U^2), computed per recurrent component alongside diag(U)."""
-        if self._diagonals is None:
-            self.diagonal()
-        return self._diagonals[1]
-
-    def _refuse_above_threshold(self) -> None:
-        if self.n > self.dense_threshold:
-            raise MemoryError(
-                f"dense fundamental matrix of order {self.n} exceeds threshold "
-                f"{self.dense_threshold}"
-            )
-
-    def matrix(self) -> np.ndarray:
-        """Dense U. Guarded: refuses above the dense threshold."""
-        self._refuse_above_threshold()
-        return np.linalg.inv(np.eye(self.n) - self.transition.interior.toarray())
-
-    def identity_residual(self) -> float:
-        """max-norm of U (I - W) - I, with U solved against the sparse
-        factorization rather than inverted densely: a direct check of the
-        solver in use.
-        """
-        self._refuse_above_threshold()
-        U = self.solve(np.eye(self.n))
-        W = self.transition.interior.toarray()
-        res = U @ (np.eye(self.n) - W) - np.eye(self.n)
-        return float(np.abs(res).max()) if self.n else 0.0
-
-    def condition_estimate(self) -> float:
-        return self._solver.condition_estimate()
-
-
 def fundamental_matrix(
     tm: TransitionMatrix, dense_threshold: int = DENSE_THRESHOLD
-) -> FundamentalMatrix:
-    return FundamentalMatrix(tm, dense_threshold)
+) -> AbsorbingSolver:
+    """The solver answering U = (I - W)^-1 queries over tm's interior block."""
+    return AbsorbingSolver(tm, dense_threshold)
 
 
 @dataclass(frozen=True)
@@ -197,7 +122,7 @@ class NodeFlowStats:
 
 def node_flows(
     net: FlowNetwork,
-    fm: FundamentalMatrix | None = None,
+    fm: AbsorbingSolver | None = None,
     dense_threshold: int = DENSE_THRESHOLD,
 ) -> NodeFlowStats:
     """Compute all per-node flow quantities for a balanced network.
@@ -226,12 +151,12 @@ def node_flows(
     )
 
 
-def flow_impact(fm: FundamentalMatrix, source_flows: np.ndarray) -> np.ndarray:
+def flow_impact(fm: AbsorbingSolver, source_flows: np.ndarray) -> np.ndarray:
     """Impact in factored form: (U^T s) * (U 1) / diag(U)."""
     return fm.solve_transpose(source_flows) * fm.row_sums() / fm.diagonal()
 
 
-def flow_impact_double_sum(fm: FundamentalMatrix, source_flows: np.ndarray) -> np.ndarray:
+def flow_impact_double_sum(fm: AbsorbingSolver, source_flows: np.ndarray) -> np.ndarray:
     """Impact as the explicit double sum over inflow paths j and onward
     paths k, contracted against a materialized U. Dense-only cross-check
     for the factored form.

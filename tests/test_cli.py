@@ -354,6 +354,62 @@ class TestPipeline:
         assert "fits" not in summary
         assert not (out / "source_distance.csv").exists()
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_unknown_analysis_rejected(self, tmp_path, network_dir, capsys, route):
+        out = tmp_path / "pu"
+        args = ["pipeline", "--input", network_dir / "network.csv", "--input-kind", "network"]
+        if route == "flag":
+            args += ["--analyses", "stat,gini"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("analyses = stat,gini\n")
+            args += ["--config", cfg]
+        assert run(args + ["--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: ")
+        assert "'stat'" in err
+        for name in ("stats", "distance", "fits", "gini", "zipf", "regress", "duplication"):
+            assert f"'{name}'" in err
+        assert os.listdir(out) == []
+
+    def test_matches_single_step_commands(self, tmp_path):
+        """pipeline writes the same bytes as ingest -> build -> stats /
+        distance / regress / duplication run one at a time.
+        """
+        gen = tmp_path / "gen"
+        code = run(
+            ["generate", "--family", "session-log", "--size", "120", "--seed", "5", "--out", gen]
+        )
+        assert code == 0
+        log = gen / "sessions.csv"
+        piped = tmp_path / "pipeline"
+        assert run(["pipeline", "--input", log, "--out", piped]) == 0
+        single = {
+            "ingest": ["ingest", "--input", log],
+            "build": ["build", "--input", tmp_path / "ingest" / "edges.csv"],
+        }
+        for name, args in single.items():
+            assert run(args + ["--out", tmp_path / name]) == 0
+        network = tmp_path / "build" / "network.csv"
+        for name in ("stats", "distance", "regress"):
+            assert run([name, "--input", network, "--out", tmp_path / name]) == 0
+        assert run(["duplication", "--input", log, "--out", tmp_path / "duplication"]) == 0
+        expected = {
+            "edges.csv": "ingest",
+            "network.csv": "build",
+            "network.json": "build",
+            "stats.csv": "stats",
+            "stats.json": "stats",
+            "source_distance.csv": "distance",
+            "regression.json": "regress",
+            "regression.txt": "regress",
+            "duplication.csv": "duplication",
+        }
+        for artifact, command in expected.items():
+            assert (piped / artifact).read_bytes() == (
+                tmp_path / command / artifact
+            ).read_bytes(), artifact
+
 
 class TestErrorHandling:
     def test_missing_input(self, tmp_path, capsys):

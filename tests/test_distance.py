@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 from attnflow import (
-    FundamentalMatrix,
+    AbsorbingSolver,
     TransitionMatrix,
     UnreachablePair,
     build_flow_network,
@@ -175,7 +175,7 @@ class TestSourceReachability:
             shape=(4, 4),
         )
         assert M[0].nnz == 2
-        fm = FundamentalMatrix(TransitionMatrix(items=("A", "B"), matrix=M))
+        fm = AbsorbingSolver(TransitionMatrix(items=("A", "B"), matrix=M))
         t = source_total_distances(fm)
         assert t[0] == pytest.approx(1.0)
         assert math.isnan(t[1])

@@ -205,14 +205,14 @@ class TestFundamentalMatrix:
     def test_ordering_follows_scc_structure(self):
         # random-cyclic keeps its SCCs inside 64-node blocks
         cyclic = generate(GeneratorSpec(family="random-cyclic", size=500, seed=3))
-        W = transition_matrix(cyclic).interior
-        assert _largest_scc(W) <= 64
-        assert AbsorbingSolver(W).ordering == "COLAMD"
+        tm = transition_matrix(cyclic)
+        assert _largest_scc(tm.interior) <= 64
+        assert AbsorbingSolver(tm).ordering == "COLAMD"
         # a session log's hub items tie almost every item into one SCC
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
-        W = transition_matrix(build_flow_network(to_transition_edges(log))).interior
-        assert _largest_scc(W) > W.shape[0] // 2
-        assert AbsorbingSolver(W).ordering == "MMD_AT_PLUS_A"
+        tm = transition_matrix(build_flow_network(to_transition_edges(log)))
+        assert _largest_scc(tm.interior) > tm.n_interior // 2
+        assert AbsorbingSolver(tm).ordering == "MMD_AT_PLUS_A"
 
     def test_trapped_cycle_is_singular(self):
         net = build_flow_network(
