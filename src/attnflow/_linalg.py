@@ -24,7 +24,8 @@ if TYPE_CHECKING:
 PIVOT_TOL = 1e-12
 
 # Strongly connected components at or below this order get their diagonals
-# from a dense inverse; a materialized U is refused above it.
+# from a dense inverse, larger ones from per-column solves against the
+# factor; a materialized U is refused above it.
 DENSE_THRESHOLD = 4096
 
 
@@ -65,9 +66,10 @@ class AbsorbingSolver:
     from one sparse LU factorization of (I - W) without forming U.
 
     Rows, columns and row sums come from triangular solves against the
-    factor, the diagonals of U and U^2 from per-component inverses (cached
-    after the first call); the full matrix is only materialized on request
-    and only up to ``dense_threshold`` nodes.
+    factor, the diagonals of U and U^2 per strongly connected component
+    (cached after the first call, see :func:`fundamental_diagonals`); the
+    full matrix is only materialized on request and only up to
+    ``dense_threshold`` nodes.
 
     The SuperLU column ordering follows the SCC structure of W. With small
     components (I - W) is close to block triangular and COLAMD keeps the
@@ -88,8 +90,10 @@ class AbsorbingSolver:
         self.W = tm.interior.tocsr()
         self.n = self.W.shape[0]
         self._diagonals: tuple[np.ndarray, np.ndarray] | None = None
-        _, labels = csgraph.connected_components(self.W, directed=True, connection="strong")
-        largest = int(np.bincount(labels).max()) if self.n else 0
+        _, self._labels = csgraph.connected_components(
+            self.W, directed=True, connection="strong"
+        )
+        largest = int(np.bincount(self._labels).max()) if self.n else 0
         self._ordering = "MMD_AT_PLUS_A" if 2 * largest > self.n else "COLAMD"
         system = (sp.identity(self.n, format="csc") - self.W).tocsc()
         try:
@@ -137,7 +141,9 @@ class AbsorbingSolver:
     def diagonal(self) -> np.ndarray:
         """Expected visits to each node by walks started there (>= 1)."""
         if self._diagonals is None:
-            self._diagonals = fundamental_diagonals(self.W, self.dense_threshold)
+            self._diagonals = fundamental_diagonals(
+                self.W, self._labels, self._lu, self.dense_threshold
+            )
         return self._diagonals[0]
 
     def squared_diagonal(self) -> np.ndarray:
@@ -182,14 +188,20 @@ class AbsorbingSolver:
 
 
 def fundamental_diagonals(
-    W: sp.spmatrix, dense_threshold: int = DENSE_THRESHOLD
+    W: sp.spmatrix,
+    labels: np.ndarray,
+    lu: spla.SuperLU,
+    dense_threshold: int = DENSE_THRESHOLD,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Exact diag(U) and diag(U^2) without any global column solves.
+    """Exact diag(U) and diag(U^2), one strongly connected component at a
+    time; ``labels`` are W's component labels and ``lu`` factors I - W.
 
     A walk that leaves node j and returns to j never exits j's strongly
-    connected component, so both diagonals are computable per component
-    from the small dense inverse of its restriction. Singleton components
-    reduce to the self-loop weight w: u = 1/(1-w).
+    connected component, so both diagonals are computable per component.
+    Singleton components reduce to the self-loop weight w: u = 1/(1-w);
+    components up to ``dense_threshold`` nodes use the dense inverse of
+    their restriction. Larger ones take one column and one row of U per
+    member from ``lu``: U_jj = col_j and (U^2)_jj = row_j . col_j.
     """
     n = W.shape[0]
     diag_u = np.ones(n)
@@ -197,9 +209,10 @@ def fundamental_diagonals(
     if n == 0:
         return diag_u, diag_u2
     W = W.tocsr()
-    n_comp, labels = csgraph.connected_components(W, directed=True, connection="strong")
+    n_comp = int(labels.max()) + 1
     order, bounds = _group_by_component(labels, n_comp)
     loops = W.diagonal()
+    e = np.zeros(n)
     for comp in range(n_comp):
         members = order[bounds[comp] : bounds[comp + 1]]
         if members.size == 1:
@@ -210,19 +223,14 @@ def fundamental_diagonals(
             diag_u2[j] = u * u
             continue
         if members.size > dense_threshold:
-            # oversized recurrent component: per-column sparse solves, slow
-            # but exact; the block is one SCC, so minimum degree fits it
-            sub = (
-                sp.identity(members.size, format="csc")
-                - W[np.ix_(members, members)].tocsc()
-            )
-            lu = spla.splu(sub, permc_spec="MMD_AT_PLUS_A")
-            for local, j in enumerate(members):
-                e = np.zeros(members.size)
-                e[local] = 1.0
+            # oversized recurrent component: two solves per member against
+            # the solver's own factor, slow but exact
+            for j in members:
+                e[j] = 1.0
                 col = lu.solve(e)
                 row = lu.solve(e, trans="T")
-                diag_u[j] = col[local]
+                e[j] = 0.0
+                diag_u[j] = col[j]
                 diag_u2[j] = float(row @ col)
             continue
         block = W[np.ix_(members, members)].toarray()

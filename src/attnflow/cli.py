@@ -288,6 +288,9 @@ def _step_stats(run: Run) -> dict:
 
 def _step_distance(run: Run) -> dict:
     write_source_distances(run.art.path("source_distance.csv"), run.net.items, run.l0)
+    if run.cfg.pairwise:
+        t, l, c = pairwise_distances(run.solver, run.cfg.pairwise_cap)
+        write_pairwise(run.art.path("pairwise.csv"), run.net.items, t, l, c)
     return {}
 
 
@@ -367,7 +370,7 @@ _ANALYSES = {
 }
 
 
-# --- commands: stats and regress are their pipeline steps -----------------
+# --- commands: stats, distance and regress are their pipeline steps -------
 
 def cmd_ingest(run: Run) -> None:
     fields = _step_ingest(run)
@@ -384,13 +387,6 @@ def cmd_ingest(run: Run) -> None:
 
 def cmd_build(run: Run) -> None:
     run.art.write_json("build.json", _step_build(run, read_network(run.input)))
-
-
-def cmd_distance(run: Run) -> None:
-    _step_distance(run)
-    if run.cfg.pairwise:
-        t, l, c = pairwise_distances(run.solver, run.cfg.pairwise_cap)
-        write_pairwise(run.art.path("pairwise.csv"), run.net.items, t, l, c)
 
 
 def cmd_fit(run: Run) -> None:
@@ -562,7 +558,7 @@ _HANDLERS = {
     "ingest": cmd_ingest,
     "build": cmd_build,
     "stats": _step_stats,
-    "distance": cmd_distance,
+    "distance": _step_distance,
     "fit": cmd_fit,
     "gini": cmd_gini,
     "zipf": cmd_zipf,

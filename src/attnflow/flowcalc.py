@@ -151,15 +151,10 @@ def node_flows(
     )
 
 
-def flow_impact(fm: AbsorbingSolver, source_flows: np.ndarray) -> np.ndarray:
-    """Impact in factored form: (U^T s) * (U 1) / diag(U)."""
-    return fm.solve_transpose(source_flows) * fm.row_sums() / fm.diagonal()
-
-
 def flow_impact_double_sum(fm: AbsorbingSolver, source_flows: np.ndarray) -> np.ndarray:
     """Impact as the explicit double sum over inflow paths j and onward
     paths k, contracted against a materialized U. Dense-only cross-check
-    for the factored form.
+    for the factored form in :func:`node_flows`.
     """
     U = fm.matrix()
     return np.einsum("j,ji,ik->i", source_flows, U, U) / np.diag(U)

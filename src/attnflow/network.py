@@ -48,7 +48,6 @@ class FlowNetwork:
 
     items: tuple[str, ...]
     flow: sp.csr_matrix  # (N+2) x (N+2), weights >= 0
-    balanced: bool
 
     @property
     def n_interior(self) -> int:
@@ -91,6 +90,11 @@ class FlowNetwork:
         out = self.out_flow()[1:-1]
         inn = self.in_flow()[1:-1]
         return out - inn
+
+    @property
+    def balanced(self) -> bool:
+        """Every interior node conserves flow to within ``BALANCE_TOL``."""
+        return bool(np.all(np.abs(self.residuals()) <= BALANCE_TOL))
 
     def total_source_outflow(self) -> float:
         return float(self.flow[0].sum())
@@ -166,14 +170,7 @@ def build_flow_network(edges) -> FlowNetwork:
 
     flow = sp.coo_matrix((data, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
     flow.sum_duplicates()
-    items = tuple(index)  # insertion order
-    net = FlowNetwork(items=items, flow=flow, balanced=False)
-    return FlowNetwork(items=items, flow=flow, balanced=_is_balanced(net))
-
-
-def _is_balanced(net: FlowNetwork) -> bool:
-    res = net.residuals()
-    return bool(np.all(np.abs(res) <= BALANCE_TOL)) if res.size else True
+    return FlowNetwork(items=tuple(index), flow=flow)  # insertion order
 
 
 def balance(net: FlowNetwork) -> FlowNetwork:
@@ -190,9 +187,7 @@ def balance(net: FlowNetwork) -> FlowNetwork:
     scale = np.maximum(1.0, np.maximum(out, inn))
     needs = np.abs(res) > np.minimum(_REBALANCE_EPS * scale, BALANCE_TOL)
     if not np.any(needs):
-        if net.balanced:
-            return net
-        return FlowNetwork(items=net.items, flow=net.flow, balanced=True)
+        return net
 
     add = sp.lil_matrix(net.flow.shape)
     for i in np.flatnonzero(needs):
@@ -203,8 +198,7 @@ def balance(net: FlowNetwork) -> FlowNetwork:
             add[node, net.sink_index] = -res[i]
     flow = (net.flow + add.tocsr()).tocsr()
     flow.sum_duplicates()
-    balanced_net = FlowNetwork(items=net.items, flow=flow, balanced=False)
-    return FlowNetwork(items=net.items, flow=flow, balanced=_is_balanced(balanced_net))
+    return FlowNetwork(items=net.items, flow=flow)
 
 
 @dataclass(frozen=True)

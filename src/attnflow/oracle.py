@@ -553,37 +553,34 @@ def compare(
             f"estimate has {len(est.items)} items, stats {len(stats.items)}; "
             "node tables differ"
         )
-    z_by: dict[str, np.ndarray] = {}
     a_hat, a_se = est.through_flow_estimate()
-    z_by["A"] = _zscores(stats.through_flow, a_hat, a_se)
     d_hat, d_se = est.dissipation_estimate()
-    z_by["D"] = _zscores(stats.dissipation, d_hat, d_se)
+    # quantity -> (analytic, estimated, z-scores), each per node
+    quantities = {
+        "A": (stats.through_flow, a_hat, _zscores(stats.through_flow, a_hat, a_se)),
+        "D": (stats.dissipation, d_hat, _zscores(stats.dissipation, d_hat, d_se)),
+    }
     if source_distance is not None:
+        l0 = np.asarray(source_distance)
         l_hat, l_se = est.source_distance_estimate()
-        mask = np.isfinite(np.asarray(source_distance)) & (est.fp_count > 0)
+        mask = np.isfinite(l0) & (est.fp_count > 0)
         z_l = np.zeros(len(est.items))
-        z_l[mask] = _zscores(
-            np.asarray(source_distance)[mask], l_hat[mask], l_se[mask]
-        )
-        z_by["l"] = z_l
+        z_l[mask] = _zscores(l0[mask], l_hat[mask], l_se[mask])
+        quantities["l"] = (l0, l_hat, z_l)
 
     fractions = {
-        q: float(np.mean(np.abs(z) <= multiplier)) for q, z in z_by.items()
+        q: float(np.mean(np.abs(z) <= multiplier)) for q, (_, _, z) in quantities.items()
     }
-    overall = float(np.mean([fractions[q] for q in fractions]))
+    overall = float(np.mean(list(fractions.values())))
     offenders = [
         Offender(
             item=est.items[i],
             quantity=q,
             z=float(z[i]),
-            analytic=float(
-                {"A": stats.through_flow, "D": stats.dissipation}.get(
-                    q, source_distance if source_distance is not None else stats.through_flow
-                )[i]
-            ),
-            estimated=float({"A": a_hat, "D": d_hat}.get(q, est.source_distance_estimate()[0])[i]),
+            analytic=float(analytic[i]),
+            estimated=float(estimated[i]),
         )
-        for q, z in z_by.items()
+        for q, (analytic, estimated, z) in quantities.items()
         for i in np.argsort(-np.abs(z))[:3]
     ]
     offenders.sort(key=lambda o: -abs(o.z) if math.isfinite(o.z) else -math.inf)

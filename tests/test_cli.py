@@ -410,6 +410,20 @@ class TestPipeline:
                 tmp_path / command / artifact
             ).read_bytes(), artifact
 
+    def test_pairwise_from_config(self, tmp_path, network_dir):
+        """``pairwise = true`` in a config file makes pipeline's distance
+        step write the same pairwise table as ``distance --pairwise``.
+        """
+        network = network_dir / "network.csv"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pairwise = true\n")
+        piped, single = tmp_path / "pp", tmp_path / "dp"
+        args = ["pipeline", "--input", network, "--input-kind", "network", "--config", cfg]
+        assert run(args + ["--out", piped]) == 0
+        assert run(["distance", "--input", network, "--pairwise", "--out", single]) == 0
+        assert read_json(piped / "config.json")["pairwise"] is True
+        assert (piped / "pairwise.csv").read_bytes() == (single / "pairwise.csv").read_bytes()
+
 
 class TestErrorHandling:
     def test_missing_input(self, tmp_path, capsys):

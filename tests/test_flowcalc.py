@@ -6,6 +6,7 @@ the impact double sum.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -17,7 +18,6 @@ from attnflow import (
     ZeroOutflowRow,
     balance,
     build_flow_network,
-    flow_impact,
     flow_impact_double_sum,
     fundamental_matrix,
     generate,
@@ -183,24 +183,53 @@ class TestFundamentalMatrix:
         )
 
     def test_sparse_path_matches_dense(self, balanced_cyclic_net):
+        # a session log's hub items tie almost every item into one giant SCC
+        log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
+        session_net = build_flow_network(to_transition_edges(log))
+        for net in (balanced_cyclic_net, session_net):
+            tm = transition_matrix(net)
+            n = tm.n_interior
+            # reference kept here: a dense inverse, independent of the factor
+            U = np.linalg.inv(np.eye(n) - tm.interior.toarray())
+            b = np.linspace(0.5, 1.5, n)
+            B = np.column_stack([b, b[::-1], np.ones(n)])
+            # threshold 8 sends the components above 8 nodes through the
+            # per-column sparse diagonal loop instead of a dense inverse
+            for threshold in (DENSE_THRESHOLD, 8):
+                fm = fundamental_matrix(tm, dense_threshold=threshold)
+                np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-10)
+                np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-10)
+                np.testing.assert_allclose(fm.solve(B), U @ B, rtol=1e-10)
+                np.testing.assert_allclose(fm.solve_transpose(B), U.T @ B, rtol=1e-10)
+                np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-10)
+                np.testing.assert_allclose(
+                    fm.squared_diagonal(), np.diag(U @ U), rtol=1e-10
+                )
+
+    def test_one_factorization(self, monkeypatch, balanced_cyclic_net):
+        """Building the solver and both diagonals factors I - W once; the
+        per-column diagonal loop reads that factor, not the solve methods.
+        """
         tm = transition_matrix(balanced_cyclic_net)
-        n = tm.n_interior
-        # reference kept here: a dense inverse, independent of the factor
-        U = np.linalg.inv(np.eye(n) - tm.interior.toarray())
-        b = np.linspace(0.5, 1.5, n)
-        B = np.column_stack([b, b[::-1], np.ones(n)])
-        # threshold 8 sends the components above 8 nodes through the
-        # per-column sparse diagonal loop instead of a dense inverse
-        for threshold in (DENSE_THRESHOLD, 8):
-            fm = fundamental_matrix(tm, dense_threshold=threshold)
-            np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-10)
-            np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-10)
-            np.testing.assert_allclose(fm.solve(B), U @ B, rtol=1e-10)
-            np.testing.assert_allclose(fm.solve_transpose(B), U.T @ B, rtol=1e-10)
-            np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-10)
-            np.testing.assert_allclose(
-                fm.squared_diagonal(), np.diag(U @ U), rtol=1e-10
+        assert _largest_scc(tm.interior) > 8  # the per-column route runs
+        calls = []
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+        fm = fundamental_matrix(tm, dense_threshold=8)
+        for name in ("solve", "solve_transpose"):
+            monkeypatch.setattr(
+                AbsorbingSolver, name, counted(name, getattr(AbsorbingSolver, name))
             )
+        fm.diagonal()
+        fm.squared_diagonal()
+        assert calls == ["splu"]
 
     def test_ordering_follows_scc_structure(self):
         # random-cyclic keeps its SCCs inside 64-node blocks
@@ -325,7 +354,7 @@ class TestNodeFlows:
         s = np.asarray(
             balanced_cyclic_net.flow[0, 1:-1].todense()
         ).ravel()
-        factored = flow_impact(fm, s)
+        factored = node_flows(balanced_cyclic_net, fm).impact
         literal = flow_impact_double_sum(fm, s)
         np.testing.assert_allclose(factored, literal, rtol=1e-9)
 
