@@ -24,8 +24,7 @@ if TYPE_CHECKING:
 PIVOT_TOL = 1e-12
 
 # Strongly connected components at or below this order get their diagonals
-# from a dense inverse, larger ones from per-column solves against the
-# factor; a materialized U is refused above it.
+# from a dense inverse; a materialized U is refused above it.
 DENSE_THRESHOLD = 4096
 
 
@@ -66,10 +65,9 @@ class AbsorbingSolver:
     from one sparse LU factorization of (I - W) without forming U.
 
     Rows, columns and row sums come from triangular solves against the
-    factor, the diagonals of U and U^2 per strongly connected component
-    (cached after the first call, see :func:`fundamental_diagonals`); the
-    full matrix is only materialized on request and only up to
-    ``dense_threshold`` nodes.
+    factor, the diagonals of U and U^2 from per-component inverses (cached
+    after the first call); the full matrix is only materialized on request
+    and only up to ``dense_threshold`` nodes.
 
     The SuperLU column ordering follows the SCC structure of W. With small
     components (I - W) is close to block triangular and COLAMD keeps the
@@ -142,7 +140,7 @@ class AbsorbingSolver:
         """Expected visits to each node by walks started there (>= 1)."""
         if self._diagonals is None:
             self._diagonals = fundamental_diagonals(
-                self.W, self._labels, self._lu, self.dense_threshold
+                self.W, self._labels, self.dense_threshold
             )
         return self._diagonals[0]
 
@@ -188,20 +186,25 @@ class AbsorbingSolver:
 
 
 def fundamental_diagonals(
-    W: sp.spmatrix,
-    labels: np.ndarray,
-    lu: spla.SuperLU,
-    dense_threshold: int = DENSE_THRESHOLD,
+    W: sp.spmatrix, labels: np.ndarray, dense_threshold: int = DENSE_THRESHOLD
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact diag(U) and diag(U^2), one strongly connected component at a
-    time; ``labels`` are W's component labels and ``lu`` factors I - W.
+    time; ``labels`` are W's component labels.
 
     A walk that leaves node j and returns to j never exits j's strongly
-    connected component, so both diagonals are computable per component.
-    Singleton components reduce to the self-loop weight w: u = 1/(1-w);
-    components up to ``dense_threshold`` nodes use the dense inverse of
-    their restriction. Larger ones take one column and one row of U per
-    member from ``lu``: U_jj = col_j and (U^2)_jj = row_j . col_j.
+    connected component, so both diagonals are computable per component
+    from its restriction, whose inverse is U's block on it. Singleton
+    components reduce to the self-loop weight w: u = 1/(1-w); components
+    up to ``dense_threshold`` nodes use the dense inverse of their
+    restriction. Larger ones factor their restriction and take one column
+    and one row of its inverse per member: U_jj = col_j and
+    (U^2)_jj = row_j . col_j.
+
+    The solver's global factor would serve too, but each of its solves
+    sweeps the fill of the whole network, not of the component: where the
+    component is a small share of the nodes that is many times slower,
+    and where it holds nearly all of them a second factorization costs
+    little next to the loop's solves.
     """
     n = W.shape[0]
     diag_u = np.ones(n)
@@ -212,7 +215,6 @@ def fundamental_diagonals(
     n_comp = int(labels.max()) + 1
     order, bounds = _group_by_component(labels, n_comp)
     loops = W.diagonal()
-    e = np.zeros(n)
     for comp in range(n_comp):
         members = order[bounds[comp] : bounds[comp + 1]]
         if members.size == 1:
@@ -223,14 +225,19 @@ def fundamental_diagonals(
             diag_u2[j] = u * u
             continue
         if members.size > dense_threshold:
-            # oversized recurrent component: two solves per member against
-            # the solver's own factor, slow but exact
-            for j in members:
-                e[j] = 1.0
+            # oversized recurrent component: per-column sparse solves, slow
+            # but exact; the block is one SCC, so minimum degree fits it
+            sub = (
+                sp.identity(members.size, format="csc")
+                - W[np.ix_(members, members)].tocsc()
+            )
+            lu = spla.splu(sub, permc_spec="MMD_AT_PLUS_A")
+            for local, j in enumerate(members):
+                e = np.zeros(members.size)
+                e[local] = 1.0
                 col = lu.solve(e)
                 row = lu.solve(e, trans="T")
-                e[j] = 0.0
-                diag_u[j] = col[j]
+                diag_u[j] = col[local]
                 diag_u2[j] = float(row @ col)
             continue
         block = W[np.ix_(members, members)].toarray()

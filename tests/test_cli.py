@@ -425,6 +425,22 @@ class TestPipeline:
         assert (piped / "pairwise.csv").read_bytes() == (single / "pairwise.csv").read_bytes()
 
 
+    def test_pairwise_over_cap_fails_pipeline(self, tmp_path, network_dir, capsys):
+        """With ``pairwise = true`` a network above the pairwise cap fails
+        the whole pipeline, as it fails ``distance --pairwise``.
+        """
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pairwise = true\npairwise-cap = 10\n")
+        out = tmp_path / "pp"
+        network = network_dir / "network.csv"
+        args = ["--input", network, "--config", cfg, "--out", out]
+        assert run(["pipeline", "--input-kind", "network"] + args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError: pairwise distances need a dense 60 x 60")
+        assert os.listdir(out) == []
+        assert run(["distance"] + args) == 1
+        assert capsys.readouterr().err == err
+
 class TestErrorHandling:
     def test_missing_input(self, tmp_path, capsys):
         out = tmp_path / "x"

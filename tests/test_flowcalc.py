@@ -6,6 +6,7 @@ the impact double sum.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
@@ -206,9 +207,10 @@ class TestFundamentalMatrix:
                     fm.squared_diagonal(), np.diag(U @ U), rtol=1e-10
                 )
 
-    def test_one_factorization(self, monkeypatch, balanced_cyclic_net):
-        """Building the solver and both diagonals factors I - W once; the
-        per-column diagonal loop reads that factor, not the solve methods.
+    def test_one_scc_decomposition(self, monkeypatch, balanced_cyclic_net):
+        """The solver finds the SCCs once and the diagonals reuse them; an
+        SCC above the threshold gets its own factor, and the per-column
+        diagonal loop calls no solve method of the solver.
         """
         tm = transition_matrix(balanced_cyclic_net)
         assert _largest_scc(tm.interior) > 8  # the per-column route runs
@@ -222,14 +224,21 @@ class TestFundamentalMatrix:
             return wrapper
 
         monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+        monkeypatch.setattr(
+            csgraph,
+            "connected_components",
+            counted("scc", csgraph.connected_components),
+        )
         fm = fundamental_matrix(tm, dense_threshold=8)
+        assert calls == ["scc", "splu"]
         for name in ("solve", "solve_transpose"):
             monkeypatch.setattr(
                 AbsorbingSolver, name, counted(name, getattr(AbsorbingSolver, name))
             )
         fm.diagonal()
         fm.squared_diagonal()
-        assert calls == ["splu"]
+        # one SCC of balanced_cyclic_net is above 8 nodes
+        assert calls == ["scc", "splu", "splu"]
 
     def test_ordering_follows_scc_structure(self):
         # random-cyclic keeps its SCCs inside 64-node blocks
