@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -68,57 +68,92 @@ from .stats import (
 SUMMARY_SCHEMA_VERSION = 1
 
 
+def _boolean(raw: str) -> bool:
+    """A config-file boolean; on the command line the flag alone means True."""
+    if raw.lower() in ("1", "true", "yes", "on"):
+        return True
+    if raw.lower() in ("0", "false", "no", "off"):
+        return False
+    raise ValueError(f"expected boolean, got {raw!r}")
+
+
+def _count(raw: str) -> int:
+    """A whole number that may be written as a float, such as ``1e6``."""
+    try:
+        return int(float(raw))
+    except OverflowError:
+        raise ValueError(f"expected a finite number, got {raw!r}") from None
+
+
+def _setting(default, help: str, commands: tuple[str, ...] | None, parse=str, choices=None):
+    """A :class:`RunConfig` field. ``commands`` are the commands that read
+    it and so take its flag (None: every command); ``parse`` converts both
+    the flag and the config-file value; ``choices`` bounds the result.
+    """
+    meta = {"help": help, "commands": commands, "parse": parse, "choices": choices}
+    return field(default=default, metadata=meta)
+
+
+_LOG_READERS = ("ingest", "duplication", "pipeline")
+_SOLVER_READERS = ("stats", "distance", "regress", "compare", "pipeline")
+
+
 @dataclass
 class RunConfig:
-    """Effective settings for one command; every field has a default."""
+    """Effective settings for one command; every field has a default. Each
+    field is declared once, with the help, commands and parser of its flag
+    and config key.
+    """
 
-    input: str | None = None
-    out: str = "out"
-    input_kind: str = "log"
-    mode: str = "session-closed"
-    gap_seconds: float | None = None
-    delimiter: str = ","
-    header: bool = False
-    dense_threshold: int = DENSE_THRESHOLD
-    pairwise_cap: int = PAIRWISE_CAP
-    pairwise: bool = False
-    seed: int = 0
-    walkers: int = 100_000
-    multiplier: float = 3.0
-    family: str = "random-cyclic"
-    size: int = 100
-    weight_scale: float = 1.0
-    recirculation: float = 0.2
-    exponent: float | None = None
-    avg_degree: float | None = None
-    x: str = "A"
-    y: str = "D"
-    column: str = "A"
-    tallies: str | None = None
-    analyses: str = "stats,distance,fits,gini,zipf,regress,duplication"
+    input: str | None = _setting(None, "input path", (
+        "ingest", "build", "stats", "distance", "fit", "gini", "zipf",
+        "duplication", "regress", "simulate", "pipeline", "compare",
+    ))
+    out: str = _setting("out", "output directory", None)
+    input_kind: str = _setting(
+        "log", "how to read --input", ("pipeline",), choices=("log", "edges", "network")
+    )
+    mode: str = _setting(
+        "session-closed", "edge construction mode", ("ingest", "pipeline"),
+        choices=("session-closed", "residual"),
+    )
+    gap_seconds: float | None = _setting(None, "session gap threshold", _LOG_READERS, float)
+    delimiter: str = _setting(",", "log field delimiter", (*_LOG_READERS, "generate"))
+    header: bool = _setting(False, "log has a header row", (*_LOG_READERS, "generate"), _boolean)
+    dense_threshold: int = _setting(
+        DENSE_THRESHOLD,
+        "max order of the dense inverses: per strongly connected component "
+        "for the U diagonals, and of a materialized U",
+        _SOLVER_READERS,
+        int,
+    )
+    pairwise_cap: int = _setting(
+        PAIRWISE_CAP, "max nodes for pairwise distance matrices", ("distance", "pipeline"), int
+    )
+    pairwise: bool = _setting(
+        False, "also write the pairwise distance table", ("distance", "pipeline"), _boolean
+    )
+    seed: int = _setting(0, "random seed", ("simulate", "compare", "generate"), int)
+    walkers: int = _setting(100_000, "walker count", ("simulate", "compare"), _count)
+    multiplier: float = _setting(3.0, "z-score threshold", ("compare",), float)
+    family: str = _setting("random-cyclic", "generator family", ("generate",), choices=_FAMILIES)
+    size: int = _setting(100, "node count", ("generate",), int)
+    weight_scale: float = _setting(1.0, "base edge weight", ("generate",), float)
+    recirculation: float = _setting(0.2, "cycle edge fraction", ("generate",), float)
+    exponent: float | None = _setting(None, "planted dissipation exponent", ("generate",), float)
+    avg_degree: float | None = _setting(None, "interior out-degree mean", ("generate",), float)
+    x: str = _setting("A", "stats column for x", ("fit",))
+    y: str = _setting("D", "stats column for y", ("fit",))
+    column: str = _setting("A", "stats column", ("gini", "zipf"))
+    tallies: str | None = _setting(None, "tallies.json from a simulate run", ("compare",))
+    analyses: str = _setting(
+        "stats,distance,fits,gini,zipf,regress,duplication",
+        "comma list of analyses to run",
+        ("pipeline",),
+    )
 
 
-_BOOL_FIELDS = {"header", "pairwise"}
-_INT_FIELDS = {"dense_threshold", "pairwise_cap", "seed", "size"}
-_FLOAT_FIELDS = {"gap_seconds", "multiplier", "weight_scale", "recirculation", "exponent", "avg_degree"}
-
-_FIELD_NAMES = {f.name for f in fields(RunConfig)}
-
-
-def _convert(name: str, raw: str):
-    if name in _BOOL_FIELDS:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"config key {name}: expected boolean, got {raw!r}")
-    if name == "walkers":
-        return int(float(raw))
-    if name in _INT_FIELDS:
-        return int(raw)
-    if name in _FLOAT_FIELDS:
-        return float(raw)
-    return raw
+_SETTINGS = {f.name: f for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
@@ -133,9 +168,17 @@ def load_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {text!r}")
             key, _, raw = text.partition("=")
             key = key.strip().replace("-", "_")
-            if key not in _FIELD_NAMES:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _convert(key, raw.strip())
+            meta = _SETTINGS[key].metadata
+            try:
+                value = meta["parse"](raw.strip())
+                choices = meta["choices"]
+                if choices is not None and value not in choices:
+                    raise ValueError(f"invalid choice {value!r}; choose from {list(choices)}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: config key {key}: {exc}") from None
+            values[key] = value
     return values
 
 
@@ -144,7 +187,7 @@ def merge_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "config", None):
         for key, value in load_config_file(args.config).items():
             setattr(cfg, key, value)
-    for key in _FIELD_NAMES:
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             setattr(cfg, key, value)
@@ -301,17 +344,34 @@ def _stats_column(stats: NodeFlowStats, name: str) -> np.ndarray:
     return cols[name]
 
 
+def _fit(run: Run, x: str, y: str) -> dict:
+    """Fit ``y ~ x^b`` on the run's stats into ``fit_{y}_vs_{x}.json``."""
+    fit = fit_power_law(_stats_column(run.stats, x), _stats_column(run.stats, y)).to_dict()
+    run.art.write_json(f"fit_{y}_vs_{x}.json", {"x": x, "y": y, **fit})
+    return fit
+
+
+def _gini(run: Run, column: str) -> float:
+    value = gini(_stats_column(run.stats, column))
+    run.art.write_json(f"gini_{column}.json", {"column": column, "gini": value})
+    return value
+
+
+def _zipf(run: Run, column: str) -> dict:
+    report = concentration(_stats_column(run.stats, column), run.stats.items)
+    write_zipf_csv(run.art.path(f"zipf_{column}.csv"), report.zipf)
+    run.art.write_json(f"zipf_{column}.json", {"column": column, "gini": report.gini})
+    return {"gini": report.gini, "rows": len(report.zipf)}
+
+
 def _step_fits(run: Run) -> dict:
     fits = {}
     for x, y in (("A", "D"), ("S", "A"), ("A", "C")):
         name = f"fit_{y}_vs_{x}"
         try:
-            fit = fit_power_law(_stats_column(run.stats, x), _stats_column(run.stats, y))
+            fits[name] = _fit(run, x, y)
         except Exception as exc:  # recorded, not fatal: small inputs
             fits[name] = _error_payload(exc)["error"]
-        else:
-            fits[name] = fit.to_dict()
-            run.art.write_json(f"{name}.json", fit.to_dict())
     return {"fits": fits}
 
 
@@ -319,16 +379,14 @@ def _step_gini(run: Run) -> dict:
     ginis = {}
     for column in ("A", "D"):
         try:
-            ginis[column] = gini(_stats_column(run.stats, column))
+            ginis[column] = _gini(run, column)
         except Exception as exc:
             ginis[column] = _error_payload(exc)["error"]
     return {"gini": ginis}
 
 
 def _step_zipf(run: Run) -> dict:
-    report = concentration(run.stats.through_flow, run.stats.items)
-    write_zipf_csv(run.art.path("zipf_A.csv"), report.zipf)
-    return {"zipf_A": {"gini": report.gini, "rows": len(report.zipf)}}
+    return {"zipf_A": _zipf(run, "A")}
 
 
 def _step_regress(run: Run) -> dict:
@@ -390,22 +448,18 @@ def cmd_build(run: Run) -> None:
 
 
 def cmd_fit(run: Run) -> None:
-    cfg, stats = run.cfg, read_stats_csv(run.input)
-    fit = fit_power_law(_stats_column(stats, cfg.x), _stats_column(stats, cfg.y))
-    run.art.write_json(f"fit_{cfg.y}_vs_{cfg.x}.json", {"x": cfg.x, "y": cfg.y, **fit.to_dict()})
+    run.stats = read_stats_csv(run.input)
+    _fit(run, run.cfg.x, run.cfg.y)
 
 
 def cmd_gini(run: Run) -> None:
-    column, stats = run.cfg.column, read_stats_csv(run.input)
-    value = gini(_stats_column(stats, column))
-    run.art.write_json(f"gini_{column}.json", {"column": column, "gini": value})
+    run.stats = read_stats_csv(run.input)
+    _gini(run, run.cfg.column)
 
 
 def cmd_zipf(run: Run) -> None:
-    column, stats = run.cfg.column, read_stats_csv(run.input)
-    report = concentration(_stats_column(stats, column), stats.items)
-    write_zipf_csv(run.art.path(f"zipf_{column}.csv"), report.zipf)
-    run.art.write_json(f"zipf_{column}.json", {"column": column, "gini": report.gini})
+    run.stats = read_stats_csv(run.input)
+    _zipf(run, run.cfg.column)
 
 
 def cmd_duplication(run: Run) -> None:
@@ -523,16 +577,13 @@ def cmd_pipeline(run: Run) -> None:
             f"unknown analyses {sorted(wanted - _ANALYSES.keys())}; "
             f"choose from {list(_ANALYSES)}"
         )
-    source = run.input  # a missing input is reported before a bad input kind
     summary: dict = {"schema_version": SUMMARY_SCHEMA_VERSION}
     if cfg.input_kind == "log":
         summary.update(_step_ingest(run))
         built = build_flow_network(run.edges)
-    elif cfg.input_kind in ("edges", "network"):
+    else:  # "edges" or "network": RunConfig's choices admit nothing else
         run.log = None
-        built = read_network(source)
-    else:
-        raise ValueError(f"unknown input kind {cfg.input_kind!r}")
+        built = read_network(run.input)
     network = _step_build(run, built)
     totals = run.stats.totals()
     summary.update(
@@ -580,77 +631,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--input", help="input path")
-        p.add_argument("--out", help="output directory (default: out)")
-        p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--seed", type=int, help="random seed (default: 0)")
-        p.add_argument(
-            "--dense-threshold",
-            type=int,
-            help="max order of the dense inverses: per strongly connected component "
-            f"for the U diagonals, and of a materialized U (default: {DENSE_THRESHOLD})",
-        )
-        p.add_argument(
-            "--pairwise-cap",
-            type=int,
-            help=f"max nodes for pairwise distance matrices (default: {PAIRWISE_CAP})",
-        )
-
-    def log_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--mode",
-            choices=["session-closed", "residual"],
-            help="edge construction mode (default: session-closed)",
-        )
-        p.add_argument("--gap-seconds", type=float, help="session gap threshold")
-        p.add_argument("--delimiter", help="log field delimiter (default: ,)")
-        p.add_argument(
-            "--header", action="store_const", const=True, help="log has a header row"
-        )
-
     for name in _HANDLERS:
         p = sub.add_parser(name, help=f"{name} step")
-        common(p)
-        if name in ("ingest", "duplication", "pipeline"):
-            log_flags(p)
-        if name == "pipeline":
-            p.add_argument(
-                "--input-kind",
-                choices=["log", "edges", "network"],
-                help="how to read --input (default: log)",
-            )
-            p.add_argument("--analyses", help="comma list of analyses to run")
-        if name == "distance":
-            p.add_argument(
-                "--pairwise",
-                action="store_const",
-                const=True,
-                help="also write the pairwise distance table",
-            )
-        if name == "fit":
-            p.add_argument("--x", help="stats column for x (default: A)")
-            p.add_argument("--y", help="stats column for y (default: D)")
-        if name in ("gini", "zipf"):
-            p.add_argument("--column", help="stats column (default: A)")
-        if name in ("simulate", "compare"):
-            p.add_argument(
-                "--walkers", type=lambda v: int(float(v)), help="walker count"
-            )
-        if name == "compare":
-            p.add_argument("--multiplier", type=float, help="z-score threshold")
-            p.add_argument("--tallies", help="tallies.json from a simulate run")
-        if name == "generate":
-            p.add_argument(
-                "--family",
-                choices=_FAMILIES,
-                help="generator family (default: random-cyclic)",
-            )
-            p.add_argument("--size", type=int, help="node count")
-            p.add_argument("--weight-scale", type=float, help="base edge weight")
-            p.add_argument("--recirculation", type=float, help="cycle edge fraction")
-            p.add_argument("--exponent", type=float, help="planted dissipation exponent")
-            p.add_argument("--avg-degree", type=float, help="interior out-degree mean")
+        p.add_argument("--config", help="key=value config file; flags override it")
+        for setting in _SETTINGS.values():
+            meta = setting.metadata
+            if meta["commands"] is not None and name not in meta["commands"]:
+                continue
+            flag = "--" + setting.name.replace("_", "-")
+            help = meta["help"]
+            if setting.default is not None:
+                help += f" (default: {setting.default})"
+            if meta["parse"] is _boolean:
+                p.add_argument(flag, action="store_const", const=True, help=help)
+            else:
+                p.add_argument(flag, type=meta["parse"], choices=meta["choices"], help=help)
     return parser
 
 

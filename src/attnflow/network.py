@@ -20,6 +20,7 @@ from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import (
     AllNodesDropped,
+    AttnFlowError,
     DroppedNodesWarning,
     InvalidEdge,
     NegativeWeight,
@@ -112,6 +113,9 @@ class FlowNetwork:
 
 
 def _check_edge(src: str, dst: str, weight: float) -> None:
+    """Raise the typed error for an edge no network may hold."""
+    if not math.isfinite(weight):
+        raise InvalidEdge(f"edge {src}->{dst} has non-finite weight {weight}")
     if weight < 0:
         raise NegativeWeight(f"edge {src}->{dst} has weight {weight}")
     if src == dst and src in (SOURCE, SINK):
@@ -321,7 +325,8 @@ def read_edges(path) -> dict[tuple[str, str], float]:
     """Read ``src,dst,weight`` CSV, summing duplicate edges.
 
     Raises :class:`InvalidEdge` naming the file and 1-based line for a row
-    without exactly three columns or with a non-numeric or non-finite weight.
+    without exactly three columns or with a non-numeric or non-finite weight,
+    and for any other row the error :func:`_check_edge` raises, so prefixed.
     """
     edges: dict[tuple[str, str], float] = {}
     with open(path, newline="", encoding="utf-8") as fh:
@@ -344,6 +349,10 @@ def read_edges(path) -> dict[tuple[str, str], float]:
                 raise InvalidEdge(
                     f"{path}:{reader.line_num}: weight {row[2]!r} is not finite"
                 )
+            try:
+                _check_edge(row[0], row[1], weight)
+            except AttnFlowError as exc:
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
             key = (row[0], row[1])
             edges[key] = edges.get(key, 0.0) + weight
     return edges

@@ -32,16 +32,6 @@ _BATCH_ENTRY_BUDGET = 8_000_000
 # they reach this count or the table's size, whichever is larger.
 _ARRIVAL_CHUNK = 1 << 20
 
-_FAMILIES = (
-    "chain",
-    "star",
-    "random-tree",
-    "random-cyclic",
-    "session-log",
-    "planted-dissipation",
-)
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for a deterministic synthetic network or session log.
@@ -215,18 +205,23 @@ def _gen_session_log(spec: GeneratorSpec) -> SessionLog:
     return SessionLog(sessions=sessions)
 
 
+#: Every generator family, in the order the CLI lists them. A network
+#: family returns an edge mapping; ``session-log`` returns a SessionLog.
+_GENERATORS = {
+    "chain": _gen_chain,
+    "star": _gen_star,
+    "random-tree": _gen_tree,
+    "random-cyclic": _gen_cyclic,
+    "session-log": _gen_session_log,
+    "planted-dissipation": _gen_planted,
+}
+_FAMILIES = tuple(_GENERATORS)
+
+
 def generate(spec: GeneratorSpec):
     """Deterministic network (or session log) from a GeneratorSpec."""
-    if spec.family == "session-log":
-        return _gen_session_log(spec)
-    builders = {
-        "chain": _gen_chain,
-        "star": _gen_star,
-        "random-tree": _gen_tree,
-        "random-cyclic": _gen_cyclic,
-        "planted-dissipation": _gen_planted,
-    }
-    return build_flow_network(builders[spec.family](spec))
+    result = _GENERATORS[spec.family](spec)
+    return result if isinstance(result, SessionLog) else build_flow_network(result)
 
 
 @dataclass

@@ -1,16 +1,18 @@
 """Command line interface: artifact layout, config precedence, error
 reporting, and byte determinism of outputs.
 """
+import argparse
 import csv
 import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
-from attnflow.cli import load_config_file, main
+from attnflow.cli import RunConfig, build_parser, load_config_file, main, merge_config
 
 LOG = "u1,A\nu1,B\nu1,A\nu2,A\nu2,C\nu3,B\n"
 
@@ -96,16 +98,133 @@ class TestConfigFile:
 
     def test_flags_override_file(self, tmp_path, log_file):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("seed = 5\nmode = residual\n")
+        cfg.write_text("mode = session-closed\nheader = true\n")
         out = tmp_path / "out"
         code = run(
-            ["ingest", "--input", log_file, "--config", cfg, "--seed", "11", "--out", out]
+            ["ingest", "--input", log_file, "--config", cfg, "--mode", "residual", "--out", out]
         )
         assert code == 0
         echoed = read_json(out / "config.json")
-        assert echoed["seed"] == 11  # flag wins
-        assert echoed["mode"] == "residual"  # file wins over default
+        assert echoed["mode"] == "residual"  # flag wins
+        assert echoed["header"] is True  # file wins over default
         assert echoed["command"] == "ingest"
+
+
+COMMANDS = (
+    "ingest", "build", "stats", "distance", "fit", "gini", "zipf",
+    "duplication", "regress", "simulate", "generate", "pipeline", "compare",
+)
+LOG_READERS = ("ingest", "duplication", "pipeline")
+
+#: setting -> (the commands that read it, a value other than its default;
+#: None for a boolean flag)
+READERS = {
+    "out": (COMMANDS, "o"),
+    "input": (tuple(c for c in COMMANDS if c != "generate"), "in.csv"),
+    "mode": (("ingest", "pipeline"), "residual"),
+    "gap_seconds": (LOG_READERS, "60"),
+    "delimiter": (LOG_READERS + ("generate",), ";"),
+    "header": (LOG_READERS + ("generate",), None),
+    "dense_threshold": (("stats", "distance", "regress", "compare", "pipeline"), "32"),
+    "pairwise": (("distance", "pipeline"), None),
+    "pairwise_cap": (("distance", "pipeline"), "10"),
+    "seed": (("simulate", "compare", "generate"), "7"),
+    "walkers": (("simulate", "compare"), "1e3"),
+    "multiplier": (("compare",), "2.5"),
+    "tallies": (("compare",), "t.json"),
+    "family": (("generate",), "chain"),
+    "size": (("generate",), "12"),
+    "weight_scale": (("generate",), "2"),
+    "recirculation": (("generate",), "0.5"),
+    "exponent": (("generate",), "1.5"),
+    "avg_degree": (("generate",), "3"),
+    "x": (("fit",), "S"),
+    "y": (("fit",), "C"),
+    "column": (("gini", "zipf"), "D"),
+    "input_kind": (("pipeline",), "edges"),
+    "analyses": (("pipeline",), "stats,fits"),
+}
+
+
+def _flag(setting: str) -> str:
+    return "--" + setting.replace("_", "-")
+
+
+def _subparsers() -> dict:
+    actions = build_parser()._actions
+    (sub,) = [a for a in actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+class TestSettings:
+    """Each command takes the flags of exactly the settings it reads, and a
+    setting parses the same from a flag and from a config file.
+    """
+
+    def test_readers_cover_every_setting(self):
+        assert set(READERS) == {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_command_flags(self, command):
+        options = {
+            opt
+            for action in _subparsers()[command]._actions
+            for opt in action.option_strings
+        }
+        wanted = {_flag(s) for s, (commands, _) in READERS.items() if command in commands}
+        assert options == wanted | {"--config", "-h", "--help"}
+
+    @pytest.mark.parametrize(
+        "setting, command",
+        [(s, c) for s, (commands, _) in READERS.items() for c in commands],
+    )
+    def test_flag_and_file_agree(self, tmp_path, setting, command):
+        raw = READERS[setting][1]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{setting} = {'true' if raw is None else raw}\n")
+        parser = build_parser()
+        flag_args = [command, _flag(setting)] + ([] if raw is None else [raw])
+        from_flag = asdict(merge_config(parser.parse_args(flag_args)))
+        from_file = asdict(merge_config(parser.parse_args([command, "--config", str(cfg)])))
+        assert from_flag == from_file
+        assert from_flag[setting] != getattr(RunConfig(), setting)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--seed", "3"],
+            ["build", "--dense-threshold", "32"],
+            ["stats", "--pairwise-cap", "10"],
+            ["generate", "--input", "in.csv"],
+            ["duplication", "--mode", "residual"],
+        ],
+    )
+    def test_dropped_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, raw",
+        [
+            ("generate", "seed", "abc"),
+            ("simulate", "walkers", "lots"),
+            ("simulate", "walkers", "inf"),
+            ("ingest", "mode", "bogus"),
+            ("generate", "family", "nope"),
+        ],
+    )
+    def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, command, key, raw):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n")
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith(f"ValueError: {cfg}:1: config key {key}:")
+        assert not out.exists()
+        with pytest.raises(SystemExit) as exc:
+            main([command, _flag(key), raw, "--out", str(out)])
+        assert exc.value.code == 2
 
 
 class TestIngestBuild:
@@ -374,7 +493,8 @@ class TestPipeline:
 
     def test_matches_single_step_commands(self, tmp_path):
         """pipeline writes the same bytes as ingest -> build -> stats /
-        distance / regress / duplication run one at a time.
+        distance / regress / duplication run one at a time, and as fit,
+        gini and zipf run on its stats.csv.
         """
         gen = tmp_path / "gen"
         code = run(
@@ -394,6 +514,14 @@ class TestPipeline:
         for name in ("stats", "distance", "regress"):
             assert run([name, "--input", network, "--out", tmp_path / name]) == 0
         assert run(["duplication", "--input", log, "--out", tmp_path / "duplication"]) == 0
+        stats_csv = piped / "stats.csv"
+        for x, y in (("A", "D"), ("S", "A"), ("A", "C")):
+            args = ["fit", "--input", stats_csv, "--x", x, "--y", y, "--out", tmp_path / "fit"]
+            assert run(args) == 0
+        for name, columns in (("gini", "AD"), ("zipf", "A")):
+            for column in columns:
+                args = [name, "--input", stats_csv, "--column", column]
+                assert run(args + ["--out", tmp_path / name]) == 0
         expected = {
             "edges.csv": "ingest",
             "network.csv": "build",
@@ -404,6 +532,13 @@ class TestPipeline:
             "regression.json": "regress",
             "regression.txt": "regress",
             "duplication.csv": "duplication",
+            "fit_D_vs_A.json": "fit",
+            "fit_A_vs_S.json": "fit",
+            "fit_C_vs_A.json": "fit",
+            "gini_A.json": "gini",
+            "gini_D.json": "gini",
+            "zipf_A.csv": "zipf",
+            "zipf_A.json": "zipf",
         }
         for artifact, command in expected.items():
             assert (piped / artifact).read_bytes() == (
@@ -533,6 +668,21 @@ class TestCertifiedInputs:
         assert code == 1
         err = capsys.readouterr().err
         assert err == f"InvalidEdge: {edges}:3: weight 'nan' is not finite\n"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,b,-1", "NegativeWeight: {}:3: edge a->b has weight -1.0"),
+            ("__sink__,a,1", "InvalidEdge: {}:3: edge __sink__->a: no flow may leave __sink__"),
+        ],
+    )
+    def test_invalid_edge_names_file_and_line(self, tmp_path, capsys, row, message):
+        edges = tmp_path / "net.csv"
+        edges.write_text(f"src,dst,weight\n__source__,a,1\n{row}\n")
+        out = tmp_path / "out"
+        assert run(["build", "--input", edges, "--out", out]) == 1
+        assert capsys.readouterr().err == message.format(edges) + "\n"
+        assert os.listdir(out) == []
 
 
 class TestDeterminism:

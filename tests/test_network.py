@@ -1,9 +1,10 @@
 """Network construction, balancing, certification, and serialization."""
 import csv
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from attnflow import (
     SINK,
@@ -16,6 +17,7 @@ from attnflow import (
 )
 from attnflow.errors import (
     AllNodesDropped,
+    AttnFlowError,
     DroppedNodesWarning,
     InvalidEdge,
     NegativeWeight,
@@ -67,6 +69,11 @@ class TestBuild:
             build_flow_network({("A", SOURCE): 1})
         with pytest.raises(InvalidEdge):
             build_flow_network({(SINK, "A"): 1})
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_weight_names_the_edge(self, weight):
+        with pytest.raises(InvalidEdge, match=f"edge {SOURCE}->A has non-finite weight {weight}"):
+            build_flow_network({(SOURCE, "A"): weight, ("A", SINK): 1.0})
 
     def test_empty_rejected(self):
         with pytest.raises(InvalidEdge):
@@ -313,6 +320,62 @@ class TestReadEdgesErrors:
         with pytest.raises(InvalidEdge) as exc:
             read_edges(path)
         assert str(exc.value) == f"{path}:3: {reason}"
+
+
+    @pytest.mark.parametrize(
+        "row, error, reason",
+        [
+            ("A,B,-1", NegativeWeight, "edge A->B has weight -1.0"),
+            (f"{SINK},A,1", InvalidEdge, f"edge {SINK}->A: no flow may leave {SINK}"),
+            (f"A,{SOURCE},1", InvalidEdge, f"edge A->{SOURCE}: no flow may enter {SOURCE}"),
+            (f"{SOURCE},{SOURCE},1", SelfEdgeOnSourceOrSink,
+             f"self-loop on reserved node {SOURCE}"),
+        ],
+    )
+    def test_invalid_edge_names_file_and_line(self, tmp_path, row, error, reason):
+        path = tmp_path / "edges.csv"
+        path.write_text(f"src,dst,weight\n{SOURCE},A,1\n{row}\n")
+        with pytest.raises(error) as exc:
+            read_edges(path)
+        assert str(exc.value) == f"{path}:3: {reason}"
+
+
+_NODES = [SOURCE, SINK, "a", "b", "c"]
+_WEIGHTS = [0.0, 1e-300, 1.0, 1e300, float("nan"), float("inf"), -1.0]
+
+#: Duplicates, self-loops, zero and extreme weights on edges any network
+#: may hold, plus at most one edge drawn from every node and weight, so
+#: that about half the lists are free of an edge no network may hold.
+_EDGE_LISTS = st.tuples(
+    st.lists(
+        st.tuples(
+            st.sampled_from(_NODES[:1] + _NODES[2:]),
+            st.sampled_from(_NODES[1:]),
+            st.sampled_from(_WEIGHTS[:4]),
+        ),
+        max_size=12,
+    ),
+    st.lists(
+        st.tuples(st.sampled_from(_NODES), st.sampled_from(_NODES), st.sampled_from(_WEIGHTS)),
+        max_size=1,
+    ),
+).map(lambda lists: lists[0] + lists[1])
+
+
+class TestAdversarialEdges:
+    """Any edge list either certifies or fails with a typed error."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(_EDGE_LISTS)
+    def test_certified_or_typed_error(self, triples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DroppedNodesWarning)
+            try:
+                net, report = certify(build_flow_network(triples))
+            except AttnFlowError:
+                return
+        assert report.certified
+        assert validate(net).certified
 
 
 def test_zero_weight_edges_are_dropped():
