@@ -85,6 +85,13 @@ def _count(raw: str) -> int:
         raise ValueError(f"expected a finite number, got {raw!r}") from None
 
 
+def _char(raw: str) -> str:
+    """One character, such as a field delimiter."""
+    if len(raw) != 1:
+        raise ValueError(f"expected one character, got {raw!r}")
+    return raw
+
+
 def _setting(default, help: str, commands: tuple[str, ...] | None, parse=str, choices=None):
     """A :class:`RunConfig` field. ``commands`` are the commands that read
     it and so take its flag (None: every command); ``parse`` converts both
@@ -118,7 +125,7 @@ class RunConfig:
         choices=("session-closed", "residual"),
     )
     gap_seconds: float | None = _setting(None, "session gap threshold", _LOG_READERS, float)
-    delimiter: str = _setting(",", "log field delimiter", (*_LOG_READERS, "generate"))
+    delimiter: str = _setting(",", "log field delimiter", (*_LOG_READERS, "generate"), _char)
     header: bool = _setting(False, "log has a header row", (*_LOG_READERS, "generate"), _boolean)
     dense_threshold: int = _setting(
         DENSE_THRESHOLD,
@@ -157,7 +164,10 @@ _SETTINGS = {f.name: f for f in fields(RunConfig)}
 
 
 def load_config_file(path: str) -> dict:
-    """key = value lines; blank lines and # comments ignored."""
+    """key = value lines; blank lines and # comments ignored. Whitespace
+    around a value is ignored, except that a value of spaces and tabs alone
+    keeps its tabs, so ``delimiter = <tab>`` means a tab.
+    """
     values: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -166,13 +176,13 @@ def load_config_file(path: str) -> dict:
                 continue
             if "=" not in text:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {text!r}")
-            key, _, raw = text.partition("=")
+            key, _, raw = line.rstrip("\n").partition("=")
             key = key.strip().replace("-", "_")
             if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             meta = _SETTINGS[key].metadata
             try:
-                value = meta["parse"](raw.strip())
+                value = meta["parse"](raw.strip() or raw.strip(" "))
                 choices = meta["choices"]
                 if choices is not None and value not in choices:
                     raise ValueError(f"invalid choice {value!r}; choose from {list(choices)}")

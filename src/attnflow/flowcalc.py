@@ -170,16 +170,28 @@ def write_stats_csv(path, stats: NodeFlowStats) -> None:
 
 
 def read_stats_csv(path) -> NodeFlowStats:
+    """Read a stats CSV. Raises ValueError naming the file and 1-based line
+    for a wrong header, a row without one cell per column, or a cell that
+    is not a number.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != STATS_HEADER:
-            raise ValueError(f"unexpected stats header {header!r}")
+        header = next(reader, None)
+        if header is None or tuple(header) != STATS_HEADER:
+            raise ValueError(f"{path}:1: unexpected stats header {header!r}")
         items: list[str] = []
         rows: list[list[float]] = []
         for row in reader:
+            if len(row) != len(STATS_HEADER):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: "
+                    f"expected {len(STATS_HEADER)} columns, got {len(row)}"
+                )
+            try:
+                rows.append([float(x) for x in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
             items.append(row[0])
-            rows.append([float(x) for x in row[1:]])
     data = np.array(rows) if rows else np.zeros((0, 6))
     return NodeFlowStats(
         items=tuple(items),

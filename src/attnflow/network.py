@@ -100,16 +100,21 @@ class FlowNetwork:
     def total_source_outflow(self) -> float:
         return float(self.flow[0].sum())
 
-    def edges(self):
-        """Iterate ``(src_label, dst_label, weight)`` sorted by (row, col)."""
+    def _labels(self) -> np.ndarray:
+        """Object array of every node's label, indexed like the flow matrix."""
+        return np.array((SOURCE, *self.items, SINK), dtype=object)
+
+    def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row, column and weight arrays of every edge, sorted by (row, col)."""
         coo = self.flow.tocoo()
         order = np.lexsort((coo.col, coo.row))
-        labels = np.array((SOURCE, *self.items, SINK), dtype=object)
-        return zip(
-            labels[coo.row[order]].tolist(),
-            labels[coo.col[order]].tolist(),
-            coo.data[order].tolist(),
-        )
+        return coo.row[order], coo.col[order], coo.data[order]
+
+    def edges(self):
+        """Iterate ``(src_label, dst_label, weight)`` sorted by (row, col)."""
+        rows, cols, weights = self._edge_arrays()
+        labels = self._labels()
+        return zip(labels[rows].tolist(), labels[cols].tolist(), weights.tolist())
 
 
 def _check_edge(src: str, dst: str, weight: float) -> None:
@@ -126,6 +131,15 @@ def _check_edge(src: str, dst: str, weight: float) -> None:
         raise InvalidEdge(f"edge {src}->{dst}: no flow may leave {SINK}")
 
 
+def _triples(edges):
+    """``(src, dst, weight)`` triples from a mapping ``(src, dst) -> weight``
+    or from an iterable of triples.
+    """
+    if hasattr(edges, "items"):
+        return ((s, d, w) for (s, d), w in edges.items())
+    return iter(edges)
+
+
 def build_flow_network(edges) -> FlowNetwork:
     """Assemble a FlowNetwork from a weighted edge list.
 
@@ -134,47 +148,37 @@ def build_flow_network(edges) -> FlowNetwork:
     Interior node indices follow first appearance in the edge list, so the
     same input always produces the same network.
     """
-    if hasattr(edges, "items"):
-        triples = ((s, d, w) for (s, d), w in edges.items())
-    else:
-        triples = iter(edges)
+    triples = list(_triples(edges))
+    ends = np.empty((len(triples), 2), dtype=object)
+    ends[:, 0] = [s for s, _, _ in triples]
+    ends[:, 1] = [d for _, d, _ in triples]
+    weight = np.array([w for _, _, w in triples], dtype=float)
 
-    index: dict[str, int] = {}
-    rows: list[int] = []
-    cols: list[int] = []
-    data: list[float] = []
+    # _check_edge raises for exactly these edges; the first one in input
+    # order names the error
+    bad = ~np.isfinite(weight) | (weight < 0) | (ends[:, 1] == SOURCE) | (ends[:, 0] == SINK)
+    if bad.any():
+        first = int(np.argmax(bad))
+        _check_edge(ends[first, 0], ends[first, 1], float(weight[first]))
 
-    def interior_id(label: str) -> int:
-        if label not in index:
-            index[label] = len(index)
-        return index[label]
-
-    staged: list[tuple[str, str, float]] = []
-    for src, dst, weight in triples:
-        weight = float(weight)
-        _check_edge(src, dst, weight)
-        if weight == 0.0:
-            continue
-        if src != SOURCE:
-            interior_id(src)
-        if dst != SINK:
-            interior_id(dst)
-        staged.append((src, dst, weight))
-
-    if not staged:
+    nonzero = weight != 0.0
+    ends, weight = ends[nonzero], weight[nonzero]
+    if not weight.size:
         raise InvalidEdge("edge list is empty")
 
-    n = len(index)
-    for src, dst, weight in staged:
-        r = 0 if src == SOURCE else index[src] + 1
-        c = n + 1 if dst == SINK else index[dst] + 1
-        rows.append(r)
-        cols.append(c)
-        data.append(weight)
+    # interior nodes in order of first appearance over src0, dst0, src1, ...
+    labels = ends.ravel().tolist()
+    first_seen = dict.fromkeys(labels)
+    first_seen.pop(SOURCE, None)
+    first_seen.pop(SINK, None)
+    items = tuple(first_seen)
+    index = {label: i for i, label in enumerate((SOURCE, *items, SINK))}
+    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
 
-    flow = sp.coo_matrix((data, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
+    n = len(items)
+    flow = sp.coo_matrix((weight, (codes[0::2], codes[1::2])), shape=(n + 2, n + 2)).tocsr()
     flow.sum_duplicates()
-    return FlowNetwork(items=tuple(index), flow=flow)  # insertion order
+    return FlowNetwork(items=items, flow=flow)
 
 
 def balance(net: FlowNetwork) -> FlowNetwork:
@@ -193,13 +197,12 @@ def balance(net: FlowNetwork) -> FlowNetwork:
     if not np.any(needs):
         return net
 
-    add = sp.lil_matrix(net.flow.shape)
-    for i in np.flatnonzero(needs):
-        node = i + 1
-        if res[i] > 0:  # out-flow surplus: feed it from the source
-            add[0, node] = res[i]
-        else:  # in-flow surplus: drain it to the sink
-            add[node, net.sink_index] = -res[i]
+    node = np.flatnonzero(needs) + 1
+    surplus = res[needs]
+    fed = surplus > 0  # out-flow surplus: feed it from the source, else drain to the sink
+    rows = np.where(fed, 0, node)
+    cols = np.where(fed, node, net.sink_index)
+    add = sp.coo_matrix((np.abs(surplus), (rows, cols)), shape=net.flow.shape)
     flow = (net.flow + add.tocsr()).tocsr()
     flow.sum_duplicates()
     return FlowNetwork(items=net.items, flow=flow)
@@ -241,12 +244,9 @@ def validate(net: FlowNetwork) -> ValidationReport:
     from_source = reachable(pattern, net.source_index)
     to_sink = reachable(pattern.T.tocsr(), net.sink_index)
 
-    unreachable = tuple(
-        net.items[i - 1] for i in range(1, net.sink_index) if not from_source[i]
-    )
-    trapped = tuple(
-        net.items[i - 1] for i in range(1, net.sink_index) if not to_sink[i]
-    )
+    items = net._labels()[1:-1]
+    unreachable = tuple(items[~from_source[1:-1]].tolist())
+    trapped = tuple(items[~to_sink[1:-1]].tolist())
     res = net.residuals()
     max_res = float(np.max(np.abs(res))) if res.size else 0.0
     certified = not unreachable and not trapped and max_res <= BALANCE_TOL
@@ -276,14 +276,16 @@ def drop_uncertified(net: FlowNetwork, report: ValidationReport) -> FlowNetwork:
                 )
             return current
         dropped_total += len(bad)
-        kept = {
-            (s, d): w
-            for s, d, w in current.edges()
-            if s not in bad and d not in bad
-        }
-        if not kept:
+        table = current.node_table
+        dead = np.zeros(len(table), dtype=bool)
+        dead[[table[label] for label in bad]] = True
+        rows, cols, weights = current._edge_arrays()
+        kept = ~(dead[rows] | dead[cols])
+        if not kept.any():
             raise AllNodesDropped(f"all {dropped_total} node(s) were uncertified")
-        current = balance(build_flow_network(kept))
+        labels = current._labels()
+        src, dst = labels[rows[kept]].tolist(), labels[cols[kept]].tolist()
+        current = balance(build_flow_network(zip(src, dst, weights[kept].tolist())))
         report = validate(current)
 
 
@@ -311,14 +313,10 @@ def certify(net: FlowNetwork) -> tuple[FlowNetwork, ValidationReport]:
 
 def write_edges(path, edges) -> None:
     """Write ``src,dst,weight`` CSV. ``edges`` as in build_flow_network."""
-    if hasattr(edges, "items"):
-        triples = ((s, d, w) for (s, d), w in edges.items())
-    else:
-        triples = iter(edges)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "weight"])
-        writer.writerows((s, d, repr(float(w))) for s, d, w in triples)
+        writer.writerows((s, d, repr(float(w))) for s, d, w in _triples(edges))
 
 
 def read_edges(path) -> dict[tuple[str, str], float]:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ class TestConfigFile:
         assert echoed["mode"] == "residual"  # flag wins
         assert echoed["header"] is True  # file wins over default
         assert echoed["command"] == "ingest"
+
+    def test_tab_delimiter_from_file(self, tmp_path, monkeypatch):
+        log = tmp_path / "tab.csv"
+        log.write_text(LOG.replace(",", "\t"))
+        cfg = tmp_path / "tab.cfg"
+        cfg.write_text("delimiter = \t\nmode =\tresidual \n")
+        trees = []
+        routes = {"file": ["--config", cfg], "flag": ["--delimiter", "\t", "--mode", "residual"]}
+        for name, options in routes.items():
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert run(["ingest", "--input", log, *options, "--out", "out"]) == 0
+            trees.append({p.name: p.read_bytes() for p in sorted(Path("out").iterdir())})
+        assert trees[0] == trees[1]
+        assert read_json(tmp_path / "file" / "out" / "ingest.json")["items"] == 3
 
 
 COMMANDS = (
@@ -213,6 +229,7 @@ class TestSettings:
             ("simulate", "walkers", "inf"),
             ("ingest", "mode", "bogus"),
             ("generate", "family", "nope"),
+            ("ingest", "delimiter", "ab"),
         ],
     )
     def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, command, key, raw):
@@ -601,6 +618,20 @@ class TestErrorHandling:
         assert code == 1
         assert capsys.readouterr().err.startswith("ValueError: ")
         # config.json was written before the failure and must be cleaned up
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["fit", "gini", "zipf"])
+    @pytest.mark.parametrize(
+        "row, reason",
+        [("a,1,2,3", "expected 7 columns, got 4"),
+         ("a,1,2,x,4,5,6", "could not convert string to float: 'x'")],
+    )
+    def test_bad_stats_row_names_file_and_line(self, tmp_path, capsys, command, row, reason):
+        stats = tmp_path / "stats.csv"
+        stats.write_text(f"item,A,D,S,F,C,phi\nb,1,1,1,0,1,1\n{row}\n")
+        out = tmp_path / "out"
+        assert run([command, "--input", stats, "--out", out]) == 1
+        assert capsys.readouterr().err == f"ValueError: {stats}:3: {reason}\n"
         assert os.listdir(out) == []
 
     def test_uncertified_input_pruned_with_warning(self, tmp_path, capsys):

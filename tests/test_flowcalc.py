@@ -13,17 +13,22 @@ from scipy.sparse.csgraph import connected_components
 
 from attnflow import (
     DENSE_THRESHOLD,
+    SINK,
+    SOURCE,
+    FlowNetwork,
     GeneratorSpec,
     NodeFlowStats,
     SingularSystem,
     ZeroOutflowRow,
     balance,
     build_flow_network,
+    certify,
     flow_impact_double_sum,
     fundamental_matrix,
     generate,
     node_flows,
     read_stats_csv,
+    source_distances,
     to_transition_edges,
     transition_matrix,
     validate,
@@ -423,8 +428,23 @@ class TestStatsCsv:
     def test_header_check(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("item,A,B\nx,1,2\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unexpected stats header"):
             read_stats_csv(path)
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("", "1: unexpected stats header None"),
+            ("item,A,D,S,F,C,phi\na,1,2,3,4,5,6\nb,1,2,3\n", "3: expected 7 columns, got 4"),
+            ("item,A,D,S,F,C,phi\na,1,2,x,4,5,6\n", "2: could not convert string to float: 'x'"),
+        ],
+    )
+    def test_bad_file_names_file_and_line(self, tmp_path, text, reason):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            read_stats_csv(path)
+        assert str(exc.value) == f"{path}:{reason}"
 
     def test_deterministic_bytes(self, tmp_path, star_net):
         stats = node_flows(star_net)
@@ -432,3 +452,60 @@ class TestStatsCsv:
         write_stats_csv(p1, stats)
         write_stats_csv(p2, node_flows(star_net))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _calculus(net, dense_threshold):
+    """W and every per-node output of the calculus, l_source included."""
+    fm = fundamental_matrix(transition_matrix(net), dense_threshold)
+    return fm.transition.matrix, node_flows(net, fm).columns(), source_distances(fm)
+
+
+_CYCLIC_SEEDS = [11, 12, 13, 14, 15]
+
+
+def _cyclic_net(seed):
+    net = generate(
+        GeneratorSpec(family="random-cyclic", size=90, recirculation=0.4, seed=seed)
+    )
+    assert validate(net).max_residual == 0.0  # integer weights balance exactly
+    return net
+
+
+class TestMetamorphic:
+    """Transformations of the input whose effect on every output is known."""
+
+    @pytest.mark.parametrize("seed", _CYCLIC_SEEDS)
+    @pytest.mark.parametrize("k", [-3, 7, 40])
+    def test_power_of_two_scaling_is_exact(self, seed, k):
+        # W = diag(1/A) times the flow is scale-free; every other output is linear
+        # in the weights through operations that a power of two commutes with
+        net = _cyclic_net(seed)
+        scaled = FlowNetwork(items=net.items, flow=net.flow * 2.0**k)
+        for threshold in (DENSE_THRESHOLD, 8):
+            W, cols, l_source = _calculus(net, threshold)
+            W2, cols2, l_source2 = _calculus(scaled, threshold)
+            assert (W != W2).nnz == 0
+            for name, col in cols.items():
+                np.testing.assert_array_equal(cols2[name], col * 2.0**k, err_msg=name)
+            np.testing.assert_array_equal(l_source2, l_source)
+
+    @pytest.mark.parametrize("seed", _CYCLIC_SEEDS)
+    def test_relabelling_permutes_every_output(self, seed):
+        net = _cyclic_net(seed)
+        rng = np.random.default_rng(seed)
+        rename = {item: f"r{k}" for item, k in zip(net.items, rng.permutation(net.n_interior))}
+        rename.update({SOURCE: SOURCE, SINK: SINK})
+        triples = [(rename[s], rename[d], w) for s, d, w in net.edges()]
+        shuffled = [triples[i] for i in rng.permutation(len(triples))]
+        relabelled, _ = certify(build_flow_network(shuffled))
+        where = {item: i for i, item in enumerate(relabelled.items)}
+        perm = [where[rename[item]] for item in net.items]
+        assert sorted(perm) == list(range(net.n_interior)) and perm != sorted(perm)
+        for threshold in (DENSE_THRESHOLD, 8):
+            _, cols, l_source = _calculus(net, threshold)
+            _, cols2, l_source2 = _calculus(relabelled, threshold)
+            for name, col in cols.items():
+                np.testing.assert_allclose(
+                    cols2[name][perm], col, rtol=1e-12, atol=0, err_msg=name
+                )
+            np.testing.assert_allclose(l_source2[perm], l_source, rtol=1e-12, atol=0)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from attnflow import (
@@ -26,6 +27,8 @@ from attnflow.errors import (
 )
 from attnflow.network import (
     BALANCE_TOL,
+    FlowNetwork,
+    _check_edge,
     read_edges,
     read_network,
     write_edges,
@@ -85,6 +88,99 @@ class TestBuild:
         assert net.node_table[SOURCE] == 0
         assert net.node_table["B"] == 1
         assert net.node_table[SINK] == 4
+
+
+def _reference_build(edges) -> FlowNetwork:
+    """Per-edge builder: check, number and place one edge at a time."""
+    if hasattr(edges, "items"):
+        triples = ((s, d, w) for (s, d), w in edges.items())
+    else:
+        triples = iter(edges)
+
+    index: dict[str, int] = {}
+    rows: list[int] = []
+    cols: list[int] = []
+    data: list[float] = []
+
+    def interior_id(label: str) -> int:
+        if label not in index:
+            index[label] = len(index)
+        return index[label]
+
+    staged: list[tuple[str, str, float]] = []
+    for src, dst, weight in triples:
+        weight = float(weight)
+        _check_edge(src, dst, weight)
+        if weight == 0.0:
+            continue
+        if src != SOURCE:
+            interior_id(src)
+        if dst != SINK:
+            interior_id(dst)
+        staged.append((src, dst, weight))
+
+    if not staged:
+        raise InvalidEdge("edge list is empty")
+
+    n = len(index)
+    for src, dst, weight in staged:
+        rows.append(0 if src == SOURCE else index[src] + 1)
+        cols.append(n + 1 if dst == SINK else index[dst] + 1)
+        data.append(weight)
+
+    flow = sp.coo_matrix((data, (rows, cols)), shape=(n + 2, n + 2)).tocsr()
+    flow.sum_duplicates()
+    return FlowNetwork(items=tuple(index), flow=flow)
+
+
+def _build_outcome(build, edges):
+    """Items and the CSR arrays, bit for bit, or the error type and message."""
+    try:
+        net = build(edges)
+    except AttnFlowError as exc:
+        return type(exc), str(exc)
+    flow = net.flow
+    return net.items, flow.shape, *(
+        (a.dtype.str, a.tobytes()) for a in (flow.indptr, flow.indices, flow.data)
+    )
+
+
+_BUILD_NODES = [SOURCE, SINK, "a", "b", "c", "d"]
+_BUILD_WEIGHTS = [0.0, -0.0, 1.0, 2.5, 3, 1e-300, 1e300, -1.0, float("nan"), float("inf"),
+                  float("-inf")]
+#: Mostly edges any network may hold, so most lists build; the rest draw
+#: zero, reserved, negative and non-finite entries anywhere in the list.
+_BUILD_EDGE = st.one_of(
+    st.tuples(st.sampled_from(_BUILD_NODES[:1] + _BUILD_NODES[2:]),
+              st.sampled_from(_BUILD_NODES[1:]),
+              st.sampled_from(_BUILD_WEIGHTS[:7])),
+    st.tuples(st.sampled_from(_BUILD_NODES), st.sampled_from(_BUILD_NODES),
+              st.sampled_from(_BUILD_WEIGHTS)),
+)
+
+
+class TestArrayBuilder:
+    """The array builder matches the per-edge builder on any edge list."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(st.lists(_BUILD_EDGE, max_size=14), st.booleans())
+    def test_same_network_or_same_error(self, triples, as_mapping):
+        edges = {(s, d): w for s, d, w in triples} if as_mapping else triples
+        assert _build_outcome(build_flow_network, edges) == _build_outcome(_reference_build, edges)
+
+    def test_every_edge_error_kept(self):
+        cases = [
+            ([(SOURCE, "a", 1.0), ("a", "b", float("nan"))], InvalidEdge,
+             "edge a->b has non-finite weight nan"),
+            ([("a", "b", -2)], NegativeWeight, "edge a->b has weight -2.0"),
+            ([(SINK, SINK, 1)], SelfEdgeOnSourceOrSink, f"self-loop on reserved node {SINK}"),
+            ([("a", SOURCE, 0)], InvalidEdge, f"edge a->{SOURCE}: no flow may enter {SOURCE}"),
+            ([(SINK, "a", 1)], InvalidEdge, f"edge {SINK}->a: no flow may leave {SINK}"),
+            ([("a", "b", 0.0)], InvalidEdge, "edge list is empty"),
+        ]
+        for triples, error, message in cases:
+            assert _build_outcome(build_flow_network, triples) == (error, message)
+            assert _build_outcome(_reference_build, triples) == (error, message)
 
 
 class TestBalance:
@@ -184,6 +280,28 @@ class TestDropUncertified:
         with pytest.warns(DroppedNodesWarning):
             pruned = drop_uncertified(net, validate(net))
         assert pruned.items == ("A",)
+        assert validate(pruned).certified
+
+    def test_pruned_network_numbers_nodes_in_edge_order(self):
+        # x (no source edge) comes before y in the input; the prune rebuilds
+        # from the (row, col)-sorted edges, whose source row comes first
+        net = build_flow_network(
+            [
+                ("x", SINK, 1),
+                (SOURCE, "y", 2),
+                ("y", "x", 1),
+                ("y", SINK, 1),
+                ("c1", "c2", 1),
+                ("c2", "c1", 1),
+            ]
+        )
+        assert net.items == ("x", "y", "c1", "c2")
+        with pytest.warns(DroppedNodesWarning, match="dropped 2 "):
+            pruned = drop_uncertified(net, validate(net))
+        assert pruned.items == ("y", "x")
+        assert list(pruned.edges()) == [
+            (SOURCE, "y", 2.0), ("y", "x", 1.0), ("y", SINK, 1.0), ("x", SINK, 1.0)
+        ]
         assert validate(pruned).certified
 
     def test_all_dropped(self):

@@ -30,3 +30,35 @@ def test_trace_target_resolves(target):
     if not isinstance(owner, type):
         # a module-level target that is a class would be rebound as a whole
         assert not isinstance(value, type), f"{target} is a class, not a function"
+
+
+def _count_calls(monkeypatch, module, names) -> dict[str, int]:
+    """Replace each named module global with a wrapper that counts its calls."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_network_work_runs_inside_traced_functions(monkeypatch, tmp_path):
+    """The ``network.*`` spans cover reading, building, balancing, checking
+    and pruning: each runs through the module global the tracer wraps.
+    """
+    import attnflow.network as network
+
+    path = tmp_path / "edges.csv"
+    path.write_text("src,dst,weight\n__source__,a,1\na,__sink__,1\nc1,c2,1\nc2,c1,1\n")
+    calls = _count_calls(monkeypatch, network, ("read_edges", "build_flow_network"))
+    net = network.read_network(path)
+    assert calls == {"read_edges": 1, "build_flow_network": 1}
+
+    calls = _count_calls(monkeypatch, network, ("balance", "validate", "drop_uncertified"))
+    with pytest.warns(network.DroppedNodesWarning):
+        pruned, report = network.certify(net)
+    assert report.certified and pruned.items == ("a",)
+    # certify: balance, validate, prune, validate; one prune round: balance, validate
+    assert calls == {"balance": 2, "validate": 3, "drop_uncertified": 1}
