@@ -43,6 +43,7 @@ from .network import (
     read_network,
     validate,
     write_edges,
+    write_json,
     write_network,
 )
 from .oracle import (
@@ -90,6 +91,18 @@ def _char(raw: str) -> str:
     if len(raw) != 1:
         raise ValueError(f"expected one character, got {raw!r}")
     return raw
+
+
+def _flag_type(parse):
+    """``parse`` for argparse: its ValueError's reason becomes the flag's error."""
+
+    def convert(raw: str):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
 def _setting(default, help: str, commands: tuple[str, ...] | None, parse=str, choices=None):
@@ -169,7 +182,7 @@ def load_config_file(path: str) -> dict:
     keeps its tabs, so ``delimiter = <tab>`` means a tab.
     """
     values: dict = {}
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.strip()
             if not text or text.startswith("#"):
@@ -219,18 +232,12 @@ class ArtifactDir:
         self.created.append(full)
         return full
 
-    def write_json(self, name: str, obj) -> str:
-        full = self.path(name)
-        with open(full, "w") as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        return full
+    def write_json(self, name: str, obj) -> None:
+        write_json(self.path(name), obj)
 
-    def write_text(self, name: str, text: str) -> str:
-        full = self.path(name)
-        with open(full, "w") as fh:
+    def write_text(self, name: str, text: str) -> None:
+        with open(self.path(name), "w", encoding="utf-8") as fh:
             fh.write(text)
-        return full
 
     def cleanup(self) -> None:
         for full in self.created:
@@ -530,7 +537,7 @@ def _tallies_from_json(payload: dict) -> WalkEstimate:
 def cmd_compare(run: Run) -> None:
     cfg, net = run.cfg, run.net
     if cfg.tallies:
-        with open(cfg.tallies) as fh:
+        with open(cfg.tallies, encoding="utf-8") as fh:
             est = _tallies_from_json(json.load(fh))
     else:
         est = simulate_walkers(net, cfg.walkers, cfg.seed)
@@ -655,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
             if meta["parse"] is _boolean:
                 p.add_argument(flag, action="store_const", const=True, help=help)
             else:
-                p.add_argument(flag, type=meta["parse"], choices=meta["choices"], help=help)
+                parse = _flag_type(meta["parse"])
+                p.add_argument(flag, type=parse, choices=meta["choices"], help=help)
     return parser
 
 

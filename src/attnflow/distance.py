@@ -11,28 +11,16 @@ the whole source row of t.
 """
 from __future__ import annotations
 
-import csv
 import math
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 
 from .errors import UnreachablePair
 from .flowcalc import AbsorbingSolver
-from .network import reachable
+from .network import cell, reachable, write_csv
 
 PAIRWISE_CAP = 2000
-
-
-def _structural_reachability(pattern) -> np.ndarray:
-    """Boolean all-pairs reachability (including self) on the edge pattern.
-
-    U_ij is exactly zero iff there is no interior path i -> j, so masking
-    by graph reachability separates structural zeros from roundoff.
-    """
-    hops = csgraph.shortest_path(csgraph=pattern, method="D", unweighted=True)
-    return np.isfinite(hops)
 
 
 def _reachable_from_source(W: sp.csr_matrix, m0: np.ndarray) -> np.ndarray:
@@ -88,7 +76,9 @@ def pairwise_distances(
     """Dense (t, l, c) matrices over interior nodes; NaN marks unreachable.
 
     Materializes U, so it is capped; raise the cap explicitly for larger
-    networks if the memory cost is acceptable.
+    networks if the memory cost is acceptable. U_ij is exactly zero iff no
+    interior path leads from i to j, so each row is masked by reachability
+    on the edge pattern, which separates structural zeros from roundoff.
     """
     n = fm.n
     if n > cap:
@@ -96,10 +86,11 @@ def pairwise_distances(
             f"pairwise distances need a dense {n} x {n} matrix; over the cap of {cap}"
         )
     U = fm.matrix()
-    reach = _structural_reachability(fm.transition.interior)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (U @ U) / U - 1.0
-    t[~reach] = np.nan
+    pattern = fm.transition.interior
+    for i in range(n):
+        t[i, ~reachable(pattern, i)] = np.nan
     l = t - np.diag(t)[np.newaxis, :]
     np.fill_diagonal(l, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -131,26 +122,17 @@ def symmetric_distance(fm: AbsorbingSolver, i: int, j: int) -> float:
 
 
 def write_source_distances(path, items: tuple[str, ...], l0: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item", "l_source"])
-        for item, value in zip(items, l0):
-            writer.writerow([item, "" if math.isnan(value) else repr(float(value))])
+    write_csv(path, ["item", "l_source"], zip(items, map(cell, l0)))
 
 
 def write_pairwise(
     path, items: tuple[str, ...], t: np.ndarray, l: np.ndarray, c: np.ndarray
 ) -> None:
     """All ordered pairs i != j with empty cells for unreachable entries."""
-
-    def cell(x: float) -> str:
-        return "" if math.isnan(x) else repr(float(x))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["i", "j", "t", "l", "c"])
-        for a, src in enumerate(items):
-            for b, dst in enumerate(items):
-                if a == b:
-                    continue
-                writer.writerow([src, dst, cell(t[a, b]), cell(l[a, b]), cell(c[a, b])])
+    rows = (
+        [src, dst, cell(t[a, b]), cell(l[a, b]), cell(c[a, b])]
+        for a, src in enumerate(items)
+        for b, dst in enumerate(items)
+        if a != b
+    )
+    write_csv(path, ["i", "j", "t", "l", "c"], rows)

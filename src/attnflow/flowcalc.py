@@ -27,7 +27,7 @@ import scipy.sparse as sp
 # fundamental_diagonals is re-exported: the solver layer is reached through flowcalc
 from ._linalg import DENSE_THRESHOLD, AbsorbingSolver, fundamental_diagonals
 from .errors import ZeroOutflowRow
-from .network import FlowNetwork
+from .network import FlowNetwork, write_csv
 
 STATS_HEADER = ("item", "A", "D", "S", "F", "C", "phi")
 
@@ -161,12 +161,9 @@ def flow_impact_double_sum(fm: AbsorbingSolver, source_flows: np.ndarray) -> np.
 
 
 def write_stats_csv(path, stats: NodeFlowStats) -> None:
-    cols = stats.columns()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(STATS_HEADER)
-        for i, item in enumerate(stats.items):
-            writer.writerow([item] + [repr(float(cols[c][i])) for c in STATS_HEADER[1:]])
+    cols = [stats.columns()[c] for c in STATS_HEADER[1:]]
+    rows = ([item, *(repr(float(col[i])) for col in cols)] for i, item in enumerate(stats.items))
+    write_csv(path, STATS_HEADER, rows)
 
 
 def read_stats_csv(path) -> NodeFlowStats:
@@ -174,7 +171,7 @@ def read_stats_csv(path) -> NodeFlowStats:
     for a wrong header, a row without one cell per column, or a cell that
     is not a number.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or tuple(header) != STATS_HEADER:

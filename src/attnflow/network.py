@@ -4,7 +4,7 @@ A :class:`FlowNetwork` stores non-negative flow weights over dense node
 indices: 0 is the external source, ``1..N`` are interior nodes (real items),
 ``N+1`` is the external sink. Construction, the balancing rule (source feeds
 any out-flow surplus, sink absorbs any in-flow surplus), reachability
-validation, and the CSV/JSON wire formats all live here.
+validation, and the UTF-8 CSV/JSON artifact format of every module live here.
 """
 from __future__ import annotations
 
@@ -311,8 +311,31 @@ def certify(net: FlowNetwork) -> tuple[FlowNetwork, ValidationReport]:
 
 # --- wire formats ----------------------------------------------------------
 
+def cell(x) -> str:
+    """A float at ``repr`` precision, or the empty cell for NaN (no value)."""
+    x = float(x)
+    return "" if math.isnan(x) else repr(x)
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a UTF-8 CSV artifact whose rows end in LF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, obj) -> None:
+    """Write a JSON artifact: sorted keys, two-space indent, final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_edges(path, edges) -> None:
-    """Write ``src,dst,weight`` CSV. ``edges`` as in build_flow_network."""
+    """Write ``src,dst,weight`` CSV. ``edges`` as in build_flow_network.
+    Unlike the other artifacts its rows end in CRLF, the csv default.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["src", "dst", "weight"])
@@ -370,9 +393,7 @@ def write_network(net: FlowNetwork, csv_path, json_path=None,
         }
         if report is not None:
             sidecar["validation"] = report.to_dict()
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(sidecar, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(json_path, sidecar)
 
 
 def read_network(csv_path) -> FlowNetwork:

@@ -19,7 +19,7 @@ import scipy.sparse.csgraph as csgraph
 from .errors import InvalidSpec, MismatchedNetworks, NotCertified, StepCapWarning
 from .flowcalc import NodeFlowStats, transition_matrix
 from .ingest import SessionLog
-from .network import FlowNetwork, build_flow_network, validate
+from .network import FlowNetwork, build_flow_network, cell, validate, write_csv
 
 STEP_CAP = 1_000_000
 
@@ -450,8 +450,6 @@ def write_estimates_csv(path, est: WalkEstimate) -> None:
     """Stats-schema mirror with _hat suffixes; impact column only when
     subtree tracking was on.
     """
-    import csv as _csv
-
     a_hat, _ = est.through_flow_estimate()
     d_hat, _ = est.dissipation_estimate()
     s_hat, _ = est.source_inflow_estimate()
@@ -460,21 +458,20 @@ def write_estimates_csv(path, est: WalkEstimate) -> None:
     header = ["item", "A_hat", "D_hat", "S_hat", "F_hat", "l_hat"]
     if c is not None:
         header.append("C_hat")
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for i, item in enumerate(est.items):
-            row = [
-                item,
-                repr(float(a_hat[i])),
-                repr(float(d_hat[i])),
-                repr(float(s_hat[i])),
-                repr(float(a_hat[i] - d_hat[i])),
-                "" if math.isnan(l_hat[i]) else repr(float(l_hat[i])),
-            ]
-            if c is not None:
-                row.append(repr(float(c[0][i])))
-            writer.writerow(row)
+    rows = []
+    for i, item in enumerate(est.items):
+        row = [
+            item,
+            repr(float(a_hat[i])),
+            repr(float(d_hat[i])),
+            repr(float(s_hat[i])),
+            repr(float(a_hat[i] - d_hat[i])),
+            cell(l_hat[i]),
+        ]
+        if c is not None:
+            row.append(repr(float(c[0][i])))
+        rows.append(row)
+    write_csv(path, header, rows)
 
 
 @dataclass(frozen=True)

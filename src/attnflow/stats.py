@@ -7,7 +7,6 @@ power-law exponents.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .errors import (
 )
 from .flowcalc import NodeFlowStats
 from .ingest import SessionLog
+from .network import write_csv
 
 # Relative singular-value cutoff below which a design matrix is treated as
 # rank deficient.
@@ -359,18 +359,13 @@ def regression_feature_table(
 
 def write_zipf_csv(path, table: list[tuple]) -> None:
     """Two-column rank,value plot data (labels, if present, are dropped)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["rank", "value"])
-        for row in table:
-            writer.writerow([row[0], repr(float(row[-1]))])
+    write_csv(path, ["rank", "value"], ([row[0], repr(float(row[-1]))] for row in table))
 
 
 def write_duplication_csv(path, report: DuplicationReport) -> None:
     before = report.degrees_before
     after = report.degrees_after
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["item", "audience", "degree_before", "degree_after"])
-        for item in report.items:
-            writer.writerow([item, report.audience_sizes[item], before[item], after[item]])
+    rows = (
+        [item, report.audience_sizes[item], before[item], after[item]] for item in report.items
+    )
+    write_csv(path, ["item", "audience", "degree_before", "degree_after"], rows)

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attnflow import GeneratorSpec, generate, serialize_log
 from attnflow.cli import RunConfig, build_parser, load_config_file, main, merge_config
 
 LOG = "u1,A\nu1,B\nu1,A\nu2,A\nu2,C\nu3,B\n"
@@ -237,11 +238,18 @@ class TestSettings:
         cfg.write_text(f"{key} = {raw}\n")
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--out", out]) == 1
-        assert capsys.readouterr().err.startswith(f"ValueError: {cfg}:1: config key {key}:")
+        err = capsys.readouterr().err
+        assert err.startswith(f"ValueError: {cfg}:1: config key {key}:")
         assert not out.exists()
         with pytest.raises(SystemExit) as exc:
             main([command, _flag(key), raw, "--out", str(out)])
         assert exc.value.code == 2
+        flag_err = capsys.readouterr().err
+        if key in ("mode", "family"):
+            assert f"argument {_flag(key)}: invalid choice: {raw!r}" in flag_err
+        else:  # the value parser's own reason, as in the config-file message
+            reason = err.rstrip("\n").partition(f"config key {key}: ")[2]
+            assert f"argument {_flag(key)}: {reason}\n" in flag_err
 
 
 class TestIngestBuild:
@@ -757,6 +765,46 @@ class TestDeterminism:
             }
             trees.append(tree)
         assert trees[0] == trees[1]
+
+
+    def test_ascii_locale_writes_utf8_bytes(self, tmp_path, child_env):
+        """Non-ASCII labels under an ASCII locale: every command exits 0 and
+        writes the bytes of the same run in UTF-8 mode.
+        """
+        rename = {"n01": "café", "n02": "東京"}
+        log = generate(GeneratorSpec(family="session-log", size=40, seed=1))
+        rows = [line.split(",") for line in serialize_log(log).splitlines()]
+        text = "".join(f"{user},{rename.get(item, item)}\n" for user, item in rows)
+        commands = [
+            ["pipeline", "--input", "log.csv", "--out", "run"],
+            ["fit", "--input", "run/stats.csv", "--out", "fit"],
+            ["gini", "--input", "run/stats.csv", "--out", "gini"],
+            ["zipf", "--input", "run/stats.csv", "--out", "zipf"],
+        ]
+        ascii_env = {
+            **child_env,
+            "LC_ALL": "C",
+            "LANG": "C",
+            "PYTHONUTF8": "0",
+            "PYTHONCOERCECLOCALE": "0",
+        }
+        trees = []
+        for name, env in (("utf8", {**child_env, "PYTHONUTF8": "1"}), ("ascii", ascii_env)):
+            cwd = tmp_path / name
+            cwd.mkdir()
+            (cwd / "log.csv").write_text(text, encoding="utf-8")
+            for argv in commands:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "attnflow", *argv],
+                    cwd=cwd,
+                    env=env,
+                    capture_output=True,
+                )
+                assert proc.returncode == 0, (name, argv, proc.stderr)
+            files = sorted(p for p in cwd.rglob("*") if p.is_file())
+            trees.append({str(p.relative_to(cwd)): p.read_bytes() for p in files})
+        assert trees[0] == trees[1]
+        assert "東京".encode() in trees[0]["run/stats.csv"]
 
 
 class TestEntryPoints:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from attnflow import (
     AbsorbingSolver,
@@ -269,6 +270,37 @@ class TestPairwise:
         fm = _fm(balanced_cyclic_net)
         with pytest.raises(ValueError, match="cap"):
             pairwise_distances(fm, cap=10)
+
+    @staticmethod
+    def _check_mask(fm):
+        """Each row's ``reachable`` mask equals the all-pairs shortest-path
+        mask, and t matches that mask's formula bit for bit.
+        """
+        pattern = fm.transition.interior
+        reach = np.isfinite(csgraph.shortest_path(pattern, unweighted=True))
+        rows = np.array([reachable(pattern, i) for i in range(fm.n)])
+        np.testing.assert_array_equal(rows, reach)
+        U = fm.matrix()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = (U @ U) / U - 1.0
+        expected[~reach] = np.nan
+        t, _, _ = pairwise_distances(fm)
+        np.testing.assert_array_equal(t, expected)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_mask_matches_shortest_path(self, seed):
+        self._check_mask(_fm(_random_uncertified_net(seed)))
+
+    def test_mask_with_explicit_zero(self):
+        tm = transition_matrix(_random_uncertified_net(3))
+        M = tm.matrix.copy()
+        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+        inside = (rows >= 1) & (rows <= tm.n_interior)
+        inside &= (M.indices >= 1) & (M.indices <= tm.n_interior)
+        M.data[np.flatnonzero(inside)[0]] = 0.0
+        fm = AbsorbingSolver(TransitionMatrix(items=tm.items, matrix=M))
+        assert (fm.transition.interior.data == 0.0).sum() == 1
+        self._check_mask(fm)
 
 
 class TestSymmetricDistance:
