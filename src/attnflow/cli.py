@@ -30,6 +30,7 @@ from .distance import (
 from .errors import AttnFlowError
 from .flowcalc import (
     NodeFlowStats,
+    _edge_sums,
     fundamental_matrix,
     node_flows,
     read_stats_csv,
@@ -602,13 +603,14 @@ def cmd_pipeline(run: Run) -> None:
         run.log = None
         built = read_network(run.input)
     network = _step_build(run, built)
-    totals = run.stats.totals()
+    # edge sums, so that a run whose steps read no C or phi takes no solve
+    A, D, _ = _edge_sums(run.net)
     summary.update(
         nodes=network["nodes"],
         edges=network["edges"],
         source_outflow=run.net.total_source_outflow(),
-        sum_A=totals["A"],
-        sum_D=totals["D"],
+        sum_A=float(A.sum()),
+        sum_D=float(D.sum()),
     )
     for name, (step, error_key) in _ANALYSES.items():
         if name not in wanted:

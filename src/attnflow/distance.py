@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .errors import UnreachablePair
 from .flowcalc import AbsorbingSolver
-from .network import cell, reachable, write_csv
+from .network import cell, cells, reachable, write_csv
 
 PAIRWISE_CAP = 2000
 
@@ -122,7 +122,7 @@ def symmetric_distance(fm: AbsorbingSolver, i: int, j: int) -> float:
 
 
 def write_source_distances(path, items: tuple[str, ...], l0: np.ndarray) -> None:
-    write_csv(path, ["item", "l_source"], zip(items, map(cell, l0)))
+    write_csv(path, ["item", "l_source"], zip(items, cells(l0)))
 
 
 def write_pairwise(

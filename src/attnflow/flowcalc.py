@@ -120,6 +120,17 @@ class NodeFlowStats:
         return {name: float(col.sum()) for name, col in self.columns().items()}
 
 
+def _edge_sums(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A, D and S of every interior node: sums over its edges, with no solve."""
+    n = net.n_interior
+    flow = net.flow.tocsr()
+    interior = slice(1, n + 1)
+    A = np.asarray(flow.sum(axis=1)).ravel()[interior]
+    D = np.asarray(flow[interior, net.sink_index].todense()).ravel()
+    S = np.asarray(flow[net.source_index, interior].todense()).ravel()
+    return A, D, S
+
+
 def node_flows(
     net: FlowNetwork,
     fm: AbsorbingSolver | None = None,
@@ -132,12 +143,7 @@ def node_flows(
     """
     if fm is None:
         fm = fundamental_matrix(transition_matrix(net), dense_threshold)
-    n = net.n_interior
-    flow = net.flow.tocsr()
-    interior = slice(1, n + 1)
-    A = np.asarray(flow.sum(axis=1)).ravel()[interior]
-    D = np.asarray(flow[interior, net.sink_index].todense()).ravel()
-    S = np.asarray(flow[net.source_index, interior].todense()).ravel()
+    A, D, S = _edge_sums(net)
     phi = fm.solve_transpose(S)
     C = phi * fm.row_sums() / fm.diagonal()
     return NodeFlowStats(
@@ -161,9 +167,9 @@ def flow_impact_double_sum(fm: AbsorbingSolver, source_flows: np.ndarray) -> np.
 
 
 def write_stats_csv(path, stats: NodeFlowStats) -> None:
-    cols = [stats.columns()[c] for c in STATS_HEADER[1:]]
-    rows = ([item, *(repr(float(col[i])) for col in cols)] for i, item in enumerate(stats.items))
-    write_csv(path, STATS_HEADER, rows)
+    columns = stats.columns()
+    values = (map(repr, np.asarray(columns[c], dtype=float).tolist()) for c in STATS_HEADER[1:])
+    write_csv(path, STATS_HEADER, zip(stats.items, *values))
 
 
 def read_stats_csv(path) -> NodeFlowStats:

@@ -12,7 +12,10 @@ import csv
 import json
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -106,9 +109,12 @@ class FlowNetwork:
 
     def _edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row, column and weight arrays of every edge, sorted by (row, col)."""
-        coo = self.flow.tocoo()
-        order = np.lexsort((coo.col, coo.row))
-        return coo.row[order], coo.col[order], coo.data[order]
+        flow = self.flow.tocsr()
+        if not flow.has_canonical_format:
+            flow = flow.copy()
+            flow.sum_duplicates()
+        rows = np.repeat(np.arange(flow.shape[0], dtype=flow.indices.dtype), np.diff(flow.indptr))
+        return rows, flow.indices, flow.data
 
     def edges(self):
         """Iterate ``(src_label, dst_label, weight)`` sorted by (row, col)."""
@@ -131,53 +137,73 @@ def _check_edge(src: str, dst: str, weight: float) -> None:
         raise InvalidEdge(f"edge {src}->{dst}: no flow may leave {SINK}")
 
 
-def _triples(edges):
-    """``(src, dst, weight)`` triples from a mapping ``(src, dst) -> weight``
-    or from an iterable of triples.
+def _label_codes(ends: list) -> tuple[list, np.ndarray]:
+    """``[SOURCE, SINK]`` followed by every other label of ``ends`` once, in
+    order of first appearance, and the position in that list of each label
+    of ``ends``.
     """
+    index = {label: i for i, label in enumerate(dict.fromkeys(chain((SOURCE, SINK), ends)))}
+    return list(index), np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
+
+
+def _coded_edges(edges) -> tuple[list, np.ndarray, np.ndarray]:
+    """Labels as :func:`_label_codes` lists them, the ``(m, 2)`` codes of
+    every edge's ends and the edges' float weights, from a mapping
+    ``(src, dst) -> weight`` or an iterable of ``(src, dst, weight)`` triples.
+    """
+    if isinstance(edges, _EdgeRows):
+        return edges.labels, edges.codes, edges.weight
     if hasattr(edges, "items"):
-        return ((s, d, w) for (s, d), w in edges.items())
-    return iter(edges)
+        ends = list(chain.from_iterable(edges))
+        weight = np.fromiter(edges.values(), dtype=float, count=len(edges))
+    else:
+        triples = list(edges)
+        ends = [label for s, d, _ in triples for label in (s, d)]
+        weight = np.array([w for _, _, w in triples], dtype=float)
+    labels, codes = _label_codes(ends)
+    return labels, codes.reshape(-1, 2), weight
 
 
 def build_flow_network(edges) -> FlowNetwork:
     """Assemble a FlowNetwork from a weighted edge list.
 
     ``edges`` is either a mapping ``(src, dst) -> weight`` or an iterable of
-    ``(src, dst, weight)`` triples. Duplicate edges are merged by summing.
-    Interior node indices follow first appearance in the edge list, so the
-    same input always produces the same network.
+    ``(src, dst, weight)`` triples. Duplicate edges are merged by summing
+    their weights in input order. Interior node indices follow first
+    appearance in the edge list, so the same input always produces the same
+    network.
     """
-    triples = list(_triples(edges))
-    ends = np.empty((len(triples), 2), dtype=object)
-    ends[:, 0] = [s for s, _, _ in triples]
-    ends[:, 1] = [d for _, d, _ in triples]
-    weight = np.array([w for _, _, w in triples], dtype=float)
+    labels, codes, weight = _coded_edges(edges)
 
-    # _check_edge raises for exactly these edges; the first one in input
-    # order names the error
-    bad = ~np.isfinite(weight) | (weight < 0) | (ends[:, 1] == SOURCE) | (ends[:, 0] == SINK)
+    # _check_edge raises for exactly these edges (code 0 is SOURCE, code 1
+    # SINK); the first one in input order names the error
+    bad = ~np.isfinite(weight) | (weight < 0) | (codes[:, 1] == 0) | (codes[:, 0] == 1)
     if bad.any():
         first = int(np.argmax(bad))
-        _check_edge(ends[first, 0], ends[first, 1], float(weight[first]))
+        src, dst = codes[first]
+        _check_edge(labels[src], labels[dst], float(weight[first]))
 
     nonzero = weight != 0.0
-    ends, weight = ends[nonzero], weight[nonzero]
+    codes, weight = codes[nonzero], weight[nonzero]
     if not weight.size:
         raise InvalidEdge("edge list is empty")
 
     # interior nodes in order of first appearance over src0, dst0, src1, ...
-    labels = ends.ravel().tolist()
-    first_seen = dict.fromkeys(labels)
-    first_seen.pop(SOURCE, None)
-    first_seen.pop(SINK, None)
-    items = tuple(first_seen)
-    index = {label: i for i, label in enumerate((SOURCE, *items, SINK))}
-    codes = np.fromiter(map(index.__getitem__, labels), dtype=np.intp, count=len(labels))
+    seen, first = np.unique(codes.ravel(), return_index=True)
+    kept = seen > 1
+    interior = seen[kept][np.argsort(first[kept])]
+    items = tuple(map(labels.__getitem__, interior.tolist()))
+    size = len(items) + 2
+    index = np.zeros(len(labels), dtype=np.intp)  # SOURCE, and labels of dropped edges
+    index[1] = size - 1
+    index[interior] = np.arange(1, size - 1)
 
-    n = len(items)
-    flow = sp.coo_matrix((weight, (codes[0::2], codes[1::2])), shape=(n + 2, n + 2)).tocsr()
-    flow.sum_duplicates()
+    # bincount adds each edge's weight to its (src, dst) pair in input
+    # order; the sorted pairs are the CSR entries in (row, col) order
+    pairs, inverse = np.unique(index[codes[:, 0]] * size + index[codes[:, 1]], return_inverse=True)
+    rows, cols = np.divmod(pairs, size)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
+    flow = sp.csr_matrix((np.bincount(inverse, weights=weight), cols, indptr), shape=(size, size))
     return FlowNetwork(items=items, flow=flow)
 
 
@@ -317,6 +343,15 @@ def cell(x) -> str:
     return "" if math.isnan(x) else repr(x)
 
 
+def cells(values) -> list[str]:
+    """:func:`cell` of every value of a column, formatted a column at a time."""
+    values = np.asarray(values, dtype=float)
+    text = list(map(repr, values.tolist()))
+    for i in np.flatnonzero(np.isnan(values)).tolist():
+        text[i] = ""
+    return text
+
+
 def write_csv(path, header, rows) -> None:
     """Write a UTF-8 CSV artifact whose rows end in LF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -332,29 +367,46 @@ def write_json(path, obj) -> None:
         fh.write("\n")
 
 
-def write_edges(path, edges) -> None:
-    """Write ``src,dst,weight`` CSV. ``edges`` as in build_flow_network.
-    Unlike the other artifacts its rows end in CRLF, the csv default.
+#: The characters that make the csv module quote a field of a CRLF file.
+_QUOTE_CHARS = frozenset(',"\r\n')
+
+
+def _quote(label: str) -> str:
+    """``label`` as an edge-file field, by the csv module's QUOTE_MINIMAL
+    rule: in double quotes, with inner quotes doubled, if it holds a
+    :data:`_QUOTE_CHARS` character; as it is otherwise.
     """
+    if _QUOTE_CHARS.isdisjoint(label):
+        return label
+    return '"' + label.replace('"', '""') + '"'
+
+
+def _write_edge_rows(path, labels, rows: np.ndarray, cols: np.ndarray, weight: np.ndarray) -> None:
+    """Write the ``src,dst,weight`` rows ``labels[rows]``, ``labels[cols]``
+    and ``weight``, each label quoted once and each weight at ``repr``
+    precision. Unlike the other artifacts its rows end in CRLF.
+    """
+    quoted = np.array([_quote(label) for label in labels], dtype=object)
+    lines = map(",".join, zip(quoted[rows].tolist(), quoted[cols].tolist(), map(repr, weight.tolist())))
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["src", "dst", "weight"])
-        writer.writerows((s, d, repr(float(w))) for s, d, w in _triples(edges))
+        fh.write("\r\n".join(chain(("src,dst,weight",), lines, ("",))))
 
 
-def read_edges(path) -> dict[tuple[str, str], float]:
-    """Read ``src,dst,weight`` CSV, summing duplicate edges.
-
-    Raises :class:`InvalidEdge` naming the file and 1-based line for a row
-    without exactly three columns or with a non-numeric or non-finite weight,
-    and for any other row the error :func:`_check_edge` raises, so prefixed.
+def write_edges(path, edges) -> None:
+    """Write ``src,dst,weight`` CSV in input order. ``edges`` as in
+    build_flow_network.
     """
-    edges: dict[tuple[str, str], float] = {}
+    labels, codes, weight = _coded_edges(edges)
+    _write_edge_rows(path, labels, codes[:, 0], codes[:, 1], weight)
+
+
+def _raise_bad_row(path) -> None:
+    """Raise the error of the first row of an edge file that no network may
+    hold, naming the file and 1-based line.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise InvalidEdge(f"{path}: empty edge file")
+        next(reader)
         for row in reader:
             if len(row) != 3:
                 raise InvalidEdge(
@@ -374,15 +426,102 @@ def read_edges(path) -> dict[tuple[str, str], float]:
                 _check_edge(row[0], row[1], weight)
             except AttnFlowError as exc:
                 raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
-            key = (row[0], row[1])
-            edges[key] = edges.get(key, 0.0) + weight
-    return edges
+    raise AssertionError(f"{path}: the row checks pass a row the column checks reject")
+
+
+def _read_edge_rows(path) -> tuple[list[str], np.ndarray]:
+    """The labels of every row of an edge file, as src0, dst0, src1, ...,
+    and the rows' weights.
+
+    The rows are checked a column at a time. Only if a check fails are they
+    read again one by one, to raise the first bad row's error.
+    """
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) is None:
+            raise InvalidEdge(f"{path}: empty edge file")
+        # every row's cells and then None, which no cell is, to mark where
+        # the row ends; no row's list outlives the row
+        cells = list(chain.from_iterable(chain.from_iterable(zip(reader, repeat((None,))))))
+    n = cells.count(None)
+    if len(cells) == 4 * n and cells[3::4].count(None) == n:  # three columns in every row
+        ends = [None] * (2 * n)
+        ends[0::2], ends[1::2], text = cells[0::4], cells[1::4], cells[2::4]
+        del cells
+        try:
+            weight = np.fromiter(map(float, text), dtype=float, count=n)
+        except ValueError:
+            pass
+        else:
+            # the rows _raise_bad_row raises for: weights that are not
+            # finite or are negative, edges into SOURCE or out of SINK
+            if (np.isfinite(weight).all() and not (weight < 0).any()
+                    and SOURCE not in ends[1::2] and SINK not in ends[0::2]):
+                return ends, weight
+    _raise_bad_row(path)
+
+
+class _EdgeRows(Mapping):
+    """What :func:`read_edges` returns: the read-only mapping ``(src, dst)
+    -> weight``, held as labels, codes and weights in the form of
+    :func:`_coded_edges`, one row per distinct edge. The dict itself is
+    made only when the rows are used as a mapping.
+    """
+
+    def __init__(self, labels: list, codes: np.ndarray, weight: np.ndarray):
+        self.labels = labels
+        self.codes = codes
+        self.weight = weight
+
+    @cached_property
+    def _dict(self) -> dict[tuple[str, str], float]:
+        src = map(self.labels.__getitem__, self.codes[:, 0].tolist())
+        dst = map(self.labels.__getitem__, self.codes[:, 1].tolist())
+        return dict(zip(zip(src, dst), self.weight.tolist()))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self.weight)
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
+
+
+def read_edges(path) -> Mapping[tuple[str, str], float]:
+    """Read ``src,dst,weight`` CSV into a read-only mapping ``(src, dst) ->
+    weight``. Duplicate edges are summed in row order, each at its first
+    row, as a dict accumulating the rows would hold them.
+
+    Raises :class:`InvalidEdge` naming the file and 1-based line for a row
+    without exactly three columns or with a non-numeric or non-finite weight,
+    and for any other row the error :func:`_check_edge` raises, so prefixed.
+    """
+    ends, weight = _read_edge_rows(path)
+    labels, codes = _label_codes(ends)
+    del ends
+    codes = codes.reshape(-1, 2)
+    pairs, first, inverse = np.unique(
+        codes[:, 0] * len(labels) + codes[:, 1], return_index=True, return_inverse=True
+    )
+    if pairs.size == len(weight):
+        # each weight as a sum from 0.0, which turns -0.0 into 0.0
+        return _EdgeRows(labels, codes, weight + 0.0)
+    # each pair at its first row, its rows' weights summed in row order
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return _EdgeRows(labels, codes[first[order]], np.bincount(rank[inverse], weights=weight))
 
 
 def write_network(net: FlowNetwork, csv_path, json_path=None,
                   report: ValidationReport | None = None) -> None:
     """Serialize a network to edge CSV plus a JSON sidecar."""
-    write_edges(csv_path, net.edges())
+    _write_edge_rows(csv_path, net._labels().tolist(), *net._edge_arrays())
     if json_path is not None:
         sidecar = {
             "schema_version": 1,

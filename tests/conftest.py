@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import attnflow
 from attnflow import (
@@ -15,6 +16,12 @@ from attnflow import (
     generate,
     validate,
 )
+
+#: Every property test draws the same examples on every run, and no run
+#: reads or writes an example database, so tier-1 is deterministic. A
+#: test's own @settings still sets its example count.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -477,6 +477,56 @@ class TestPipeline:
         assert summary["duplication"]["code"] == "Skipped"
         assert summary["regression"]["r_squared"] is not None
 
+    #: summary.json of ``--analyses duplication`` on each input, as the
+    #: pipeline wrote it when it built the solver for sum_A and sum_D
+    _DUPLICATION_SUMMARIES = {
+        "log": (
+            '{\n  "duplication": {\n    "edges_after": 225,\n    "edges_before": 280,\n'
+            '    "retained_fraction": 0.8035714285714286,\n    "users": 160\n  },\n'
+            '  "edges": 304,\n  "nodes": 40,\n  "schema_version": 1,\n  "sessions": 160,\n'
+            '  "source_outflow": 160.0,\n  "sum_A": 446.0,\n  "sum_D": 160.0,\n'
+            '  "users": 160,\n  "visits": 446\n}\n'
+        ),
+        "network": (
+            '{\n  "duplication": {\n    "code": "Skipped",\n'
+            '    "message": "duplication needs a session log input"\n  },\n'
+            '  "edges": 6,\n  "nodes": 2,\n  "schema_version": 1,\n'
+            '  "source_outflow": 2.533333333333333,\n  "sum_A": 3.033333333333333,\n'
+            '  "sum_D": 2.5333333333333337\n}\n'
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", ["log", "network"])
+    def test_duplication_alone_takes_no_solve(self, tmp_path, monkeypatch, kind):
+        from attnflow._linalg import AbsorbingSolver
+
+        solvers = []
+        init = AbsorbingSolver.__init__
+
+        def counted(self, *args, **kwargs):
+            solvers.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(AbsorbingSolver, "__init__", counted)
+        if kind == "log":
+            path = tmp_path / "log.csv"
+            path.write_text(serialize_log(generate(GeneratorSpec(family="session-log", size=40, seed=3))))
+            args = ["--input", path]
+        else:
+            path = tmp_path / "net.csv"
+            path.write_text(
+                "src,dst,weight\n__source__,a,0.1\n__source__,b,0.7\na,b,0.2\nb,a,0.3\n"
+                f"a,__sink__,{1 / 3!r}\nb,__sink__,2.2\n"
+            )
+            args = ["--input-kind", "network", "--input", path]
+        assert run(["pipeline", *args, "--analyses", "duplication", "--out", tmp_path / "dup"]) == 0
+        assert not solvers
+        summary = (tmp_path / "dup" / "summary.json").read_text(encoding="utf-8")
+        assert summary == self._DUPLICATION_SUMMARIES[kind]
+        # the counter sees the solver a step that reads C builds
+        assert run(["pipeline", *args, "--analyses", "stats", "--out", tmp_path / "stats"]) == 0
+        assert len(solvers) == 1
+
     def test_analysis_subset(self, tmp_path, network_dir):
         out = tmp_path / "ps"
         code = run(

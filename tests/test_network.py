@@ -1,6 +1,10 @@
 """Network construction, balancing, certification, and serialization."""
 import csv
+import io
+import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,43 @@ class TestArrayBuilder:
         for triples, error, message in cases:
             assert _build_outcome(build_flow_network, triples) == (error, message)
             assert _build_outcome(_reference_build, triples) == (error, message)
+
+
+def _dict_merged(triples) -> dict:
+    """The triples summed into a dict, one triple at a time."""
+    edges: dict = {}
+    for src, dst, weight in triples:
+        edges[(src, dst)] = edges.get((src, dst), 0.0) + weight
+    return edges
+
+
+#: Positive weights whose sums depend on the order they are added in.
+_NON_DYADIC = [0.1, 0.2, 0.3, 0.7, 1 / 3, 2.2, 1e-3]
+
+
+class TestInputOrderMerge:
+    """Duplicate triples are summed in input order, as a dict sums them.
+
+    One row holds 40 or more entries over 31 columns. On rows of 16
+    entries and more, sorting a CSR row's entries does not keep their
+    input order, so a merge that sorts first adds the duplicates in
+    another order and the sums differ in the last bits.
+    """
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 30), st.sampled_from(_NON_DYADIC)),
+                 min_size=40, max_size=90),
+        st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 30), st.sampled_from(_NON_DYADIC)),
+                 max_size=10),
+    )
+    def test_long_row_sums_like_a_dict(self, hub_row, other_rows):
+        triples = [("hub", f"d{k}", w) for k, w in hub_row]
+        triples += [(src, f"d{k}", w) for src, k, w in other_rows]
+        merged = _dict_merged(triples)
+        assert _build_outcome(build_flow_network, triples) == _build_outcome(
+            build_flow_network, merged
+        )
 
 
 class TestBalance:
@@ -510,3 +551,175 @@ def test_float_weights_balance_within_tolerance():
     }
     net = balance(build_flow_network(edges))
     assert validate(net).max_residual <= 1e-9
+
+
+def _reference_read_edges(path) -> dict:
+    """Per-row reader: csv, float, _check_edge and a dict accumulate per row."""
+    edges: dict[tuple[str, str], float] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InvalidEdge(f"{path}: empty edge file")
+        for row in reader:
+            if len(row) != 3:
+                raise InvalidEdge(
+                    f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}"
+                )
+            try:
+                weight = float(row[2])
+            except ValueError:
+                raise InvalidEdge(
+                    f"{path}:{reader.line_num}: weight {row[2]!r} is not a number"
+                ) from None
+            if not math.isfinite(weight):
+                raise InvalidEdge(
+                    f"{path}:{reader.line_num}: weight {row[2]!r} is not finite"
+                )
+            try:
+                _check_edge(row[0], row[1], weight)
+            except AttnFlowError as exc:
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+            key = (row[0], row[1])
+            edges[key] = edges.get(key, 0.0) + weight
+    return edges
+
+
+def _read_outcome(read, path):
+    """The edges in order with their weights' bits, or the error type and message."""
+    try:
+        edges = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(key, weight.hex()) for key, weight in edges.items()]
+
+
+#: Labels the csv module must quote, or that only survive if it does not
+#: strip them, drawn small so that edges repeat.
+_HOSTILE = st.one_of(
+    st.text(alphabet=[",", '"', "\r", "\n", " ", "a", "é", "東"], max_size=3),
+    st.sampled_from(["café", "東京", " a", "a ", "a,b", 'say "hi"', "two\nlines"]),
+)
+_SRC = st.one_of(_HOSTILE, st.just(SOURCE))
+_DST = st.one_of(_HOSTILE, st.just(SINK))
+_GOOD_WEIGHT = st.sampled_from(
+    ["1", "2.5", "0.1", "0.2", "1e-300", "1e300", " 3 ", "-0.0", "0", "1_0", "0.30000000000000004"]
+)
+#: A row the reader rejects: a wrong width (a blank line is no cell), a
+#: weight that is not a finite number or is negative, a reserved-node edge.
+_BAD_ROW = st.one_of(
+    st.just([]),
+    st.lists(_HOSTILE, min_size=1, max_size=2),
+    st.lists(_HOSTILE, min_size=4, max_size=5),
+    st.tuples(_SRC, _DST, st.sampled_from(["x", "", "nan", "inf", "-inf", "-1", "1e999"])),
+    st.tuples(st.sampled_from([SOURCE, SINK, "a"]), st.sampled_from([SOURCE, SINK, "a"]), _GOOD_WEIGHT),
+)
+
+
+@st.composite
+def _edge_files(draw) -> str:
+    """Edge-file text: quoted fields that span lines, blank lines as bad
+    rows, CRLF or LF rows, with or without a final line end, and up to two
+    bad rows, each at any position.
+    """
+    rows = draw(st.lists(st.tuples(_SRC, _DST, _GOOD_WEIGHT), max_size=25))
+    for bad in draw(st.lists(_BAD_ROW, max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    end = draw(st.sampled_from(["\r\n", "\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=end)
+    writer.writerow(["src", "dst", "weight"])
+    for row in rows:
+        if row:
+            writer.writerow(row)
+        else:
+            buf.write(end)
+    text = buf.getvalue()
+    return text[: -len(end)] if draw(st.booleans()) else text
+
+
+class TestReaderMatchesRowReader:
+    """read_edges returns the per-row reader's dict, or raises its error."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_edge_files())
+    def test_same_edges_or_same_error(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.csv"
+            path.write_bytes(text.encode("utf-8"))
+            assert _read_outcome(read_edges, path) == _read_outcome(_reference_read_edges, path)
+
+    @pytest.mark.parametrize("rows", [["1,2", "3,4,5,6"], ["", "1,2,3,4,5,6"], ["1,2,3,4", "5,6"]])
+    def test_widths_that_add_up_to_three_per_row(self, tmp_path, rows):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,weight\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        width = len(rows[0].split(",")) if rows[0] else 0
+        expected = (InvalidEdge, f"{path}:2: expected 3 columns, got {width}")
+        assert _read_outcome(read_edges, path) == expected
+        assert _read_outcome(_reference_read_edges, path) == expected
+
+    def test_bad_last_row_of_a_large_file(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        rows = "".join(f"n{i % 5000},n{(7 * i + 1) % 5000},1.5\n" for i in range(119_999))
+        path.write_text("src,dst,weight\n" + rows + "n1,n2,x\n", encoding="utf-8")
+        expected = (InvalidEdge, f"{path}:120001: weight 'x' is not a number")
+        assert _read_outcome(read_edges, path) == expected
+        assert _read_outcome(_reference_read_edges, path) == expected
+
+    def test_read_edges_is_read_only(self, tmp_path):
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,weight\na,b,1\na,b,2\n", encoding="utf-8")
+        edges = read_edges(path)
+        assert dict(edges) == {("a", "b"): 3.0} and len(edges) == 1
+        with pytest.raises(TypeError):
+            edges[("a", "b")] = 1.0
+
+
+_POSITIVE_WEIGHT = st.sampled_from([0.1, 1 / 3, 2.5, 7.0, 1e-300, 1e300, 5e-324])
+
+
+@st.composite
+def _fed_networks(draw) -> FlowNetwork:
+    """Networks whose every node gets source flow, on hostile labels.
+
+    The source row comes first in the file and names every node in the
+    network's own order, so a read numbers the nodes as the network does.
+    """
+    labels = draw(st.lists(_HOSTILE, min_size=1, max_size=8, unique=True))
+    triples = [(SOURCE, label, draw(_POSITIVE_WEIGHT)) for label in labels]
+    triples += draw(st.lists(
+        st.tuples(st.sampled_from(labels), st.sampled_from([*labels, SINK]), _POSITIVE_WEIGHT),
+        max_size=20,
+    ))
+    return build_flow_network(triples)
+
+
+def _labelled_edges(net) -> list:
+    return sorted((src, dst, weight.hex()) for src, dst, weight in net.edges())
+
+
+class TestRoundTrip:
+    """network.csv read back gives the network it was written from."""
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_fed_networks())
+    def test_write_read_write_same_bytes(self, net):
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+            write_network(net, first)
+            back = read_network(first)
+            write_network(back, second)
+            assert second.read_bytes() == first.read_bytes()
+        assert back.items == net.items
+        assert _labelled_edges(back) == _labelled_edges(net)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(_SRC, _DST, _POSITIVE_WEIGHT), min_size=1, max_size=20))
+    def test_read_keeps_every_labelled_edge(self, triples):
+        net = build_flow_network(triples)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.csv"
+            write_network(net, path)
+            back = read_network(path)
+        assert set(back.items) == set(net.items)
+        assert _labelled_edges(back) == _labelled_edges(net)

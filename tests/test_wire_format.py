@@ -12,10 +12,9 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attnflow"
 SECTION = "# --- wire formats"
 
 #: the functions allowed to call each writer; all in network.py's section.
-#: write_edges keeps its own writer: network.csv's rows end in "\r\n"
 OWNERS = {
     "json.dump": {"write_json"},
-    "csv.writer": {"write_csv", "write_edges"},
+    "csv.writer": {"write_csv"},
 }
 
 
