@@ -143,8 +143,9 @@ class RunConfig:
     header: bool = _setting(False, "log has a header row", (*_LOG_READERS, "generate"), _boolean)
     dense_threshold: int = _setting(
         DENSE_THRESHOLD,
-        "max order of the dense inverses: per strongly connected component "
-        "for the U diagonals, and of a materialized U",
+        "largest strongly connected component inverted densely; larger ones "
+        "get a sparse factor, for solves and diagonals alike. Also the largest "
+        "materialized U",
         _SOLVER_READERS,
         int,
     )

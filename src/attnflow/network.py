@@ -203,7 +203,13 @@ def build_flow_network(edges) -> FlowNetwork:
     pairs, inverse = np.unique(index[codes[:, 0]] * size + index[codes[:, 1]], return_inverse=True)
     rows, cols = np.divmod(pairs, size)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
-    flow = sp.csr_matrix((np.bincount(inverse, weights=weight), cols, indptr), shape=(size, size))
+    merged = np.bincount(inverse, weights=weight)
+    overflow = ~np.isfinite(merged)
+    if overflow.any():  # finite duplicates can sum past the largest float
+        first = int(np.argmax(overflow[inverse]))
+        src, dst = codes[first]
+        _check_edge(labels[src], labels[dst], float(merged[inverse[first]]))
+    flow = sp.csr_matrix((merged, cols, indptr), shape=(size, size))
     return FlowNetwork(items=items, flow=flow)
 
 

@@ -19,6 +19,7 @@ from attnflow import (
     GeneratorSpec,
     NodeFlowStats,
     SingularSystem,
+    TransitionMatrix,
     ZeroOutflowRow,
     balance,
     build_flow_network,
@@ -34,27 +35,7 @@ from attnflow import (
     validate,
     write_stats_csv,
 )
-from attnflow._linalg import PIVOT_TOL, AbsorbingSolver, closed_components
-
-
-def _closed_components_loop(W) -> list[list[int]]:
-    """closed_components written as one O(N) mask per component."""
-    n_comp, labels = connected_components(W, directed=True, connection="strong")
-    row_sums = np.asarray(W.sum(axis=1)).ravel()
-    coo = W.tocoo()
-    closed = []
-    for comp in range(n_comp):
-        members = labels == comp
-        leaky = np.any(row_sums[members] < 1.0 - PIVOT_TOL)
-        escapes = np.any(members[coo.row] & ~members[coo.col] & (coo.data != 0))
-        if not (leaky or escapes):
-            closed.append(np.flatnonzero(members).tolist())
-    return closed
-
-
-def _largest_scc(W) -> int:
-    _, labels = connected_components(W, directed=True, connection="strong")
-    return int(np.bincount(labels).max())
+from attnflow._linalg import PIVOT_TOL
 
 
 def _neumann_series(W, tol=1e-15, max_terms=5000) -> np.ndarray:
@@ -212,50 +193,123 @@ class TestFundamentalMatrix:
                     fm.squared_diagonal(), np.diag(U @ U), rtol=1e-10
                 )
 
-    def test_one_scc_decomposition(self, monkeypatch, balanced_cyclic_net):
-        """The solver finds the SCCs once and the diagonals reuse them; an
-        SCC above the threshold gets its own factor, and the per-column
-        diagonal loop calls no solve method of the solver.
+    def test_one_scc_decomposition(self, monkeypatch):
+        """One SCC pass; each SCC takes its route. The singleton run a -> b
+        -> c (depths 4, 3, 2) gets one pivot-free triangular factor; the
+        3-cycle d-e-f (depth 1), the 2-cycle x-y (depth 0) and the
+        singleton g beside it (depth 0) get batched dense inverses up to
+        each threshold tried and a sparse factor above it. diagonal()
+        factors nothing, and every answer matches a dense inverse.
         """
-        tm = transition_matrix(balanced_cyclic_net)
-        assert _largest_scc(tm.interior) > 8  # the per-column route runs
+        net = build_flow_network(
+            [("__source__", "a", 1), ("a", "b", 1), ("b", "c", 1), ("c", "d", 1),
+             ("d", "e", 1), ("e", "f", 1), ("f", "d", 1), ("f", "g", 1),
+             ("g", "__sink__", 1), ("__source__", "x", 1), ("x", "y", 1),
+             ("y", "x", 1), ("y", "__sink__", 1)]
+        )
+        tm = transition_matrix(net)
+        U = np.linalg.inv(np.eye(tm.n_interior) - tm.interior.toarray())
         calls = []
 
-        def counted(name, func):
+        def counted(func, record):
             def wrapper(*args, **kwargs):
-                calls.append(name)
+                calls.append(record(*args, **kwargs))
                 return func(*args, **kwargs)
 
             return wrapper
 
-        monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
-        monkeypatch.setattr(
-            csgraph,
-            "connected_components",
-            counted("scc", csgraph.connected_components),
-        )
-        fm = fundamental_matrix(tm, dense_threshold=8)
-        assert calls == ["scc", "splu"]
-        for name in ("solve", "solve_transpose"):
-            monkeypatch.setattr(
-                AbsorbingSolver, name, counted(name, getattr(AbsorbingSolver, name))
-            )
-        fm.diagonal()
-        fm.squared_diagonal()
-        # one SCC of balanced_cyclic_net is above 8 nodes
-        assert calls == ["scc", "splu", "splu"]
+        monkeypatch.setattr(spla, "splu", counted(
+            spla.splu, lambda A, permc_spec=None, **kw: (A.shape[0], permc_spec)))
+        monkeypatch.setattr(csgraph, "connected_components", counted(
+            csgraph.connected_components, lambda *a, **kw: "scc"))
+        monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, lambda A: A.shape[-1]))
+        b = np.arange(1.0, tm.n_interior + 1)
+        for threshold, factors, inverses in [
+            (DENSE_THRESHOLD, [(3, "NATURAL")], [1, 2, 3]),
+            (2, [(3, "NATURAL"), (3, "MMD_AT_PLUS_A")], [1, 2]),
+            (1, [(3, "NATURAL"), (3, "MMD_AT_PLUS_A"), (2, "MMD_AT_PLUS_A")], [1]),
+            (0, [(3, "NATURAL"), (3, "MMD_AT_PLUS_A"), (2, "MMD_AT_PLUS_A"),
+                 (1, "MMD_AT_PLUS_A")], []),
+        ]:
+            del calls[:]
+            fm = fundamental_matrix(tm, dense_threshold=threshold)
+            assert calls[0] == "scc" and "scc" not in calls[1:]
+            assert sorted(c for c in calls if isinstance(c, tuple)) == sorted(factors)
+            assert sorted(c for c in calls if isinstance(c, int)) == inverses
+            del calls[:]
+            np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-12)
+            np.testing.assert_allclose(fm.squared_diagonal(), np.diag(U @ U), rtol=1e-12)
+            assert calls == []
+            np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-12)
+            np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-12)
 
-    def test_ordering_follows_scc_structure(self):
-        # random-cyclic keeps its SCCs inside 64-node blocks
-        cyclic = generate(GeneratorSpec(family="random-cyclic", size=500, seed=3))
-        tm = transition_matrix(cyclic)
-        assert _largest_scc(tm.interior) <= 64
-        assert AbsorbingSolver(tm).ordering == "COLAMD"
-        # a session log's hub items tie almost every item into one SCC
-        log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
-        tm = transition_matrix(build_flow_network(to_transition_edges(log)))
-        assert _largest_scc(tm.interior) > tm.n_interior // 2
-        assert AbsorbingSolver(tm).ordering == "MMD_AT_PLUS_A"
+    @pytest.mark.parametrize("threshold", [DENSE_THRESHOLD, 2])
+    def test_closed_scc_among_open_ones_is_named(self, threshold):
+        # open: the chain a -> b, the leaky 2-cycle x-y and the 3-cycle
+        # d-e-f that escapes into a; closed: the 3-cycle k-l-m fed by b
+        net = build_flow_network(
+            [("__source__", "a", 1), ("a", "b", 1), ("b", "__sink__", 1), ("b", "k", 1),
+             ("k", "l", 1), ("l", "m", 1), ("m", "k", 1), ("__source__", "d", 1),
+             ("d", "e", 1), ("e", "f", 1), ("f", "d", 1), ("f", "a", 1),
+             ("__source__", "x", 1), ("x", "y", 1), ("y", "x", 1), ("y", "__sink__", 1)]
+        )
+        with pytest.raises(SingularSystem) as exc:
+            fundamental_matrix(transition_matrix(net), dense_threshold=threshold)
+        assert sorted(net.items[i] for i in exc.value.component) == ["k", "l", "m"]
+
+    @pytest.mark.parametrize("chained", [True, False])
+    def test_near_unit_self_loop_is_singular(self, chained):
+        # X keeps 1 - 1e-13 of its walkers; chained, it sits in the
+        # singleton run a -> X -> b and passes the rest on to b
+        items = ("a", "X", "b") if chained else ("X",)
+        n = len(items)
+        x = items.index("X") + 1
+        M = sp.lil_matrix((n + 2, n + 2))
+        M[0, 1] = 1.0
+        for i in range(1, n + 1):
+            M[i, i + 1] = 1.0
+        M[x, x], M[x, x + 1] = 1.0 - 1e-13, 1e-13
+        tm = TransitionMatrix(items=items, matrix=M.tocsr())
+        for threshold in (DENSE_THRESHOLD, 1):
+            with pytest.raises(SingularSystem) as exc:
+                fundamental_matrix(tm, dense_threshold=threshold)
+            assert exc.value.component == (x - 1,)
+
+    @pytest.mark.parametrize("threshold", [DENSE_THRESHOLD, 1])
+    def test_near_closed_block_is_refused_by_its_factor(self, threshold):
+        # the 2-cycle {0, 1} keeps 1 - 1e-13 per step and its only way out
+        # is an explicitly stored zero, so only its inverse or its factor
+        # can tell that it is singular
+        p = 1.0 - 1e-13
+        W = sp.csr_matrix(
+            (np.array([p, 0.0, p, 0.5]), np.array([1, 2, 0, 2]), np.array([0, 2, 3, 4])),
+            shape=(3, 3),
+        )
+        M = sp.bmat([[None, sp.csr_matrix(([1.0], ([0], [2])), shape=(1, 3)), None],
+                     [None, W, sp.csr_matrix(np.array([[1e-13], [1e-13], [0.5]]))],
+                     [sp.csr_matrix((1, 1)), None, None]]).tocsr()
+        tm = TransitionMatrix(items=("u", "v", "w"), matrix=M)
+        with pytest.raises(SingularSystem) as exc:
+            fundamental_matrix(tm, dense_threshold=threshold)
+        assert exc.value.component == (0, 1)
+        assert exc.value.min_pivot < PIVOT_TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=30),
+        edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=90),
+    )
+    def test_scc_labels_are_reverse_topological(self, n, edges):
+        """scipy labels SCCs so that every edge between two of them goes
+        to the lower label, which the solver's one-pass depths rely on.
+        """
+        edges = [(i, j) for i, j in edges if max(i, j) < n]
+        rows = np.array([i for i, _ in edges], dtype=np.intp)
+        cols = np.array([j for _, j in edges], dtype=np.intp)
+        graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+        _, labels = connected_components(graph, directed=True, connection="strong")
+        cross = labels[rows] != labels[cols]
+        assert np.all(labels[rows][cross] > labels[cols][cross])
 
     def test_trapped_cycle_is_singular(self):
         net = build_flow_network(
@@ -290,24 +344,6 @@ class TestFundamentalMatrix:
             fundamental_matrix(transition_matrix(net))
         trapped = {net.items[i] for i in exc.value.component}
         assert trapped == {"C1", "C2"}
-
-    def test_closed_components_unchanged(self):
-        # closed: the 2-cycle {2, 3} and the self-loop {6}; open: the leaky
-        # 2-cycle {0, 1}, the 2-cycle {4, 5} escaping into 6, the leaky
-        # singleton 7 and the singleton 8 escaping into 2
-        entries = {
-            (0, 1): 0.5, (1, 0): 0.5,
-            (2, 3): 1.0, (3, 2): 1.0,
-            (4, 5): 0.5, (4, 6): 0.5, (5, 4): 1.0,
-            (6, 6): 1.0,
-            (7, 7): 0.3,
-            (8, 2): 1.0,
-        }
-        rows, cols = zip(*entries)
-        W = sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(9, 9))
-        closed = closed_components(W)
-        assert closed == _closed_components_loop(W)
-        assert sorted(closed) == [[2, 3], [6]]
 
     def test_dense_guard(self, balanced_cyclic_net):
         tm = transition_matrix(balanced_cyclic_net)
@@ -413,6 +449,25 @@ class TestNodeFlows:
         assert stats.dissipation.sum() == net.total_source_outflow()
         assert np.all(stats.through_flow >= stats.dissipation)
         assert np.all(stats.impact >= 0)
+
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        size=st.integers(min_value=10, max_value=300),
+        recirculation=st.sampled_from([0.0, 0.1, 0.3, 0.5]),
+        avg_degree=st.floats(min_value=1.0, max_value=5.0),
+    )
+    def test_conservation_at_documented_tolerance(self, seed, size, recirculation, avg_degree):
+        """phi = A to 1e-9 on certified networks, whichever route each SCC
+        takes: threshold 1 factors every cycle sparsely, 2 and 4096 invert
+        small ones densely; runs of one-node SCCs are factored whole.
+        """
+        net = generate(GeneratorSpec(family="random-cyclic", size=size, seed=seed,
+                                     recirculation=recirculation, avg_degree=avg_degree))
+        assert validate(net).certified
+        for threshold in (1, 2, 4096):
+            assert node_flows(net, dense_threshold=threshold).flux_residual() <= 1e-9
 
 
 class TestStatsCsv:

@@ -187,6 +187,13 @@ class TestArrayBuilder:
             assert _build_outcome(_reference_build, triples) == (error, message)
 
 
+    def test_duplicates_summing_past_the_largest_float(self):
+        # each triple is finite; the merged a->b edge is not
+        triples = [(SOURCE, "a", 1e308), ("a", "b", 1e308), ("a", "b", 1e308), ("b", SINK, 1.0)]
+        with pytest.raises(InvalidEdge, match="edge a->b has non-finite weight inf"):
+            build_flow_network(triples)
+
+
 def _dict_merged(triples) -> dict:
     """The triples summed into a dict, one triple at a time."""
     edges: dict = {}

@@ -1,13 +1,39 @@
 """The benchmark's trace targets (``perfbench/tracing.py``) name live
 attributes of the package, so a rename fails here instead of silently
-dropping the benchmark's per-layer metrics. Nothing is wrapped.
+dropping the benchmark's per-layer metrics. Nothing is wrapped in this
+process; the one traced run happens in a child process.
 """
 import importlib.util
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+#: Installs the benchmark's tracer on every target, runs ``pipeline`` on a
+#: small session log with --dense-threshold below its giant SCC, and prints
+#: what the tracer saw.
+_TRACED_PIPELINE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import inputs
+from tracing import TARGETS, Tracer, layer_metrics
+import attnflow.cli as cli
+
+log = sys.argv[2] + "/sessions.csv"
+info = inputs.session_log(log, 1, 150)
+tracer = Tracer()
+tracer.install(TARGETS)
+threshold = info["largest_scc"] // 2
+code = cli.main(["pipeline", "--input", log, "--out", sys.argv[2] + "/out",
+                 "--gap-seconds", str(info["gap_seconds"]), "--dense-threshold", str(threshold)])
+print(json.dumps({"code": code, "missing": tracer.missing, "threshold": threshold,
+                  "spans": sorted({span["name"] for span in tracer.spans}),
+                  "metrics": layer_metrics(tracer.spans, tracer.counters)}))
+"""
 
 
 def _load_tracing():
@@ -62,3 +88,20 @@ def test_network_work_runs_inside_traced_functions(monkeypatch, tmp_path):
     assert report.certified and pruned.items == ("a",)
     # certify: balance, validate, prune, validate; one prune round: balance, validate
     assert calls == {"balance": 2, "validate": 3, "drop_uncertified": 1}
+
+
+def test_traced_pipeline_records_every_layer(tmp_path, child_env):
+    """A solver refactor cannot silently blank the per-layer metrics: under
+    the benchmark's tracer every target resolves, the diagonals span is
+    recorded, and its largest-SCC counter reads the interior block.
+    """
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_PIPELINE, str(TRACING.parent), str(tmp_path)],
+        env=child_env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["code"] == 0
+    assert seen["missing"] == []
+    assert "linalg.diagonals" in seen["spans"]
+    assert seen["metrics"]["linalg.largest_scc"] > seen["threshold"] > 0
