@@ -296,6 +296,35 @@ class TestFundamentalMatrix:
 
     @settings(max_examples=60, deadline=None)
     @given(
+        n=st.integers(min_value=1, max_value=24),
+        arcs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23), st.integers(1, 4)),
+                      max_size=60),
+        threshold=st.sampled_from([0, 1, 2, 3, DENSE_THRESHOLD]),
+    )
+    def test_every_route_matches_a_dense_inverse(self, n, arcs, threshold):
+        """On drawn substochastic blocks, whatever mix of runs, dense
+        groups and sparse factors the threshold makes, solves with one or
+        several columns, both ways, and both diagonals match a dense
+        inverse.
+        """
+        W = np.zeros((n, n))
+        for i, j, w in arcs:
+            if max(i, j) < n:
+                W[i, j] += w
+        W /= W.sum(axis=1, keepdims=True) + 1.0  # every row leaks
+        tm = TransitionMatrix(items=tuple(map(str, range(n))),
+                              matrix=sp.csr_matrix(np.pad(W, 1)))
+        U = np.linalg.inv(np.eye(n) - W)
+        fm = fundamental_matrix(tm, dense_threshold=threshold)
+        B = np.arange(1.0, 2 * n + 1).reshape(n, 2)
+        for b in (B[:, 0], B):
+            np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-10)
+            np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-10)
+        np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-10)
+        np.testing.assert_allclose(fm.squared_diagonal(), np.diag(U @ U), rtol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
         n=st.integers(min_value=1, max_value=30),
         edges=st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=90),
     )
