@@ -33,8 +33,7 @@ def _condensation_depths(src: np.ndarray, dst: np.ndarray, n_comp: int) -> np.nd
     cross = src != dst
     if np.any(src[cross] < dst[cross]):
         raise RuntimeError("SCC labels are not in reverse topological order")
-    dag = sp.csr_matrix((np.ones(np.count_nonzero(cross)), (src[cross], dst[cross])),
-                        shape=(n_comp, n_comp))
+    dag = sp.csr_matrix((np.ones(cross.sum()), (src[cross], dst[cross])), shape=(n_comp,) * 2)
     exits = np.diff(dag.indptr)
     root = np.arange(n_comp)
     root[exits == 1] = dag.indices[dag.indptr[:-1][exits == 1]]
@@ -226,7 +225,8 @@ class AbsorbingSolver:
         return float(norm * spla.onenormest(inverse))
 
 
-def fundamental_diagonals(W: sp.spmatrix, dense: list, factored: list):
+def fundamental_diagonals(W: sp.spmatrix, dense: list,
+                          factored: list) -> tuple[np.ndarray, np.ndarray]:
     """Exact diag(U) and diag(U^2) of U = (I - W)^-1. A walk from j back to
     j never leaves j's SCC, so both come from the inverse of its restriction:
     1/(1 - w_jj) for one node, the stacked inverses in ``dense``, and per
