@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import SingularSystem
 
@@ -22,6 +23,15 @@ PIVOT_TOL = 1e-12
 # Strongly connected components at or below this order get a dense
 # inverse, larger ones a sparse factor; a materialized U is refused above it.
 DENSE_THRESHOLD = 4096
+
+# Imaginary shift h of the larger SCCs' factors of A - ihI, A = I - W:
+# (A - ihI)^-1 = U + ihU^2 + O(h^2), so one complex factor answers solves
+# (real part, exact in double) and diag(U^2) (imaginary part / h, with no
+# cancellation; Squire & Trapp, SIAM Review 40(1), 1998).
+SHIFT = 1e-20
+
+# Rough bound, in bytes, on each temporary of the selected inversion.
+_CHUNK_BYTES = 1 << 18
 
 
 def _condensation_depths(src: np.ndarray, dst: np.ndarray, n_comp: int) -> np.ndarray:
@@ -48,10 +58,12 @@ def _condensation_depths(src: np.ndarray, dst: np.ndarray, n_comp: int) -> np.nd
     return depth[root] + hops
 
 
-def _sparse_factor(block: sp.csr_matrix, nodes: np.ndarray, **options):
-    """splu of I - block; a pivot below PIVOT_TOL raises SingularSystem."""
+def _sparse_factor(block: sp.csr_matrix, nodes: np.ndarray, diagonal=1.0, **options):
+    """splu of diagonal * I - block; a pivot below PIVOT_TOL raises
+    SingularSystem."""
     try:
-        lu = spla.splu(sp.identity(block.shape[0], format="csc") - block.tocsc(), **options)
+        lu = spla.splu(diagonal * sp.identity(block.shape[0], format="csc") - block.tocsc(),
+                       **options)
         min_pivot = float(np.abs(lu.U.diagonal()).min())
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         if "singular" not in str(exc):
@@ -89,12 +101,15 @@ class AbsorbingSolver:
     Ordered by SCC depth, I - W is block lower triangular (Duff & Reid, ACM
     TOMS 4(2), 1978; KLU). SCCs up to ``dense_threshold`` nodes get dense
     inverses, batched per depth and size into stacked arrays, larger ones a
-    sparse LU (minimum degree on A^T + A). Consecutive depths of one-node
-    SCCs form a lower triangular run, one LU with the natural ordering, no
-    pivoting and no fill. A solve substitutes forward over depths and runs,
-    each adding its coupling rows (cut at build); a transpose solve runs
-    backwards. A closed or numerically singular SCC raises SingularSystem
-    naming its nodes. U is materialized only up to ``dense_threshold``.
+    complex sparse LU of A - ihI, A their block of I - W and h = SHIFT
+    (minimum degree on A^T + A, diagonal pivots), whose real part answers
+    solves and whose selected inverse gives both diagonals. Consecutive
+    depths of one-node SCCs form a lower triangular run, one LU with the
+    natural ordering, no pivoting and no fill. A solve substitutes forward
+    over depths and runs, each adding its coupling rows (cut at build); a
+    transpose solve runs backwards. A closed or numerically singular SCC
+    raises SingularSystem naming its nodes. U is materialized only up to
+    ``dense_threshold``.
     """
 
     def __init__(self, tm: TransitionMatrix, dense_threshold: int = DENSE_THRESHOLD):
@@ -145,7 +160,8 @@ class AbsorbingSolver:
                 factor = _sparse_factor(inner[a:z, a:z], nodes, permc_spec="NATURAL",
                                         diag_pivot_thresh=0, panel_size=1)
             elif s > dense_threshold:
-                factor = _sparse_factor(inner[a:z, a:z], nodes, permc_spec="MMD_AT_PLUS_A")
+                factor = _sparse_factor(inner[a:z, a:z], nodes, 1.0 - 1j * SHIFT,
+                                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0)
                 self._factored.append((nodes, factor))
             else:
                 factor = _dense_inverses(inner, a, z, s, nodes)
@@ -165,8 +181,8 @@ class AbsorbingSolver:
                     inv = factor.transpose(0, 2, 1) if trans else factor
                     part = x[a:z].reshape(*inv.shape[:2], -1)
                     x[a:z] = (inv @ part).reshape(x[a:z].shape)
-                else:
-                    x[a:z] = factor.solve(x[a:z], trans="T" if trans else "N")
+                else:  # a shifted factor solves a complex copy; its real part is exact
+                    x[a:z] = factor.solve(x[a:z], trans="T" if trans else "N").real
         return x[self._position]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
@@ -229,19 +245,202 @@ def fundamental_diagonals(W: sp.spmatrix, dense: list,
                           factored: list) -> tuple[np.ndarray, np.ndarray]:
     """Exact diag(U) and diag(U^2) of U = (I - W)^-1. A walk from j back to
     j never leaves j's SCC, so both come from the inverse of its restriction:
-    1/(1 - w_jj) for one node, the stacked inverses in ``dense``, and per
-    member of each SCC's sparse LU in ``factored`` one column and one row of
-    the inverse: U_jj = col_j, (U^2)_jj = row_j . col_j."""
+    1/(1 - w_jj) for one node, the stacked inverses in ``dense``, and for
+    each SCC in ``factored`` the selected inverse of its shifted factor,
+    (A - ihI)^-1 = U + ihU^2 + O(h^2): U_jj = Re, (U^2)_jj = Im / h."""
     diag_u = 1.0 / (1.0 - W.diagonal())
     diag_u2 = diag_u * diag_u
     for nodes, inv in dense:
         diag_u[nodes] = np.diagonal(inv, axis1=1, axis2=2)
         diag_u2[nodes] = np.einsum("kij,kji->ki", inv, inv)
     for members, lu in factored:
-        for local, j in enumerate(members.tolist()):
-            e = np.eye(1, members.size, local).ravel()
-            col = lu.solve(e)
-            row = lu.solve(e, trans="T")
-            diag_u[j] = col[local]
-            diag_u2[j] = float(row @ col)
+        shifted = _selected_diagonal(lu)
+        diag_u[members] = shifted.real
+        diag_u2[members] = shifted.imag / SHIFT
     return diag_u, diag_u2
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The concatenated ranges starts[k] .. starts[k] + lengths[k] - 1."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(starts - ends + lengths, lengths)
+
+
+def _segment_sum(owner: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Complex ``values`` summed per ``owner`` in 0 .. size - 1."""
+    return (np.bincount(owner, values.real, size)
+            + 1j * np.bincount(owner, values.imag, size))
+
+
+def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from their predecessor."""
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    return first
+
+
+def _filled_pattern(L: sp.csc_matrix, U: sp.csc_matrix) -> tuple[list, np.ndarray]:
+    """Per column, the sorted rows below the diagonal of pattern(L) and
+    pattern(U^T), closed along their elimination tree: a column's rows
+    past its parent (its first row) join the parent's. Also the parents,
+    -1 at a root. In the closure the rows of a column are pairwise
+    linked, which the selected inverse relies on."""
+    n = L.shape[0]
+    lcol = np.repeat(np.arange(n), np.diff(L.indptr))
+    ucol = np.repeat(np.arange(n), np.diff(U.indptr))
+    below, above = L.indices > lcol, U.indices < ucol
+    key = np.concatenate([lcol[below] * n + L.indices[below],
+                          U.indices[above].astype(np.intp) * n + ucol[above]])  # no int32 wrap
+    key.sort()
+    key = key[_first_of_runs(key)]
+    cols = np.split(key % n, np.searchsorted(key, np.arange(1, n) * n))
+    del key, lcol, ucol, below, above
+    children: list[list[int]] = [[] for _ in range(n)]
+    parent = np.full(n, -1)
+    for j in range(n):
+        if children[j]:
+            merged = np.concatenate([cols[j]] + [cols[c][1:] for c in children[j]])
+            merged.sort()
+            cols[j] = merged[_first_of_runs(merged)]
+        if cols[j].size:
+            parent[j] = p = int(cols[j][0])
+            children[p].append(j)
+    return cols, parent
+
+
+def _selected_diagonal(lu) -> np.ndarray:
+    """diag(B^-1) of one shifted SCC factor, in the SCC's own order.
+
+    SuperLU factors P B P^T = L U (one symmetric permutation P, asserted).
+    The Takahashi recurrences (Erisman & Tinney, CACM 18(3), 1975; Lin et
+    al., "SelInv", ACM TOMS 37(4), 2011) give Z = (LU)^-1 on the filled
+    pattern of L and U^T, column by column from the last:
+        Z[S, j] = -Z[S, S] L[S, j],   Z[j, S] = -U[j, S] Z[S, S] / U_jj,
+        Z_jj = (1 - U[j, S] Z[S, j]) / U_jj,   S = rows of column j.
+    The trailing columns that form one chain of the elimination tree are
+    nearly dense; their block Z_TT = U_TT^-1 L_TT^-1 is inverted densely,
+    and its share of every leading column's sums comes from two sparse
+    products with it. The leading columns then run level by level down
+    the tree, gathering only the pairs (a, b) of S x S with a leading one.
+    Temporaries are chunked under _CHUNK_BYTES."""
+    perm = lu.perm_c
+    if not np.array_equal(lu.perm_r, perm):
+        raise RuntimeError("the shifted SCC factor pivoted off its diagonal")
+    n = perm.size
+    L, U = lu.L, lu.U
+    pivot = U.diagonal()
+    cols, parent = _filled_pattern(L, U)
+    off_chain = np.flatnonzero(parent[:-1] != np.arange(1, n))
+    t = int(off_chain[-1]) + 1 if off_chain.size else 0  # the chain is t..n-1
+
+    # the trailing block of both factors, packed into one Fortran-ordered
+    # array as getrf leaves them (no row exchanges), for getri below
+    packed = np.zeros((n - t, n - t), dtype=complex, order="F")
+    for factor, part in ((L, np.greater), (U, np.less_equal)):
+        first = factor.indptr[t]
+        row = factor.indices[first:] - t
+        col = np.repeat(np.arange(n - t), np.diff(factor.indptr[t:]))
+        keep = part(row, col) & (row >= 0)
+        packed[row[keep], col[keep]] = factor.data[first:][keep]
+
+    # the leading columns' filled rows, and L and U^T on them
+    count = np.array([c.size for c in cols[:t]], dtype=np.intp)
+    ptr = np.r_[0, np.cumsum(count)]
+    rows = np.concatenate(cols[:t]) if t else np.empty(0, dtype=np.intp)
+    del cols
+    owner = np.repeat(np.arange(t), count)
+    key = owner * n + rows
+    lval = np.zeros(rows.size, dtype=complex)
+    uval = np.zeros(rows.size, dtype=complex)
+    for factor, vals, transpose in ((L, lval, False), (U, uval, True)):
+        end = factor.indptr[-1 if transpose else t]  # U's leading rows sit in every column
+        along = np.repeat(np.arange(n), np.diff(factor.indptr))[:end]
+        across = factor.indices[:end].astype(np.intp)  # keys col * n + row need 64 bits
+        col, row = (across, along) if transpose else (along, across)
+        keep = (row > col) & (col < t)
+        vals[np.searchsorted(key, col[keep] * n + row[keep])] = factor.data[:end][keep]
+    del L, U, along, across, col, row, keep
+
+    # Z_TT = U_TT^-1 L_TT^-1, in place of the packed factors
+    work = int(lapack.zgetri_lwork(n - t)[0].real)  # the blocked algorithm's workspace
+    Z, info = lapack.zgetri(packed, np.arange(n - t, dtype=np.int32), lwork=work, overwrite_lu=1)
+    if info:
+        raise RuntimeError("singular trailing block in a certified SCC factor")
+    if t == 0:
+        return np.diagonal(Z)[perm]
+
+    # the trailing block's share: Pl = L[T, :t]^T Z_TT^T and Pu = U[:t, T] Z_TT
+    tail = rows >= t
+    lead_t = sp.csr_matrix((lval[tail], rows[tail] - t, np.r_[0, np.cumsum(np.bincount(
+        owner[tail], minlength=t))]), shape=(t, n - t))
+    up_t = sp.csr_matrix((uval[tail], lead_t.indices, lead_t.indptr), shape=(t, n - t))
+    share_l = np.zeros(rows.size, dtype=complex)
+    share_u = np.zeros(rows.size, dtype=complex)
+    by_row = np.flatnonzero(tail)[np.argsort(rows[tail], kind="stable")]
+    width = max(16, _CHUNK_BYTES // (16 * max(t, n - t)))  # columns of Z_TT per product
+    edges = np.searchsorted(rows[by_row], np.arange(t, n + width, width))
+    for k, s0 in enumerate(range(t, n, width)):
+        pick = by_row[edges[k] : edges[k + 1]]
+        at, cut = owner[pick], rows[pick] - s0
+        share_l[pick] = (lead_t @ Z[s0 - t : s0 - t + width].T)[at, cut]
+        share_u[pick] = (up_t @ Z[:, s0 - t : s0 - t + width])[at, cut]
+    del lead_t, up_t, by_row, tail
+
+    # leading columns by depth below the chain: parents before children
+    depth = np.zeros(t, dtype=np.intp)
+    for j in range(t - 1, -1, -1):
+        if 0 <= parent[j] < t:
+            depth[j] = depth[parent[j]] + 1
+    z_low = np.zeros(rows.size, dtype=complex)
+    z_up = np.zeros(rows.size, dtype=complex)
+    z_diag = np.zeros(t, dtype=complex)
+    lead = np.bincount(owner, rows < t, t).astype(np.intp)  # leading rows come first
+    for level in np.split(np.argsort(depth, kind="stable"),
+                          np.flatnonzero(np.diff(np.sort(depth))) + 1):
+        c, m, base = count[level], lead[level], ptr[level]
+        entries = _ranges(base, c)
+        local = np.r_[0, np.cumsum(c)[:-1]]
+        acc_l = np.zeros(entries.size, dtype=complex)
+        acc_u = np.zeros(entries.size, dtype=complex)
+        # (a, b) pairs in rectangles: a leading x all b, then a trailing x b leading
+        rect = (np.arange(level.size).repeat(2), np.c_[np.zeros_like(m), m].ravel(),
+                np.c_[m, c - m].ravel(), np.c_[c, m].ravel())
+        for who, a_idx, b_idx in _pair_chunks(*rect):
+            a_pos, b_pos = base[who] + a_idx, base[who] + b_idx
+            a, b = rows[a_pos], rows[b_pos]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            at = np.minimum(np.searchsorted(key, lo * n + hi), rows.size - 1)
+            z = np.where(a > b, z_low[at], z_up[at])
+            same = a == b
+            z[same] = z_diag[a[same]]
+            acc_l += _segment_sum(local[who] + a_idx, z * lval[b_pos], entries.size)
+            acc_u += _segment_sum(local[who] + b_idx, uval[a_pos] * z, entries.size)
+        col = owner[entries]
+        x = -(share_l[entries] + acc_l)
+        z_low[entries] = x
+        z_up[entries] = -(share_u[entries] + acc_u) / pivot[col]
+        z_diag[level] = (1.0 - _segment_sum(np.repeat(np.arange(level.size), c),
+                                            uval[entries] * x, level.size)) / pivot[level]
+    return np.r_[z_diag, np.diagonal(Z)][perm]
+
+
+def _pair_chunks(who: np.ndarray, r0: np.ndarray, nr: np.ndarray, nc: np.ndarray):
+    """(who, a, b) for every cell of the rectangles [r0, r0 + nr) x [0, nc)
+    of owners ``who``, in chunks of about _CHUNK_BYTES / 128 cells; tall
+    rectangles are cut into bands of rows."""
+    budget = max(1, _CHUNK_BYTES // 128)
+    band = np.maximum(1, budget // np.maximum(nc, 1))
+    bands = -(-nr // band)
+    k = _ranges(np.zeros_like(bands), bands)
+    rect = np.repeat(np.arange(nr.size), bands)
+    start = r0[rect] + k * band[rect]
+    height = np.minimum(band[rect], r0[rect] + nr[rect] - start)
+    cells = height * nc[rect]
+    chunk = (np.cumsum(cells) - cells) // budget
+    for part in np.split(np.arange(rect.size), np.flatnonzero(np.diff(chunk)) + 1):
+        size = cells[part]
+        cell = _ranges(np.zeros_like(size), size)
+        which = np.repeat(part, size)
+        wide = nc[rect[which]]
+        yield who[rect[which]], start[which] + cell // wide, cell % wide

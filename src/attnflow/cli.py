@@ -87,6 +87,22 @@ def _count(raw: str) -> int:
         raise ValueError(f"expected a finite number, got {raw!r}") from None
 
 
+def _nonnegative_float(raw: str) -> float:
+    """A finite number >= 0, such as a gap in seconds or a mean degree."""
+    value = float(raw)
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"expected a finite number >= 0, got {raw!r}")
+    return value
+
+
+def _nonnegative_int(raw: str) -> int:
+    """A whole number >= 0, such as a node-count bound."""
+    value = int(raw)
+    if value < 0:
+        raise ValueError(f"expected a whole number >= 0, got {raw!r}")
+    return value
+
+
 def _char(raw: str) -> str:
     """One character, such as a field delimiter."""
     if len(raw) != 1:
@@ -138,7 +154,9 @@ class RunConfig:
         "session-closed", "edge construction mode", ("ingest", "pipeline"),
         choices=("session-closed", "residual"),
     )
-    gap_seconds: float | None = _setting(None, "session gap threshold", _LOG_READERS, float)
+    gap_seconds: float | None = _setting(
+        None, "session gap threshold", _LOG_READERS, _nonnegative_float
+    )
     delimiter: str = _setting(",", "log field delimiter", (*_LOG_READERS, "generate"), _char)
     header: bool = _setting(False, "log has a header row", (*_LOG_READERS, "generate"), _boolean)
     dense_threshold: int = _setting(
@@ -147,10 +165,11 @@ class RunConfig:
         "get a sparse factor, for solves and diagonals alike. Also the largest "
         "materialized U",
         _SOLVER_READERS,
-        int,
+        _nonnegative_int,
     )
     pairwise_cap: int = _setting(
-        PAIRWISE_CAP, "max nodes for pairwise distance matrices", ("distance", "pipeline"), int
+        PAIRWISE_CAP, "max nodes for pairwise distance matrices", ("distance", "pipeline"),
+        _nonnegative_int,
     )
     pairwise: bool = _setting(
         False, "also write the pairwise distance table", ("distance", "pipeline"), _boolean
@@ -163,7 +182,9 @@ class RunConfig:
     weight_scale: float = _setting(1.0, "base edge weight", ("generate",), float)
     recirculation: float = _setting(0.2, "cycle edge fraction", ("generate",), float)
     exponent: float | None = _setting(None, "planted dissipation exponent", ("generate",), float)
-    avg_degree: float | None = _setting(None, "interior out-degree mean", ("generate",), float)
+    avg_degree: float | None = _setting(
+        None, "interior out-degree mean", ("generate",), _nonnegative_float
+    )
     x: str = _setting("A", "stats column for x", ("fit",))
     y: str = _setting("D", "stats column for y", ("fit",))
     column: str = _setting("A", "stats column", ("gini", "zipf"))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -146,10 +147,13 @@ def parse_log(stream, fmt: LogFormat = LogFormat()) -> SessionLog:
 def sessionize(log: SessionLog, gap_threshold: float | None = None) -> SessionLog:
     """Split each user's sequences wherever consecutive visits are separated
     by more than ``gap_threshold`` seconds. Without a threshold the log is
-    returned unchanged. Requires timestamps on every record.
+    returned unchanged. Requires timestamps on every record; a threshold
+    that is negative or not finite raises ValueError.
     """
     if gap_threshold is None:
         return log
+    if not (math.isfinite(gap_threshold) and gap_threshold >= 0):
+        raise ValueError(f"gap threshold must be a finite number >= 0, got {gap_threshold!r}")
     if log.timestamps is None:
         raise MissingTimestamps("gap threshold given but the log has no timestamps")
 

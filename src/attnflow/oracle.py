@@ -55,10 +55,14 @@ class GeneratorSpec:
             raise InvalidSpec(f"unknown family {self.family!r}; choose from {_FAMILIES}")
         if self.size < 1:
             raise InvalidSpec(f"size must be >= 1, got {self.size}")
-        if self.weight_scale <= 0:
-            raise InvalidSpec("weight_scale must be positive")
+        if not 0 < self.weight_scale < math.inf:
+            raise InvalidSpec("weight_scale must be positive and finite")
         if not 0.0 <= self.recirculation <= 1.0:
             raise InvalidSpec("recirculation must be in [0, 1]")
+        if self.avg_degree is not None and not 0 <= self.avg_degree < math.inf:
+            raise InvalidSpec(f"avg_degree must be finite and >= 0, got {self.avg_degree}")
+        if self.exponent is not None and not math.isfinite(self.exponent):
+            raise InvalidSpec(f"exponent must be finite, got {self.exponent}")
 
 
 def _names(n: int) -> list[str]:

@@ -14,6 +14,8 @@ import pytest
 
 from attnflow import (
     GeneratorSpec,
+    build_flow_network,
+    certify,
     compare,
     enumerate_walks,
     fit_power_law,
@@ -25,6 +27,7 @@ from attnflow import (
     ols_regress,
     simulate_walkers,
     source_distances,
+    to_transition_edges,
     transition_matrix,
     validate,
 )
@@ -354,4 +357,29 @@ def test_c11_pipeline_determinism(scale_network, tmp_path, check, child_env):
         "11 determinism",
         ok,
         f"{len(names)} artifacts compared, mismatches: {diff or 'none'}",
+    )
+
+
+def test_c12_giant_scc_selected_inversion(check):
+    """A session log's giant SCC above the dense threshold: diag(U) and
+    diag(U^2), read from the selected inverse of its one shifted factor,
+    match a dense inverse, and C and l_source are finite.
+    """
+    log = generate(GeneratorSpec("session-log", 1200, seed=3))
+    net, _ = certify(build_flow_network(to_transition_edges(log)))
+    tm = transition_matrix(net)
+    n = tm.n_interior
+    fm = fundamental_matrix(tm, dense_threshold=256)
+    (giant, _), = fm._factored
+    U = np.linalg.inv(np.eye(n) - tm.interior.toarray())
+    err_u = float(np.abs(fm.diagonal() / np.diag(U) - 1).max())
+    err_u2 = float(np.abs(fm.squared_diagonal() / np.einsum("ij,ji->i", U, U) - 1).max())
+    stats = node_flows(net, fm)
+    finite = bool(np.isfinite(stats.impact).all() and np.isfinite(source_distances(fm)).all())
+    ok = giant.size > 256 and max(err_u, err_u2) <= 1e-12 and finite
+    check(
+        "12 giant-scc-diagonals",
+        ok,
+        f"giant SCC {giant.size} of {n} nodes, rel err diag(U) {err_u:.1e}, "
+        f"diag(U^2) {err_u2:.1e}, C and l_source finite {finite}",
     )

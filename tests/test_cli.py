@@ -231,6 +231,11 @@ class TestSettings:
             ("ingest", "mode", "bogus"),
             ("generate", "family", "nope"),
             ("ingest", "delimiter", "ab"),
+            ("pipeline", "gap_seconds", "-5"),
+            ("ingest", "gap_seconds", "nan"),
+            ("stats", "dense_threshold", "-3"),
+            ("distance", "pairwise_cap", "-1"),
+            ("generate", "avg_degree", "-1"),
         ],
     )
     def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, command, key, raw):

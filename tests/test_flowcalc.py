@@ -35,7 +35,24 @@ from attnflow import (
     validate,
     write_stats_csv,
 )
-from attnflow._linalg import PIVOT_TOL
+from attnflow import _linalg
+from attnflow._linalg import PIVOT_TOL, SHIFT, _filled_pattern
+
+
+class _FactorProxy:
+    """A SuperLU factor that counts its solves and may report another row
+    permutation; everything else is the factor's own."""
+
+    def __init__(self, lu, perm_r=None):
+        self._lu, self.solves = lu, 0
+        self.perm_r = lu.perm_r if perm_r is None else perm_r
+
+    def solve(self, *args, **kwargs):
+        self.solves += 1
+        return self._lu.solve(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._lu, name)
 
 
 def _neumann_series(W, tol=1e-15, max_terms=5000) -> np.ndarray:
@@ -300,28 +317,103 @@ class TestFundamentalMatrix:
         arcs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23), st.integers(1, 4)),
                       max_size=60),
         threshold=st.sampled_from([0, 1, 2, 3, DENSE_THRESHOLD]),
+        leak=st.sampled_from([1.0, 1e-3, 1e-6, 1e-9]),
     )
-    def test_every_route_matches_a_dense_inverse(self, n, arcs, threshold):
+    def test_every_route_matches_a_dense_inverse(self, n, arcs, threshold, leak):
         """On drawn substochastic blocks, whatever mix of runs, dense
-        groups and sparse factors the threshold makes, solves with one or
-        several columns, both ways, and both diagonals match a dense
-        inverse.
+        groups and selected inversions the threshold makes, solves with one
+        or several columns, both ways, and both diagonals match a dense
+        inverse. Each row keeps ``leak`` in ``rowsum + leak`` of its flow,
+        so a small leak makes U large and ill conditioned: tolerances are
+        1e-12 (diagonals) and 1e-10 (solves) relative per unit of the
+        largest row sum of U, the growth any double-precision inverse has.
+        The diagonals' reference inverts each SCC's own block, which holds
+        every walk from a node back to itself, so no rounding of the
+        structural zeros of U outside it enters diag(U^2).
         """
         W = np.zeros((n, n))
         for i, j, w in arcs:
             if max(i, j) < n:
                 W[i, j] += w
-        W /= W.sum(axis=1, keepdims=True) + 1.0  # every row leaks
+        W /= W.sum(axis=1, keepdims=True) + leak
         tm = TransitionMatrix(items=tuple(map(str, range(n))),
                               matrix=sp.csr_matrix(np.pad(W, 1)))
         U = np.linalg.inv(np.eye(n) - W)
+        diag_u, diag_u2 = np.empty(n), np.empty(n)
+        _, labels = connected_components(sp.csr_matrix(W), directed=True, connection="strong")
+        for label in np.unique(labels):
+            block = np.flatnonzero(labels == label)
+            inv = np.linalg.inv(np.eye(block.size) - W[np.ix_(block, block)])
+            diag_u[block], diag_u2[block] = np.diag(inv), np.einsum("ij,ji->i", inv, inv)
+        scale = max(1.0, float(np.abs(U).sum(axis=1).max()))
         fm = fundamental_matrix(tm, dense_threshold=threshold)
         B = np.arange(1.0, 2 * n + 1).reshape(n, 2)
         for b in (B[:, 0], B):
-            np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-10)
-            np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-10)
-        np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-10)
-        np.testing.assert_allclose(fm.squared_diagonal(), np.diag(U @ U), rtol=1e-10)
+            np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-10 * scale)
+            np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-10 * scale)
+        np.testing.assert_allclose(fm.diagonal(), diag_u, rtol=1e-12 * scale)
+        np.testing.assert_allclose(fm.squared_diagonal(), diag_u2, rtol=1e-12 * scale)
+
+    @pytest.mark.parametrize("threshold", [0, 1, 2])
+    def test_selected_inversion_closes_the_pattern(self, threshold):
+        """A directed 8-cycle with three chords: its shifted factor's L and
+        U^T patterns differ, and closing their union along the elimination
+        tree adds an entry. Both diagonals still match a dense inverse to
+        1e-12, with one SCC above each threshold.
+        """
+        n = 8
+        W = np.zeros((n, n))
+        for i in range(n):
+            W[i, (i + 1) % n] = 0.5
+        W[4, 0] = W[7, 2] = W[6, 3] = 0.3
+        A = sp.csc_matrix(np.eye(n) - W) - 1j * SHIFT * sp.identity(n, format="csc")
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0)
+        lower = sp.tril(lu.L, -1) != 0
+        upper_t = sp.triu(lu.U, 1).T != 0
+        assert (lower != upper_t).nnz > 0
+        cols, _ = _filled_pattern(lu.L, lu.U)
+        assert sum(c.size for c in cols) > (lower + upper_t).nnz
+        tm = TransitionMatrix(items=tuple("abcdefgh"), matrix=sp.csr_matrix(np.pad(W, 1)))
+        fm = fundamental_matrix(tm, dense_threshold=threshold)
+        assert [nodes.size for nodes, _ in fm._factored] == [n]
+        U = np.linalg.inv(np.eye(n) - W)
+        np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-12)
+        np.testing.assert_allclose(fm.squared_diagonal(), np.diag(U @ U), rtol=1e-12)
+
+    def test_chunked_selected_inversion_agrees(self, monkeypatch):
+        """Cutting the temporaries of the selected inversion to a few
+        entries (pair rectangles into one-row bands of two pairs, the
+        trailing block's products into slices of 16 columns) leaves both
+        diagonals unchanged."""
+        log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
+        tm = transition_matrix(build_flow_network(to_transition_edges(log)))
+        whole = fundamental_matrix(tm, dense_threshold=8)
+        monkeypatch.setattr(_linalg, "_CHUNK_BYTES", 256)
+        cut = fundamental_matrix(tm, dense_threshold=8)
+        np.testing.assert_allclose(cut.diagonal(), whole.diagonal(), rtol=1e-13)
+        np.testing.assert_allclose(cut.squared_diagonal(), whole.squared_diagonal(), rtol=1e-13)
+
+    def test_diagonal_solves_nothing(self):
+        """diag(U) and diag(U^2) of an SCC above the threshold come from
+        its factor's L and U alone: no SuperLU solve, one column or many."""
+        log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
+        tm = transition_matrix(build_flow_network(to_transition_edges(log)))
+        fm = fundamental_matrix(tm, dense_threshold=8)
+        proxies = [_FactorProxy(lu) for _, lu in fm._factored]
+        fm._factored = [(nodes, proxy) for (nodes, _), proxy in zip(fm._factored, proxies)]
+        fm.diagonal()
+        assert proxies and all(proxy.solves == 0 for proxy in proxies)
+
+    def test_off_diagonal_pivoting_is_refused(self):
+        """The selected inverse reads one symmetric permutation of the
+        factor; a factor whose row and column orders differ raises."""
+        log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
+        tm = transition_matrix(build_flow_network(to_transition_edges(log)))
+        fm = fundamental_matrix(tm, dense_threshold=8)
+        fm._factored = [(nodes, _FactorProxy(lu, perm_r=np.roll(lu.perm_r, 1)))
+                        for nodes, lu in fm._factored]
+        with pytest.raises(RuntimeError, match="pivoted off its diagonal"):
+            fm.diagonal()
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -85,6 +85,13 @@ class TestSessionize:
         out = sessionize(log, 0)
         assert out.sessions["u1"] == [["A"], ["B"], ["C"]]
 
+    @pytest.mark.parametrize("gap", [-5, float("nan"), float("inf")])
+    def test_meaningless_gap_is_refused(self, gap):
+        # -5 made every visit its own session; nan never split one
+        log = parse_log("u1,A,0\nu1,B,10\n")
+        with pytest.raises(ValueError, match="gap threshold"):
+            sessionize(log, gap)
+
     def test_missing_timestamps(self):
         log = parse_log("u1,A\n")
         with pytest.raises(MissingTimestamps):

@@ -52,6 +52,15 @@ class TestGeneratorSpec:
         with pytest.raises(InvalidSpec):
             GeneratorSpec(family="chain", size=3, weight_scale=0.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight_scale", float("nan")), ("weight_scale", float("inf")),
+        ("avg_degree", -1.0), ("avg_degree", float("nan")), ("exponent", float("nan")),
+    ])
+    def test_meaningless_numbers(self, field, value):
+        # avg_degree -1 reached numpy's "lam < 0" from the generator
+        with pytest.raises(InvalidSpec, match=field):
+            GeneratorSpec(family="random-cyclic", size=10, **{field: value})
+
     def test_bad_recirculation(self):
         with pytest.raises(InvalidSpec):
             GeneratorSpec(family="random-cyclic", size=10, recirculation=1.5)
