@@ -294,7 +294,9 @@ def _filled_pattern(L: sp.csc_matrix, U: sp.csc_matrix) -> tuple[list, np.ndarra
                           U.indices[above].astype(np.intp) * n + ucol[above]])  # no int32 wrap
     key.sort()
     key = key[_first_of_runs(key)]
-    cols = np.split(key % n, np.searchsorted(key, np.arange(1, n) * n))
+    bounds = np.searchsorted(key, np.arange(n + 1) * n).tolist()
+    rows = key % n
+    cols = [rows[a:z] for a, z in zip(bounds[:-1], bounds[1:])]
     del key, lcol, ucol, below, above
     children: list[list[int]] = [[] for _ in range(n)]
     parent = np.full(n, -1)
@@ -388,10 +390,11 @@ def _selected_diagonal(lu) -> np.ndarray:
     del lead_t, up_t, by_row, tail
 
     # leading columns by depth below the chain: parents before children
-    depth = np.zeros(t, dtype=np.intp)
+    depth, up = [0] * t, parent[:t].tolist()
     for j in range(t - 1, -1, -1):
-        if 0 <= parent[j] < t:
-            depth[j] = depth[parent[j]] + 1
+        if 0 <= up[j] < t:
+            depth[j] = depth[up[j]] + 1
+    depth = np.array(depth)
     z_low = np.zeros(rows.size, dtype=complex)
     z_up = np.zeros(rows.size, dtype=complex)
     z_diag = np.zeros(t, dtype=complex)
