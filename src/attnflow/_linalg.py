@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import solve_triangular
 
 from .errors import SingularSystem
 
@@ -32,6 +32,9 @@ SHIFT = 1e-20
 
 # Rough bound, in bytes, on each temporary of the selected inversion.
 _CHUNK_BYTES = 1 << 18
+
+# Columns of a dense trailing block inverted per step (_invert_in_place).
+_BLOCK = 256
 
 
 def _condensation_depths(src: np.ndarray, dst: np.ndarray, n_comp: int) -> np.ndarray:
@@ -272,43 +275,65 @@ def _segment_sum(owner: np.ndarray, values: np.ndarray, size: int) -> np.ndarray
             + 1j * np.bincount(owner, values.imag, size))
 
 
-def _first_of_runs(ordered: np.ndarray) -> np.ndarray:
-    """Mask of the entries of a sorted array that differ from their predecessor."""
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
-    return first
-
-
-def _filled_pattern(L: sp.csc_matrix, U: sp.csc_matrix) -> tuple[list, np.ndarray]:
+def _filled_pattern(lu) -> tuple[list, np.ndarray]:
     """Per column, the sorted rows below the diagonal of pattern(L) and
-    pattern(U^T), closed along their elimination tree: a column's rows
-    past its parent (its first row) join the parent's. Also the parents,
-    -1 at a root. In the closure the rows of a column are pairwise
-    linked, which the selected inverse relies on."""
-    n = L.shape[0]
-    lcol = np.repeat(np.arange(n), np.diff(L.indptr))
-    ucol = np.repeat(np.arange(n), np.diff(U.indptr))
-    below, above = L.indices > lcol, U.indices < ucol
-    key = np.concatenate([lcol[below] * n + L.indices[below],
-                          U.indices[above].astype(np.intp) * n + ucol[above]])  # no int32 wrap
-    key.sort()
-    key = key[_first_of_runs(key)]
-    bounds = np.searchsorted(key, np.arange(n + 1) * n).tolist()
-    rows = key % n
-    cols = [rows[a:z] for a, z in zip(bounds[:-1], bounds[1:])]
-    del key, lcol, ucol, below, above
+    pattern(U^T) of a SuperLU factor, closed along their elimination tree:
+    a column's rows past its parent (its first row) join the parent's.
+    Also the parents, -1 at a root. In the closure the rows of a column
+    are pairwise linked, which the selected inverse relies on."""
+    n = lu.shape[0]
+    ones = []
+    for name in ("L", "U"):  # one factor copy at a time; only its pattern is kept
+        factor = getattr(lu, name)
+        ones.append(sp.csc_matrix((np.ones(factor.nnz, dtype=np.int8), factor.indices,
+                                   factor.indptr), shape=(n, n)))
+        del factor
+    union = sp.tril(ones[0] + ones[1].T, -1, format="csc")
+    union.sort_indices()
+    bounds = union.indptr.tolist()
+    cols = [union.indices[a:z] for a, z in zip(bounds[:-1], bounds[1:])]
+    del ones, union
     children: list[list[int]] = [[] for _ in range(n)]
     parent = np.full(n, -1)
     for j in range(n):
         if children[j]:
-            merged = np.concatenate([cols[j]] + [cols[c][1:] for c in children[j]])
-            merged.sort()
-            cols[j] = merged[_first_of_runs(merged)]
+            cols[j] = np.unique(np.concatenate([cols[j]] + [cols[c][1:] for c in children[j]]))
         if cols[j].size:
             parent[j] = p = int(cols[j][0])
             children[p].append(j)
     return cols, parent
+
+
+def _invert_in_place(Z: np.ndarray) -> None:
+    """Overwrite a dense block holding unit lower L below its diagonal and
+    U on and above it with (LU)^-1, in blocks of _BLOCK columns from the
+    last. With S the columns after block J, already inverted:
+        Z_SJ = -Z_SS L_SJ L_JJ^-1,   Z_JS = -U_JJ^-1 U_JS Z_SS,
+        Z_JJ = (L_JJ U_JJ)^-1 + U_JJ^-1 U_JS Z_SS L_SJ L_JJ^-1,
+    the last from three products and the recurrences of _selected_diagonal
+    on J alone, which use matrix-vector products only, so a block of at
+    most _BLOCK columns needs no workspace beyond a few vectors."""
+    n = Z.shape[0]
+    for j1 in range(n, 0, -_BLOCK):
+        J, S = slice(max(j1 - _BLOCK, 0), j1), slice(j1, n)
+        packed = Z[J, J]
+        if j1 < n:
+            x = Z[S, S] @ Z[S, J]
+            y = Z[J, S] @ Z[S, S]
+            corner = solve_triangular(packed, Z[J, S] @ x, check_finite=False)
+            # both right divisions by L_JJ, as one transposed left division
+            both = solve_triangular(packed, np.vstack([x, corner]).T, trans="T", lower=True,
+                                    unit_diagonal=True, check_finite=False).T
+            Z[J, S] = -solve_triangular(packed, y, check_finite=False)
+            Z[S, J], corner = -both[: n - j1], both[n - j1 :]
+        for j in range(packed.shape[0] - 1, -1, -1):
+            inner, low, up = packed[j + 1 :, j + 1 :], packed[j + 1 :, j], packed[j, j + 1 :]
+            x = -(inner @ low)
+            y = -(up @ inner) / packed[j, j]
+            packed[j, j] = (1.0 - up @ x) / packed[j, j]
+            low[:], up[:] = x, y
+        if j1 < n:
+            packed += corner
 
 
 def _selected_diagonal(lu) -> np.ndarray:
@@ -321,73 +346,69 @@ def _selected_diagonal(lu) -> np.ndarray:
         Z[S, j] = -Z[S, S] L[S, j],   Z[j, S] = -U[j, S] Z[S, S] / U_jj,
         Z_jj = (1 - U[j, S] Z[S, j]) / U_jj,   S = rows of column j.
     The trailing columns that form one chain of the elimination tree are
-    nearly dense; their block Z_TT = U_TT^-1 L_TT^-1 is inverted densely,
-    and its share of every leading column's sums comes from two sparse
-    products with it. The leading columns then run level by level down
-    the tree, gathering only the pairs (a, b) of S x S with a leading one.
+    nearly dense; their block Z_TT is inverted densely in place, and its
+    share of every leading column's sums comes from two sparse products
+    with it. The leading columns then run level by level down the tree,
+    gathering only the pairs (a, b) of S x S with a leading one.
     Temporaries are chunked under _CHUNK_BYTES."""
     perm = lu.perm_c
     if not np.array_equal(lu.perm_r, perm):
         raise RuntimeError("the shifted SCC factor pivoted off its diagonal")
     n = perm.size
-    L, U = lu.L, lu.U
-    pivot = U.diagonal()
-    cols, parent = _filled_pattern(L, U)
+    cols, parent = _filled_pattern(lu)
     off_chain = np.flatnonzero(parent[:-1] != np.arange(1, n))
     t = int(off_chain[-1]) + 1 if off_chain.size else 0  # the chain is t..n-1
 
-    # the trailing block of both factors, packed into one Fortran-ordered
-    # array as getrf leaves them (no row exchanges), for getri below
-    packed = np.zeros((n - t, n - t), dtype=complex, order="F")
-    for factor, part in ((L, np.greater), (U, np.less_equal)):
-        first = factor.indptr[t]
-        row = factor.indices[first:] - t
-        col = np.repeat(np.arange(n - t), np.diff(factor.indptr[t:]))
-        keep = part(row, col) & (row >= 0)
-        packed[row[keep], col[keep]] = factor.data[first:][keep]
-
-    # the leading columns' filled rows, and L and U^T on them
+    # the leading columns' filled rows
     count = np.array([c.size for c in cols[:t]], dtype=np.intp)
     ptr = np.r_[0, np.cumsum(count)]
-    rows = np.concatenate(cols[:t]) if t else np.empty(0, dtype=np.intp)
+    rows = np.concatenate(cols[:t]).astype(np.intp) if t else np.empty(0, dtype=np.intp)
     del cols
     owner = np.repeat(np.arange(t), count)
     key = owner * n + rows
+
+    # L and U^T on them, the pivots, and the trailing block of both factors
+    # (L below and U on and above its diagonal), one factor copy at a time:
+    # entry (row, col) sits in column lo and row hi of the filled pattern
     lval = np.zeros(rows.size, dtype=complex)
     uval = np.zeros(rows.size, dtype=complex)
-    for factor, vals, transpose in ((L, lval, False), (U, uval, True)):
-        end = factor.indptr[-1 if transpose else t]  # U's leading rows sit in every column
-        along = np.repeat(np.arange(n), np.diff(factor.indptr))[:end]
-        across = factor.indices[:end].astype(np.intp)  # keys col * n + row need 64 bits
-        col, row = (across, along) if transpose else (along, across)
-        keep = (row > col) & (col < t)
-        vals[np.searchsorted(key, col[keep] * n + row[keep])] = factor.data[:end][keep]
-    del L, U, along, across, col, row, keep
+    pivot = np.empty(n, dtype=complex)
+    Z = np.zeros((n - t, n - t), dtype=complex)
+    for name, vals in (("L", lval), ("U", uval)):
+        factor = getattr(lu, name)
+        row = factor.indices
+        col = np.repeat(np.arange(n, dtype=row.dtype), np.diff(factor.indptr))
+        lo, hi = (col, row) if name == "L" else (row, col)
+        lead = (lo < hi) & (lo < t)
+        vals[np.searchsorted(key, lo[lead].astype(np.intp) * n + hi[lead])] = factor.data[lead]
+        on = lo == hi  # L's unit diagonal, then U's pivots over it
+        pivot[lo[on]] = factor.data[on]
+        tail = lo >= t
+        Z[row[tail] - t, col[tail] - t] = factor.data[tail]
+        del factor, row, col, lo, hi, lead, on, tail
 
-    # Z_TT = U_TT^-1 L_TT^-1, in place of the packed factors
-    work = int(lapack.zgetri_lwork(n - t)[0].real)  # the blocked algorithm's workspace
-    Z, info = lapack.zgetri(packed, np.arange(n - t, dtype=np.int32), lwork=work, overwrite_lu=1)
-    if info:
-        raise RuntimeError("singular trailing block in a certified SCC factor")
+    _invert_in_place(Z)
+    z_tail = np.diagonal(Z).copy()
     if t == 0:
-        return np.diagonal(Z)[perm]
+        return z_tail[perm]
 
-    # the trailing block's share: Pl = L[T, :t]^T Z_TT^T and Pu = U[:t, T] Z_TT
+    # the trailing block's share, L[T, :t]^T Z_TT^T and U[:t, T] Z_TT, is
+    # where Z[:, :t] starts; the levels below add the leading pairs' sums
     tail = rows >= t
     lead_t = sp.csr_matrix((lval[tail], rows[tail] - t, np.r_[0, np.cumsum(np.bincount(
         owner[tail], minlength=t))]), shape=(t, n - t))
     up_t = sp.csr_matrix((uval[tail], lead_t.indices, lead_t.indptr), shape=(t, n - t))
-    share_l = np.zeros(rows.size, dtype=complex)
-    share_u = np.zeros(rows.size, dtype=complex)
+    z_low = np.zeros(rows.size, dtype=complex)
+    z_up = np.zeros(rows.size, dtype=complex)
     by_row = np.flatnonzero(tail)[np.argsort(rows[tail], kind="stable")]
     width = max(16, _CHUNK_BYTES // (16 * max(t, n - t)))  # columns of Z_TT per product
     edges = np.searchsorted(rows[by_row], np.arange(t, n + width, width))
     for k, s0 in enumerate(range(t, n, width)):
         pick = by_row[edges[k] : edges[k + 1]]
         at, cut = owner[pick], rows[pick] - s0
-        share_l[pick] = (lead_t @ Z[s0 - t : s0 - t + width].T)[at, cut]
-        share_u[pick] = (up_t @ Z[:, s0 - t : s0 - t + width])[at, cut]
-    del lead_t, up_t, by_row, tail
+        z_low[pick] = (lead_t @ Z[s0 - t : s0 - t + width].T)[at, cut]
+        z_up[pick] = (up_t @ Z[:, s0 - t : s0 - t + width])[at, cut]
+    del Z, lead_t, up_t, by_row, tail
 
     # leading columns by depth below the chain: parents before children
     depth, up = [0] * t, parent[:t].tolist()
@@ -395,8 +416,6 @@ def _selected_diagonal(lu) -> np.ndarray:
         if 0 <= up[j] < t:
             depth[j] = depth[up[j]] + 1
     depth = np.array(depth)
-    z_low = np.zeros(rows.size, dtype=complex)
-    z_up = np.zeros(rows.size, dtype=complex)
     z_diag = np.zeros(t, dtype=complex)
     lead = np.bincount(owner, rows < t, t).astype(np.intp)  # leading rows come first
     for level in np.split(np.argsort(depth, kind="stable"),
@@ -412,20 +431,22 @@ def _selected_diagonal(lu) -> np.ndarray:
         for who, a_idx, b_idx in _pair_chunks(*rect):
             a_pos, b_pos = base[who] + a_idx, base[who] + b_idx
             a, b = rows[a_pos], rows[b_pos]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            at = np.minimum(np.searchsorted(key, lo * n + hi), rows.size - 1)
-            z = np.where(a > b, z_low[at], z_up[at])
             same = a == b
+            want = np.minimum(a, b) * n + np.maximum(a, b)
+            at = np.minimum(np.searchsorted(key, want), key.size - 1)
+            if not np.all((key[at] == want) | same):
+                raise RuntimeError("the filled pattern misses a pair of a column's rows")
+            z = np.where(a > b, z_low[at], z_up[at])
             z[same] = z_diag[a[same]]
             acc_l += _segment_sum(local[who] + a_idx, z * lval[b_pos], entries.size)
             acc_u += _segment_sum(local[who] + b_idx, uval[a_pos] * z, entries.size)
         col = owner[entries]
-        x = -(share_l[entries] + acc_l)
+        x = -(z_low[entries] + acc_l)
         z_low[entries] = x
-        z_up[entries] = -(share_u[entries] + acc_u) / pivot[col]
+        z_up[entries] = -(z_up[entries] + acc_u) / pivot[col]
         z_diag[level] = (1.0 - _segment_sum(np.repeat(np.arange(level.size), c),
                                             uval[entries] * x, level.size)) / pivot[level]
-    return np.r_[z_diag, np.diagonal(Z)][perm]
+    return np.r_[z_diag, z_tail][perm]
 
 
 def _pair_chunks(who: np.ndarray, r0: np.ndarray, nr: np.ndarray, nc: np.ndarray):

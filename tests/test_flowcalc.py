@@ -198,7 +198,7 @@ class TestFundamentalMatrix:
             b = np.linspace(0.5, 1.5, n)
             B = np.column_stack([b, b[::-1], np.ones(n)])
             # threshold 8 sends the components above 8 nodes through the
-            # per-column sparse diagonal loop instead of a dense inverse
+            # selected inverse of a shifted factor instead of a dense inverse
             for threshold in (DENSE_THRESHOLD, 8):
                 fm = fundamental_matrix(tm, dense_threshold=threshold)
                 np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-10)
@@ -323,13 +323,14 @@ class TestFundamentalMatrix:
         """On drawn substochastic blocks, whatever mix of runs, dense
         groups and selected inversions the threshold makes, solves with one
         or several columns, both ways, and both diagonals match a dense
-        inverse. Each row keeps ``leak`` in ``rowsum + leak`` of its flow,
-        so a small leak makes U large and ill conditioned: tolerances are
-        1e-12 (diagonals) and 1e-10 (solves) relative per unit of the
-        largest row sum of U, the growth any double-precision inverse has.
-        The diagonals' reference inverts each SCC's own block, which holds
-        every walk from a node back to itself, so no rounding of the
-        structural zeros of U outside it enters diag(U^2).
+        inverse: 1e-10 relative for solves, 1e-12 for diagonals. Each row
+        keeps ``leak`` in ``rowsum + leak`` of its flow. A leak below 1
+        makes U large and ill conditioned, so there the bounds are scaled
+        by the largest row sum of U, the growth any double-precision
+        inverse, the reference's included, has. The diagonals' reference
+        inverts each SCC's own block, which holds every walk from a node
+        back to itself, so no rounding of the structural zeros of U
+        outside it enters diag(U^2).
         """
         W = np.zeros((n, n))
         for i, j, w in arcs:
@@ -345,7 +346,7 @@ class TestFundamentalMatrix:
             block = np.flatnonzero(labels == label)
             inv = np.linalg.inv(np.eye(block.size) - W[np.ix_(block, block)])
             diag_u[block], diag_u2[block] = np.diag(inv), np.einsum("ij,ji->i", inv, inv)
-        scale = max(1.0, float(np.abs(U).sum(axis=1).max()))
+        scale = 1.0 if leak == 1.0 else max(1.0, float(np.abs(U).sum(axis=1).max()))
         fm = fundamental_matrix(tm, dense_threshold=threshold)
         B = np.arange(1.0, 2 * n + 1).reshape(n, 2)
         for b in (B[:, 0], B):
@@ -371,7 +372,7 @@ class TestFundamentalMatrix:
         lower = sp.tril(lu.L, -1) != 0
         upper_t = sp.triu(lu.U, 1).T != 0
         assert (lower != upper_t).nnz > 0
-        cols, _ = _filled_pattern(lu.L, lu.U)
+        cols, _ = _filled_pattern(lu)
         assert sum(c.size for c in cols) > (lower + upper_t).nnz
         tm = TransitionMatrix(items=tuple("abcdefgh"), matrix=sp.csr_matrix(np.pad(W, 1)))
         fm = fundamental_matrix(tm, dense_threshold=threshold)
@@ -383,15 +384,18 @@ class TestFundamentalMatrix:
     def test_chunked_selected_inversion_agrees(self, monkeypatch):
         """Cutting the temporaries of the selected inversion to a few
         entries (pair rectangles into one-row bands of two pairs, the
-        trailing block's products into slices of 16 columns) leaves both
-        diagonals unchanged."""
+        trailing block's products into slices of 16 columns) and its
+        65-column dense trailing block into blocks of 5 columns leaves
+        both diagonals unchanged."""
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         tm = transition_matrix(build_flow_network(to_transition_edges(log)))
         whole = fundamental_matrix(tm, dense_threshold=8)
+        diag_u, diag_u2 = whole.diagonal(), whole.squared_diagonal()  # before the cut
         monkeypatch.setattr(_linalg, "_CHUNK_BYTES", 256)
+        monkeypatch.setattr(_linalg, "_BLOCK", 5)
         cut = fundamental_matrix(tm, dense_threshold=8)
-        np.testing.assert_allclose(cut.diagonal(), whole.diagonal(), rtol=1e-13)
-        np.testing.assert_allclose(cut.squared_diagonal(), whole.squared_diagonal(), rtol=1e-13)
+        np.testing.assert_allclose(cut.diagonal(), diag_u, rtol=1e-13)
+        np.testing.assert_allclose(cut.squared_diagonal(), diag_u2, rtol=1e-13)
 
     def test_diagonal_solves_nothing(self):
         """diag(U) and diag(U^2) of an SCC above the threshold come from
@@ -413,6 +417,27 @@ class TestFundamentalMatrix:
         fm._factored = [(nodes, _FactorProxy(lu, perm_r=np.roll(lu.perm_r, 1)))
                         for nodes, lu in fm._factored]
         with pytest.raises(RuntimeError, match="pivoted off its diagonal"):
+            fm.diagonal()
+
+    def test_pattern_missing_a_pair_is_refused(self, monkeypatch):
+        """The leading columns read Z at every pair of a column's rows from
+        the filled pattern; a pattern missing one raises instead of reading
+        a neighbouring entry."""
+        log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
+        tm = transition_matrix(build_flow_network(to_transition_edges(log)))
+        fm = fundamental_matrix(tm, dense_threshold=8)
+        closed = _linalg._filled_pattern
+
+        def missing_one(lu):
+            cols, parent = closed(lu)
+            # the first column whose last row a child shares: the child's pairs need it
+            j = next(j for j in range(len(cols)) if cols[j].size > 1 and any(
+                parent[c] == j and cols[j][-1] in cols[c] for c in range(j)))
+            cols[j] = cols[j][:-1]
+            return cols, parent
+
+        monkeypatch.setattr(_linalg, "_filled_pattern", missing_one)
+        with pytest.raises(RuntimeError, match="misses a pair"):
             fm.diagonal()
 
     @settings(max_examples=60, deadline=None)
