@@ -405,9 +405,10 @@ def _selected_diagonal(lu) -> np.ndarray:
     edges = np.searchsorted(rows[by_row], np.arange(t, n + width, width))
     for k, s0 in enumerate(range(t, n, width)):
         pick = by_row[edges[k] : edges[k + 1]]
-        at, cut = owner[pick], rows[pick] - s0
-        z_low[pick] = (lead_t @ Z[s0 - t : s0 - t + width].T)[at, cut]
-        z_up[pick] = (up_t @ Z[:, s0 - t : s0 - t + width])[at, cut]
+        need, at = np.unique(owner[pick], return_inverse=True)  # only these rows are read
+        cut = rows[pick] - s0
+        z_low[pick] = (lead_t[need] @ Z[s0 - t : s0 - t + width].T)[at, cut]
+        z_up[pick] = (up_t[need] @ Z[:, s0 - t : s0 - t + width])[at, cut]
     del Z, lead_t, up_t, by_row, tail
 
     # leading columns by depth below the chain: parents before children
