@@ -13,13 +13,15 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     EmptyInput,
     MalformedRecord,
     MissingTimestamps,
     NonMonotonicTimestampsWarning,
 )
-from .network import SINK, SOURCE
+from .network import SINK, SOURCE, split_columns
 
 
 @dataclass(frozen=True)
@@ -75,26 +77,95 @@ def parse_log(stream, fmt: LogFormat = LogFormat()) -> SessionLog:
     Raises MalformedRecord (bad column count, empty field, reserved item
     token, non-integer timestamp) or EmptyInput.
     """
+    lines = None
     if isinstance(stream, (bytes, bytearray)):
-        stream = io.StringIO(stream.decode("utf-8"))
-    elif isinstance(stream, str):
-        stream = io.StringIO(stream)
+        stream = stream.decode("utf-8")
+    if isinstance(stream, str):
+        text = stream
     elif hasattr(stream, "read") and isinstance(stream.read(0), bytes):
-        stream = io.TextIOWrapper(stream, encoding="utf-8")
+        data = stream.read()
+        try:
+            # with the universal newlines of a TextIOWrapper
+            text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        except UnicodeDecodeError:
+            # the rows before the undecodable chunk are checked first
+            return _parse_rows(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), fmt)
+    else:
+        lines = list(stream)  # split as the stream splits its lines
+        text = "".join(lines)
+    log = _parse_columns(text, fmt)
+    if log is None:
+        log = _parse_rows(io.StringIO(text) if lines is None else lines, fmt)
+    return log
 
-    reader = csv.reader(stream, delimiter=fmt.delimiter)
-    line_offset = 0
+
+def _warn_unsorted(user: str) -> None:
+    warnings.warn(
+        f"user {user!r}: timestamps not non-decreasing; re-sorting",
+        NonMonotonicTimestampsWarning,
+    )
+
+
+def _parse_columns(text: str, fmt: LogFormat) -> SessionLog | None:
+    """:func:`parse_log` of ``text``, every check run a column at a time;
+    None where :func:`split_columns` cannot split the text, a check fails
+    or a timestamp is outside int64.
+    """
+    columns = split_columns(text, fmt.delimiter, header=fmt.has_header, skip_empty=True)
+    if columns is None or len(columns) not in (2, 3):
+        return None
+    users, items = columns[0], columns[1]
+    if "" in users or "" in items or SOURCE in items or SINK in items:
+        return None
+    n = len(users)
+    stamps = None
+    if len(columns) == 3:
+        try:
+            stamps = np.fromiter(map(int, columns[2]), dtype=np.int64, count=n)
+        except (ValueError, OverflowError):
+            return None
+
+    # users in order of first appearance, each one's records in file order
+    # or stably by time
+    code = {user: k for k, user in enumerate(dict.fromkeys(users))}
+    user_code = np.fromiter(map(code.__getitem__, users), dtype=np.intp, count=n)
+    if stamps is None:
+        order = np.argsort(user_code, kind="stable")
+    else:
+        order = np.lexsort((stamps, user_code))
+    ends = np.cumsum(np.bincount(user_code)).tolist()
+    starts = [0, *ends[:-1]]
+    visits = list(map(items.__getitem__, order.tolist()))
+    sessions = {user: [visits[a:b]] for user, a, b in zip(code, starts, ends)}
+    times = None
+    if stamps is not None:
+        # the stable sort moves a user's records only where their stamps decrease
+        moved = np.diff(order) < 0
+        moved[np.array(starts[1:], dtype=np.intp) - 1] = False
+        by_code = list(code)
+        for k in np.unique(user_code[order[1:][moved]]).tolist():
+            _warn_unsorted(by_code[k])
+        sorted_stamps = stamps[order].tolist()
+        times = {user: [sorted_stamps[a:b]] for user, a, b in zip(code, starts, ends)}
+    return SessionLog(sessions=sessions, item_registry=set(items), timestamps=times, n_records=n)
+
+
+def _parse_rows(lines, fmt: LogFormat) -> SessionLog:
+    """:func:`parse_log` of an iterable of lines, read one csv row at a
+    time. A bad row raises its error, naming the row's last line.
+    """
+    reader = csv.reader(lines, delimiter=fmt.delimiter)
     if fmt.has_header:
         next(reader, None)
-        line_offset = 1
 
     users: list[str] = []
     records: dict[str, list[tuple[str, int | None]]] = {}
     n_columns: int | None = None
     n_records = 0
-    for lineno, row in enumerate(reader, start=line_offset + 1):
+    for row in reader:
         if not row:
             continue
+        lineno = reader.line_num
         if n_columns is None:
             if len(row) not in (2, 3):
                 raise MalformedRecord(lineno, f"expected 2 or 3 columns, got {len(row)}")
@@ -129,10 +200,7 @@ def parse_log(stream, fmt: LogFormat = LogFormat()) -> SessionLog:
         if with_time:
             stamps = [ts for _, ts in recs]
             if any(b < a for a, b in zip(stamps, stamps[1:])):
-                warnings.warn(
-                    f"user {user!r}: timestamps not non-decreasing; re-sorting",
-                    NonMonotonicTimestampsWarning,
-                )
+                _warn_unsorted(user)
             recs = sorted(recs, key=lambda rt: rt[1])
         sessions[user] = [[item for item, _ in recs]]
         if with_time:

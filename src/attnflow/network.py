@@ -9,6 +9,7 @@ validation, and the UTF-8 CSV/JSON artifact format of every module live here.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import warnings
@@ -366,6 +367,47 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
+def split_columns(text: str, delimiter: str = ",", header: bool = False,
+                  skip_empty: bool = False) -> list[list[str]] | None:
+    """The cells of the rows ``csv.reader`` reads from ``text``, a column
+    at a time: ``columns[k][r]`` is cell ``k`` of row ``r``. With ``header``
+    the first row is left out, and with ``skip_empty`` every empty row; no
+    rows give no columns.
+
+    Each row is one line split at ``delimiter``, which is what csv.reader
+    reads only when the text holds no ``"`` and no CR outside a CRLF, and
+    no line is longer than ``csv.field_size_limit()``. For such text, for
+    an empty row without ``skip_empty``, and for rows of more than one
+    width, this returns None and the caller reads the text with csv.reader.
+    """
+    if len(delimiter) != 1 or delimiter in '"\r\n' or '"' in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return None
+    if header:
+        del lines[:1]
+    if "" in lines:
+        if not skip_empty:
+            return None
+        lines = list(filter(None, lines))
+    if not lines:
+        return []
+    widths = set(map(str.count, lines, repeat(delimiter)))
+    if len(widths) != 1:
+        return None
+    width = widths.pop() + 1
+    cells = delimiter.join(lines).split(delimiter)
+    return [cells[k::width] for k in range(width)]
+
+
 def write_json(path, obj) -> None:
     """Write a JSON artifact: sorted keys, two-space indent, final newline."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -439,23 +481,35 @@ def _read_edge_rows(path) -> tuple[list[str], np.ndarray]:
     """The labels of every row of an edge file, as src0, dst0, src1, ...,
     and the rows' weights.
 
-    The rows are checked a column at a time. Only if a check fails are they
+    The rows are split by :func:`split_columns`, or by csv.reader where it
+    cannot, and checked a column at a time. Only if a check fails are they
     read again one by one, to raise the first bad row's error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if next(reader, None) is None:
-            raise InvalidEdge(f"{path}: empty edge file")
+        text = fh.read()
+    if not text:
+        raise InvalidEdge(f"{path}: empty edge file")
+    columns = split_columns(text, header=True)
+    if columns is None:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(reader)
         # every row's cells and then None, which no cell is, to mark where
         # the row ends; no row's list outlives the row
         cells = list(chain.from_iterable(chain.from_iterable(zip(reader, repeat((None,))))))
-    n = cells.count(None)
-    if len(cells) == 4 * n and cells[3::4].count(None) == n:  # three columns in every row
-        ends = [None] * (2 * n)
-        ends[0::2], ends[1::2], text = cells[0::4], cells[1::4], cells[2::4]
+        n = cells.count(None)
+        if len(cells) == 4 * n and cells[3::4].count(None) == n:  # three columns in every row
+            columns = [cells[0::4], cells[1::4], cells[2::4]]
         del cells
+    elif not columns:  # a header and no rows
+        columns = [[], [], []]
+    del text
+    if columns is not None and len(columns) == 3:
+        n = len(columns[0])
+        ends = [None] * (2 * n)
+        ends[0::2], ends[1::2], weights = columns
+        del columns
         try:
-            weight = np.fromiter(map(float, text), dtype=float, count=n)
+            weight = np.fromiter(map(float, weights), dtype=float, count=n)
         except ValueError:
             pass
         else:

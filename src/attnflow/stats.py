@@ -8,7 +8,11 @@ power-law exponents.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -120,9 +124,10 @@ def zipf_table(values, labels: tuple[str, ...] | None = None) -> list[tuple]:
     if x.size == 0:
         raise AllZero("empty input")
     order = np.argsort(-x, kind="stable")
+    ranks = range(1, x.size + 1)
     if labels is None:
-        return [(rank, float(x[i])) for rank, i in enumerate(order, start=1)]
-    return [(rank, labels[i], float(x[i])) for rank, i in enumerate(order, start=1)]
+        return list(zip(ranks, x[order].tolist()))
+    return list(zip(ranks, map(labels.__getitem__, order.tolist()), x[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,38 @@ def concentration(values, labels: tuple[str, ...] | None = None) -> Concentratio
     return ConcentrationReport(gini=gini(values), zipf=zipf_table(values, labels))
 
 
+class _PairValues(Mapping):
+    """A read-only mapping ``(labels[i], labels[j]) -> data``, held as the
+    arrays ``i``, ``j`` and ``data`` with one entry per pair. The dict
+    itself is made only when the pairs are read as a mapping; ``len()``
+    reads the array size.
+    """
+
+    def __init__(self, labels: tuple[str, ...], i: np.ndarray, j: np.ndarray, data: np.ndarray):
+        self.labels = labels
+        self.i = i
+        self.j = j
+        self.data = data
+
+    @cached_property
+    def _dict(self) -> dict:
+        first = map(self.labels.__getitem__, self.i.tolist())
+        second = map(self.labels.__getitem__, self.j.tolist())
+        return dict(zip(zip(first, second), self.data.tolist()))
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
+
+
 @dataclass(frozen=True)
 class DuplicationReport:
     """Audience-overlap network and its independence-filtered version.
@@ -150,24 +187,20 @@ class DuplicationReport:
     items: tuple[str, ...]
     n_users: int
     audience_sizes: dict[str, int]
-    observed: dict[tuple[str, str], int]
-    expected: dict[tuple[str, str], float]
-    kept: dict[tuple[str, str], int]
+    observed: Mapping[tuple[str, str], int]
+    expected: Mapping[tuple[str, str], float]
+    kept: Mapping[tuple[str, str], int]
 
     @property
     def degrees_before(self) -> dict[str, int]:
-        return self._degrees(self.observed)
+        return dict(zip(self.items, self._degrees(self.observed).tolist()))
 
     @property
     def degrees_after(self) -> dict[str, int]:
-        return self._degrees(self.kept)
+        return dict(zip(self.items, self._degrees(self.kept).tolist()))
 
-    def _degrees(self, edges) -> dict[str, int]:
-        deg = {item: 0 for item in self.items}
-        for a, b in edges:
-            deg[a] += 1
-            deg[b] += 1
-        return deg
+    def _degrees(self, edges: _PairValues) -> np.ndarray:
+        return np.bincount(np.concatenate((edges.i, edges.j)), minlength=len(self.items))
 
     def retained_fraction(self) -> float:
         return len(self.kept) / len(self.observed) if self.observed else 0.0
@@ -183,39 +216,33 @@ def duplication_filter(log: SessionLog) -> DuplicationReport:
     if len(items) < 2:
         raise InsufficientData("duplication filter needs at least 2 items")
     index = {item: i for i, item in enumerate(items)}
-    users = sorted(log.sessions)
-    n_users = len(users)
-    rows, cols = [], []
-    for u, user in enumerate(users):
-        seen = {index[item] for seq in log.sessions[user] for item in seq}
-        rows.extend([u] * len(seen))
-        cols.extend(sorted(seen))
-    member = sp.csr_matrix(
-        (np.ones(len(rows), dtype=np.int64), (rows, cols)),
-        shape=(n_users, len(items)),
+    sessions = list(map(log.sessions.__getitem__, sorted(log.sessions)))
+    n_users = len(sessions)
+    visits = [sum(map(len, seqs)) for seqs in sessions]
+    cols = np.fromiter(
+        map(index.__getitem__, chain.from_iterable(chain.from_iterable(sessions))),
+        dtype=np.intp, count=sum(visits),
     )
+    rows = np.repeat(np.arange(n_users), visits)
+    # one entry per (user, item): the CSR sums a user's repeat visits
+    member = sp.csr_matrix(
+        (np.ones(cols.size, dtype=np.int64), (rows, cols)), shape=(n_users, len(items))
+    )
+    member.data[:] = 1
+    # the pairs i < j in the order of the product's entries
     overlap = (member.T @ member).tocoo()
+    upper = overlap.row < overlap.col
+    i, j, count = overlap.row[upper], overlap.col[upper], overlap.data[upper]
     sizes = np.asarray(member.sum(axis=0)).ravel()
-    audience_sizes = {item: int(sizes[i]) for item, i in index.items()}
-    observed: dict[tuple[str, str], int] = {}
-    expected: dict[tuple[str, str], float] = {}
-    kept: dict[tuple[str, str], int] = {}
-    for i, j, count in zip(overlap.row, overlap.col, overlap.data):
-        if i >= j:
-            continue
-        pair = (items[i], items[j])
-        exp = sizes[i] * sizes[j] / n_users
-        observed[pair] = int(count)
-        expected[pair] = float(exp)
-        if count >= exp:
-            kept[pair] = int(count)
+    expected = sizes[i] * sizes[j] / n_users
+    kept = count >= expected
     return DuplicationReport(
         items=items,
         n_users=n_users,
-        audience_sizes=audience_sizes,
-        observed=observed,
-        expected=expected,
-        kept=kept,
+        audience_sizes=dict(zip(items, sizes.tolist())),
+        observed=_PairValues(items, i, j, count),
+        expected=_PairValues(items, i, j, expected),
+        kept=_PairValues(items, i[kept], j[kept], count[kept]),
     )
 
 
@@ -359,13 +386,15 @@ def regression_feature_table(
 
 def write_zipf_csv(path, table: list[tuple]) -> None:
     """Two-column rank,value plot data (labels, if present, are dropped)."""
-    write_csv(path, ["rank", "value"], ([row[0], repr(float(row[-1]))] for row in table))
+    values = map(repr, map(float, map(itemgetter(-1), table)))
+    write_csv(path, ["rank", "value"], zip(map(itemgetter(0), table), values))
 
 
 def write_duplication_csv(path, report: DuplicationReport) -> None:
-    before = report.degrees_before
-    after = report.degrees_after
-    rows = (
-        [item, report.audience_sizes[item], before[item], after[item]] for item in report.items
+    rows = zip(
+        report.items,
+        map(report.audience_sizes.__getitem__, report.items),
+        report._degrees(report.observed).tolist(),
+        report._degrees(report.kept).tolist(),
     )
     write_csv(path, ["item", "audience", "degree_before", "degree_after"], rows)

@@ -122,3 +122,66 @@ def child_env():
         package_root + os.pathsep + existing if existing else package_root
     )
     return env
+
+
+def _duplication_by_dicts(log) -> dict:
+    """The audience-overlap filter as one loop over the overlap pairs,
+    filling dicts: the reference for ``stats.duplication_filter``. Returns
+    the observed, expected and kept pairs, the degrees before and after,
+    the audience sizes, and the bytes of ``duplication.csv``.
+    """
+    import csv
+    import io
+
+    import scipy.sparse as sp
+
+    items = tuple(sorted(log.item_registry))
+    index = {item: i for i, item in enumerate(items)}
+    users = sorted(log.sessions)
+    rows, cols = [], []
+    for u, user in enumerate(users):
+        seen = {index[item] for seq in log.sessions[user] for item in seq}
+        rows.extend([u] * len(seen))
+        cols.extend(sorted(seen))
+    member = sp.csr_matrix(
+        (np.ones(len(rows), dtype=np.int64), (rows, cols)), shape=(len(users), len(items))
+    )
+    overlap = (member.T @ member).tocoo()
+    sizes = np.asarray(member.sum(axis=0)).ravel()
+    observed, expected, kept = {}, {}, {}
+    for i, j, count in zip(overlap.row, overlap.col, overlap.data):
+        if i >= j:
+            continue
+        pair = (items[i], items[j])
+        exp = sizes[i] * sizes[j] / len(users)
+        observed[pair] = int(count)
+        expected[pair] = float(exp)
+        if count >= exp:
+            kept[pair] = int(count)
+    degrees = []
+    for edges in (observed, kept):
+        deg = dict.fromkeys(items, 0)
+        for a, b in edges:
+            deg[a] += 1
+            deg[b] += 1
+        degrees.append(deg)
+    audience = {item: int(sizes[i]) for item, i in index.items()}
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(["item", "audience", "degree_before", "degree_after"])
+    writer.writerows([item, audience[item], degrees[0][item], degrees[1][item]] for item in items)
+    return {
+        "observed": observed,
+        "expected": expected,
+        "kept": kept,
+        "degrees_before": degrees[0],
+        "degrees_after": degrees[1],
+        "audience_sizes": audience,
+        "csv": text.getvalue().encode("utf-8"),
+    }
+
+
+@pytest.fixture(scope="session")
+def duplication_by_dicts():
+    """:func:`_duplication_by_dicts`, the dict-loop duplication filter."""
+    return _duplication_by_dicts

@@ -1,8 +1,9 @@
 """Log parsing, sessionization, and transition-edge extraction."""
 import io
+import warnings
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from attnflow import LogFormat, parse_log, sessionize, to_transition_edges
 from attnflow.errors import (
@@ -11,7 +12,7 @@ from attnflow.errors import (
     MissingTimestamps,
     NonMonotonicTimestampsWarning,
 )
-from attnflow.ingest import serialize_log
+from attnflow.ingest import _parse_columns, _parse_rows, serialize_log
 
 
 class TestParseLog:
@@ -68,6 +69,43 @@ class TestParseLog:
     def test_column_count_fixed_by_first_row(self):
         with pytest.raises(MalformedRecord):
             parse_log("u1,A,5\nu1,B\n")
+
+    @pytest.mark.parametrize("header", [False, True])
+    def test_error_names_the_line_after_a_multiline_field(self, header):
+        # the quoted item spans two lines, so the bad row is on the third
+        text = 'u1,"a\nb",5\nu2,,7\n'
+        fmt = LogFormat(has_header=header)
+        with pytest.raises(MalformedRecord, match=f"^line {3 + header}: empty user or item"):
+            parse_log("user,item,ts\n" * header + text, fmt)
+
+    def test_out_of_order_users_warn_in_user_order(self):
+        text = "u2,A,9\nu1,B,5\nu2,C,1\nu1,D,4\nu3,E,1\n"
+        with pytest.warns(NonMonotonicTimestampsWarning) as record:
+            log = parse_log(text)
+        assert [str(w.message) for w in record] == [
+            "user 'u2': timestamps not non-decreasing; re-sorting",
+            "user 'u1': timestamps not non-decreasing; re-sorting",
+        ]
+        assert list(log.sessions) == ["u2", "u1", "u3"]
+        assert log.sessions["u2"] == [["C", "A"]]
+        assert log.timestamps["u1"] == [[4, 5]]
+
+    def test_timestamps_beyond_int64_keep_python_ints(self):
+        with pytest.warns(NonMonotonicTimestampsWarning):
+            log = parse_log(f"u1,A,{2**70}\nu1,B,{-2**70}\n".encode())
+        assert log.sessions == {"u1": [["B", "A"]]}
+        assert log.timestamps == {"u1": [[-2**70, 2**70]]}
+
+    @pytest.mark.parametrize("text", [
+        "u1,A,5\nu2,B,7\n",
+        "user,item,ts\r\nu1,A,5\r\n\r\nu2,B,7",
+        "u1\tA\nu2\tB\n",
+    ])
+    def test_plain_text_is_read_a_column_at_a_time(self, text):
+        fmt = LogFormat(delimiter="\t" if "\t" in text else ",", has_header=text.startswith("user"))
+        log = _parse_columns(text, fmt)
+        assert log is not None
+        assert log.sessions == _parse_rows(io.StringIO(text), fmt).sessions
 
 
 class TestSessionize:
@@ -177,3 +215,65 @@ def test_session_closed_visit_conservation(sessions):
     edges = to_transition_edges(log, "session-closed")
     arrivals = sum(w for (_, d), w in edges.items() if d != "__sink__")
     assert arrivals == log.n_visits
+
+
+#: mostly well-formed cells, and each kind of cell a check refuses or
+#: that csv.reader reads differently from a split
+_label = st.sampled_from(
+    ["u", "v", "w", "A", "B", "uv", "AB", "é", " x", "x\ty"] * 3 + ["a,b", "", "__source__", 'q"t']
+)
+_stamp = st.sampled_from(
+    ["0", "3", "-4", "9", "12", "5", " 7", "1_0"] * 3 + [str(2**63), str(-2**63 - 1), "x", ""]
+)
+_user = st.sampled_from(["u", "v", "é w"] * 4 + ["", 'q"t'])
+#: a record and its width, 0 for the draw's own width
+_record = st.tuples(_user, _label, _stamp, st.sampled_from([0] * 8 + [1, 2, 3, 4]))
+
+
+def _outcome(parse, *args):
+    """What a parse returns or raises, and the warnings it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            log = parse(*args)
+        except Exception as exc:  # compared by type and text
+            result = (type(exc), str(exc))
+        else:
+            result = (
+                list(log.sessions.items()),
+                None if log.timestamps is None else list(log.timestamps.items()),
+                log.n_records,
+                log.item_registry,
+            )
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=500)
+@given(
+    st.lists(_record, max_size=8),
+    st.sampled_from([2, 3]),
+    st.sampled_from([",", "\t", "é"]),
+    st.booleans(),
+    st.sampled_from(["\n", "\r\n", "\n", "\r"]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_parse_log_matches_row_loop(records, width, delimiter, header, newline, blank, final):
+    """Every route of parse_log returns, raises and warns what the row loop
+    does on the same lines: text, bytes, a binary and a text stream.
+    """
+    rows = [delimiter.join(record[:own or width]) for *record, own in records]
+    if header:
+        rows.insert(0, delimiter.join(["user", "item", "ts"]))
+    if blank:
+        rows.insert(len(rows) // 2, "")
+    text = newline.join(rows) + (newline if final and rows else "")
+    fmt = LogFormat(delimiter=delimiter, has_header=header)
+    expected = _outcome(_parse_rows, io.StringIO(text), fmt)
+    assert _outcome(parse_log, text, fmt) == expected
+    assert _outcome(parse_log, text.encode(), fmt) == expected
+    wrapped = io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+    universal = _outcome(_parse_rows, wrapped, fmt)
+    assert _outcome(parse_log, io.BytesIO(text.encode()), fmt) == universal
+    untranslated = _outcome(_parse_rows, io.StringIO(text, newline=""), fmt)
+    assert _outcome(parse_log, io.StringIO(text, newline=""), fmt) == untranslated

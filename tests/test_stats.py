@@ -273,6 +273,61 @@ class TestDuplicationFilter:
             assert 0.35 <= report.retained_fraction() <= 0.65
 
 
+_audiences = st.dictionaries(
+    st.text(alphabet="uvwxyz", min_size=1, max_size=3),
+    st.lists(
+        st.lists(
+            st.sampled_from(["a", "b", "c", "d", "e,f", 'g"h', "é", "i j"]), min_size=1, max_size=5
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestDuplicationArrays:
+    """The array filter against the dict loop it replaced."""
+
+    @settings(max_examples=150)
+    @given(_audiences)
+    def test_matches_dict_loop(self, tmp_path_factory, duplication_by_dicts, sessions):
+        log = SessionLog(sessions=sessions)
+        if len(log.item_registry) < 2:
+            with pytest.raises(InsufficientData):
+                duplication_filter(log)
+            return
+        report = duplication_filter(log)
+        ref = duplication_by_dicts(log)
+        for name in ("observed", "kept"):
+            assert list(getattr(report, name).items()) == list(ref[name].items())
+        # the same pairs in the same order, each expectation bit for bit
+        assert [(pair, value.hex()) for pair, value in report.expected.items()] == [
+            (pair, value.hex()) for pair, value in ref["expected"].items()
+        ]
+        assert report.degrees_before == ref["degrees_before"]
+        assert report.degrees_after == ref["degrees_after"]
+        assert report.audience_sizes == ref["audience_sizes"]
+        assert report.retained_fraction() == (
+            len(ref["kept"]) / len(ref["observed"]) if ref["observed"] else 0.0
+        )
+        path = tmp_path_factory.mktemp("dup") / "duplication.csv"
+        write_duplication_csv(path, report)
+        assert path.read_bytes() == ref["csv"]
+
+    def test_len_builds_no_dict(self):
+        report = duplication_filter(
+            _audience_log({"u1": ["a", "b"], "u2": ["a", "b", "c"], "u3": ["c"]})
+        )
+        assert (len(report.observed), len(report.kept)) == (3, 1)
+        assert report.retained_fraction() == 1 / 3
+        for pairs in (report.observed, report.expected, report.kept):
+            assert "_dict" not in vars(pairs)
+        assert report.kept == {("a", "b"): 2}
+        assert "_dict" in vars(report.kept)
+
+
 class TestOlsRegress:
     def test_exact_line_no_intercept(self):
         x = np.arange(1.0, 11.0)

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from attnflow import parse_log, sessionize
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 #: Installs the benchmark's tracer on every target, runs ``pipeline`` on a
@@ -30,7 +32,7 @@ tracer.install(TARGETS)
 threshold = info["largest_scc"] // 2
 code = cli.main(["pipeline", "--input", log, "--out", sys.argv[2] + "/out",
                  "--gap-seconds", str(info["gap_seconds"]), "--dense-threshold", str(threshold)])
-print(json.dumps({"code": code, "missing": tracer.missing, "threshold": threshold,
+print(json.dumps({"code": code, "missing": tracer.missing, "threshold": threshold, "input": info,
                   "spans": sorted({span["name"] for span in tracer.spans}),
                   "metrics": layer_metrics(tracer.spans, tracer.counters)}))
 """
@@ -90,10 +92,12 @@ def test_network_work_runs_inside_traced_functions(monkeypatch, tmp_path):
     assert calls == {"balance": 2, "validate": 3, "drop_uncertified": 1}
 
 
-def test_traced_pipeline_records_every_layer(tmp_path, child_env):
-    """A solver refactor cannot silently blank the per-layer metrics: under
-    the benchmark's tracer every target resolves, the diagonals span is
-    recorded, and its largest-SCC counter reads the interior block.
+def test_traced_pipeline_records_every_layer(tmp_path, child_env, duplication_by_dicts):
+    """A refactor cannot silently blank the per-layer metrics: under the
+    benchmark's tracer every target resolves, the parse, duplication and
+    diagonals spans are recorded, the largest-SCC counter reads the
+    interior block, and the ingest and duplication counters read what the
+    input holds and what the dict-loop filter keeps of it.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_PIPELINE, str(TRACING.parent), str(tmp_path)],
@@ -103,5 +107,13 @@ def test_traced_pipeline_records_every_layer(tmp_path, child_env):
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["code"] == 0
     assert seen["missing"] == []
-    assert "linalg.diagonals" in seen["spans"]
-    assert seen["metrics"]["linalg.largest_scc"] > seen["threshold"] > 0
+    assert {"ingest.parse_log", "stats.duplication", "linalg.diagonals"} <= set(seen["spans"])
+    metrics = seen["metrics"]
+    assert metrics["linalg.largest_scc"] > seen["threshold"] > 0
+    assert metrics["ingest.records"] == seen["input"]["records"]
+    assert metrics["ingest.sessions"] == seen["input"]["sessions"]
+
+    with open(tmp_path / "sessions.csv", "rb") as fh:
+        log = sessionize(parse_log(fh), seen["input"]["gap_seconds"])
+    ref = duplication_by_dicts(log)
+    assert metrics["stats.dup_retained_frac"] == len(ref["kept"]) / len(ref["observed"])

@@ -1,12 +1,18 @@
 """The artifact format has one owner, the wire-format section of
 ``network.py``. An AST scan of ``src/attnflow/*.py`` checks that every
 text-mode ``open()`` names UTF-8 and that no other code writes JSON or CSV
-to a file.
+to a file. The section's tokenizer, ``split_columns``, reads what
+csv.reader reads or declines.
 """
 import ast
+import csv
+import io
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from attnflow.network import split_columns
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attnflow"
 SECTION = "# --- wire formats"
@@ -115,3 +121,92 @@ def test_writers_live_in_wire_format_section(path):
         assert section is not None and function.lineno > section, (
             f"{where}: {function.name} is not in the wire-format section"
         )
+
+
+def _csv_rows(text: str, delimiter: str, newline: str):
+    """csv.reader's rows of ``text`` split into lines in ``newline`` mode,
+    or the error it raises.
+    """
+    try:
+        return list(csv.reader(io.StringIO(text, newline=newline), delimiter=delimiter))
+    except csv.Error as exc:
+        return exc
+
+
+#: mostly plain cells, some a field-size limit of 4 or 6 refuses, and
+#: some that csv.reader reads differently from a split
+_CELL = st.sampled_from(
+    ["a", "b", "", " a", "\x00", "é", "ab", "\t", ";", "aaaa", "aaaaaa"] * 3
+    + ['"', '"a"', "\r", ",", "aaaaaaa"]
+)
+#: how many of a row's cells are written: -1 for the draw's width, 0 for
+#: an empty line
+_ROW_WIDTH = st.sampled_from([-1] * 8 + [0, 1, 2, 3])
+
+
+class TestSplitColumns:
+    @pytest.mark.parametrize("text, columns", [
+        ("a,b\r\nc,d\r\n", [["a", "c"], ["b", "d"]]),
+        ("a,b\nc,d", [["a", "c"], ["b", "d"]]),
+        ("a\x00,b\n", [["a\x00"], ["b"]]),
+        ("", []),
+        ("x\n", [["x"]]),
+    ])
+    def test_plain_text_is_split(self, text, columns):
+        assert split_columns(text) == columns
+
+    @pytest.mark.parametrize("text", [
+        'a,"b"\n',  # a quote
+        "a,b\rc,d\n",  # a CR outside a CRLF
+        "a,b\r",
+        "a,b\nc\n",  # two widths
+        "a,b\n\nc,d\n",  # an empty row
+    ])
+    def test_declines_what_csv_reads_otherwise(self, text):
+        assert split_columns(text) is None
+
+    def test_empty_rows_skipped_and_header_left_out(self):
+        text = "h\n\na,b\n\nc,d\n"
+        assert split_columns(text, header=True, skip_empty=True) == [["a", "c"], ["b", "d"]]
+        assert split_columns(text, skip_empty=True) is None  # the header has one cell
+        # the header is the first row even when it is empty
+        assert split_columns("\na,b\n", header=True) == [["a"], ["b"]]
+
+    def test_line_longer_than_the_field_limit(self):
+        limit = csv.field_size_limit()
+        assert split_columns("a" * limit + "\n") == [["a" * limit]]
+        assert split_columns("a" * (limit + 1) + "\n") is None
+
+    @settings(max_examples=400)
+    @given(
+        st.integers(1, 3),
+        st.lists(st.tuples(st.lists(_CELL, min_size=3, max_size=3), _ROW_WIDTH), max_size=6),
+        st.sampled_from([",", "\t", "é", ";"]),
+        st.sampled_from(["\n", "\r\n", "\r"]),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.sampled_from([4, 6, 131072]),
+    )
+    def test_where_it_splits_csv_reader_reads_the_same(
+        self, width, rows, delimiter, newline, final, header, skip_empty, limit
+    ):
+        """Drawn text holds quotes, CRLF and lone CRs, NUL, empty lines,
+        tab and non-ASCII delimiters, and fields at a lowered size limit.
+        """
+        lines = [delimiter.join(cells[:own if own >= 0 else width]) for cells, own in rows]
+        text = newline.join(lines) + (newline if final else "")
+        default = csv.field_size_limit(limit)
+        try:
+            columns = split_columns(text, delimiter, header, skip_empty)
+            expected = [_csv_rows(text, delimiter, mode) for mode in ("\n", "")]
+        finally:
+            csv.field_size_limit(default)
+        if columns is None:
+            return
+        assert expected[0] == expected[1]
+        expected = expected[0][1:] if header else expected[0]
+        if skip_empty:
+            expected = [row for row in expected if row]
+        assert [list(row) for row in zip(*columns)] == expected
+        assert not columns or all(len(column) == len(expected) for column in columns)
