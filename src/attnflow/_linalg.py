@@ -20,9 +20,16 @@ if TYPE_CHECKING:
 # for a substochastic W signals a closed recurrent component.
 PIVOT_TOL = 1e-12
 
-# Strongly connected components at or below this order get a dense
-# inverse, larger ones a sparse factor; a materialized U is refused above it.
-DENSE_THRESHOLD = 4096
+# Default bound on the order of a materialized U (matrix(), identity_residual()).
+DENSE_THRESHOLD = 2000
+
+# Strongly connected components at or below this order get a batched dense
+# inverse, larger ones a shifted sparse factor. Timed on session-log giant
+# SCCs (build, both diagonals and two solves; 2 cores, one BLAS thread):
+# 22 against 30 ms at 431-442 nodes, a tie at 569-592, and 620 against
+# 320 ms at 1.9k. The cut sits below the tie, on the side of the route
+# whose cost grows slower with size.
+_DENSE_ROUTE_MAX = 512
 
 # Imaginary shift h of the larger SCCs' factors of A - ihI, A = I - W:
 # (A - ihI)^-1 = U + ihU^2 + O(h^2), so one complex factor answers solves
@@ -102,7 +109,7 @@ class AbsorbingSolver:
     from one factorization per strongly connected component (SCC) of W.
 
     Ordered by SCC depth, I - W is block lower triangular (Duff & Reid, ACM
-    TOMS 4(2), 1978; KLU). SCCs up to ``dense_threshold`` nodes get dense
+    TOMS 4(2), 1978; KLU). SCCs up to _DENSE_ROUTE_MAX nodes get dense
     inverses, batched per depth and size into stacked arrays, larger ones a
     complex sparse LU of A - ihI, A their block of I - W and h = SHIFT
     (minimum degree on A^T + A, diagonal pivots), whose real part answers
@@ -111,8 +118,8 @@ class AbsorbingSolver:
     natural ordering, no pivoting and no fill. A solve substitutes forward
     over depths and runs, each adding its coupling rows (cut at build); a
     transpose solve runs backwards. A closed or numerically singular SCC
-    raises SingularSystem naming its nodes. U is materialized only up to
-    ``dense_threshold``.
+    raises SingularSystem naming its nodes. Only the route depends on SCC
+    size; ``dense_threshold`` bounds the order of a materialized U.
     """
 
     def __init__(self, tm: TransitionMatrix, dense_threshold: int = DENSE_THRESHOLD):
@@ -152,7 +159,7 @@ class AbsorbingSolver:
         inner = sp.csr_matrix((coo.data[~out], (rows[~out], cols[~out])), shape=(n, n))
 
         # a stage's blocks: its run, or its SCCs by size, each large SCC alone
-        alone = (nsize > dense_threshold) & ~is_run[stage]
+        alone = (nsize > _DENSE_ROUTE_MAX) & ~is_run[stage]
         key = np.stack([stage, nsize, np.where(alone, lab, -1)])
         ends = np.flatnonzero(np.diff(key, prepend=-2, append=-2).any(axis=0)).tolist()
         blocks: list[list] = [[] for _ in first]
@@ -162,7 +169,7 @@ class AbsorbingSolver:
             if is_run[i]:
                 factor = _sparse_factor(inner[a:z, a:z], nodes, permc_spec="NATURAL",
                                         diag_pivot_thresh=0, panel_size=1)
-            elif s > dense_threshold:
+            elif s > _DENSE_ROUTE_MAX:
                 factor = _sparse_factor(inner[a:z, a:z], nodes, 1.0 - 1j * SHIFT,
                                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0)
                 self._factored.append((nodes, factor))

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__
 from ._linalg import DENSE_THRESHOLD
 from .distance import (
-    PAIRWISE_CAP,
     pairwise_distances,
     source_distances,
     write_pairwise,
@@ -95,6 +94,14 @@ def _nonnegative_float(raw: str) -> float:
     return value
 
 
+def _positive_float(raw: str) -> float:
+    """A finite number > 0, such as a z-score threshold."""
+    value = float(raw)
+    if not (np.isfinite(value) and value > 0):
+        raise ValueError(f"expected a finite number > 0, got {raw!r}")
+    return value
+
+
 def _nonnegative_int(raw: str) -> int:
     """A whole number >= 0, such as a node-count bound."""
     value = int(raw)
@@ -132,7 +139,6 @@ def _setting(default, help: str, commands: tuple[str, ...] | None, parse=str, ch
 
 
 _LOG_READERS = ("ingest", "duplication", "pipeline")
-_SOLVER_READERS = ("stats", "distance", "regress", "compare", "pipeline")
 
 
 @dataclass
@@ -161,14 +167,8 @@ class RunConfig:
     header: bool = _setting(False, "log has a header row", (*_LOG_READERS, "generate"), _boolean)
     dense_threshold: int = _setting(
         DENSE_THRESHOLD,
-        "largest strongly connected component inverted densely; larger ones "
-        "get a sparse factor, for solves and diagonals alike. Also the largest "
-        "materialized U",
-        _SOLVER_READERS,
-        _nonnegative_int,
-    )
-    pairwise_cap: int = _setting(
-        PAIRWISE_CAP, "max nodes for pairwise distance matrices", ("distance", "pipeline"),
+        "most interior nodes for which U is materialized, as --pairwise does",
+        ("distance", "pipeline"),
         _nonnegative_int,
     )
     pairwise: bool = _setting(
@@ -176,7 +176,7 @@ class RunConfig:
     )
     seed: int = _setting(0, "random seed", ("simulate", "compare", "generate"), int)
     walkers: int = _setting(100_000, "walker count", ("simulate", "compare"), _count)
-    multiplier: float = _setting(3.0, "z-score threshold", ("compare",), float)
+    multiplier: float = _setting(3.0, "z-score threshold", ("compare",), _positive_float)
     family: str = _setting("random-cyclic", "generator family", ("generate",), choices=_FAMILIES)
     size: int = _setting(100, "node count", ("generate",), int)
     weight_scale: float = _setting(1.0, "base edge weight", ("generate",), float)
@@ -372,7 +372,7 @@ def _step_stats(run: Run) -> dict:
 def _step_distance(run: Run) -> dict:
     write_source_distances(run.art.path("source_distance.csv"), run.net.items, run.l0)
     if run.cfg.pairwise:
-        t, l, c = pairwise_distances(run.solver, run.cfg.pairwise_cap)
+        t, l, c = pairwise_distances(run.solver)
         write_pairwise(run.art.path("pairwise.csv"), run.net.items, t, l, c)
     return {}
 

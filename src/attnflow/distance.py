@@ -20,8 +20,6 @@ from .errors import UnreachablePair
 from .flowcalc import AbsorbingSolver
 from .network import cell, cells, reachable, write_csv
 
-PAIRWISE_CAP = 2000
-
 
 def _reachable_from_source(W: sp.csr_matrix, m0: np.ndarray) -> np.ndarray:
     """Interior nodes reachable from any node with source flow ``m0 > 0``.
@@ -70,21 +68,16 @@ def source_distances(fm: AbsorbingSolver) -> np.ndarray:
     return source_total_distances(fm) - return_times(fm)
 
 
-def pairwise_distances(
-    fm: AbsorbingSolver, cap: int = PAIRWISE_CAP
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pairwise_distances(fm: AbsorbingSolver) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense (t, l, c) matrices over interior nodes; NaN marks unreachable.
 
-    Materializes U, so it is capped; raise the cap explicitly for larger
-    networks if the memory cost is acceptable. U_ij is exactly zero iff no
-    interior path leads from i to j, so each row is masked by reachability
-    on the edge pattern, which separates structural zeros from roundoff.
+    Materializes U, so the solver's ``dense_threshold`` bounds it; build
+    the solver with a larger one if the memory cost is acceptable. U_ij is
+    exactly zero iff no interior path leads from i to j, so each row is
+    masked by reachability on the edge pattern, which separates structural
+    zeros from roundoff.
     """
     n = fm.n
-    if n > cap:
-        raise ValueError(
-            f"pairwise distances need a dense {n} x {n} matrix; over the cap of {cap}"
-        )
     U = fm.matrix()
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (U @ U) / U - 1.0

@@ -131,18 +131,14 @@ def _edge_sums(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return A, D, S
 
 
-def node_flows(
-    net: FlowNetwork,
-    fm: AbsorbingSolver | None = None,
-    dense_threshold: int = DENSE_THRESHOLD,
-) -> NodeFlowStats:
+def node_flows(net: FlowNetwork, fm: AbsorbingSolver | None = None) -> NodeFlowStats:
     """Compute all per-node flow quantities for a balanced network.
 
     Needs only a handful of solves against one factorization, so it scales
     to large sparse networks without forming U.
     """
     if fm is None:
-        fm = fundamental_matrix(transition_matrix(net), dense_threshold)
+        fm = fundamental_matrix(transition_matrix(net))
     A, D, S = _edge_sums(net)
     phi = fm.solve_transpose(S)
     C = phi * fm.row_sums() / fm.diagonal()

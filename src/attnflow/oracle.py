@@ -23,6 +23,9 @@ from .network import FlowNetwork, build_flow_network, cell, validate, write_csv
 
 STEP_CAP = 1_000_000
 
+# compare() passes when every quantity's share of passing nodes reaches this.
+MIN_PASS_FRACTION = 0.95
+
 # Fixes the batch size, and with it how walkers are split over the
 # SeedSequence child streams. Changing the value changes every simulated
 # tally for a given seed, so it must stay as it is.
@@ -536,13 +539,12 @@ def compare(
     stats: NodeFlowStats,
     source_distance: np.ndarray | None = None,
     multiplier: float = 3.0,
-    min_pass_fraction: float = 0.95,
 ) -> ComparisonReport:
     """z-score the simulator against analytic per-node values.
 
     Covers through-flow, dissipation, and (when given) source distances;
     a node passes a quantity when |z| <= multiplier, and the report
-    passes when every quantity's pass fraction reaches min_pass_fraction.
+    passes when every quantity's pass fraction reaches MIN_PASS_FRACTION.
     """
     if est.items != stats.items:
         raise MismatchedNetworks(
@@ -585,7 +587,7 @@ def compare(
         multiplier=multiplier,
         pass_fraction=fractions,
         overall_pass_fraction=overall,
-        passed=all(f >= min_pass_fraction for f in fractions.values()),
+        passed=all(f >= MIN_PASS_FRACTION for f in fractions.values()),
         worst=tuple(offenders[:5]),
     )
 

@@ -2,6 +2,7 @@
 of random certified networks (mixed acyclic and cyclic).
 """
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import settings
 
 import attnflow
+from attnflow import _linalg
 from attnflow import (
     GeneratorSpec,
     build_flow_network,
@@ -105,6 +107,22 @@ def balanced_cyclic_net():
     )
     assert validate(net).certified
     return net
+
+
+@pytest.fixture(scope="session")
+def dense_route_max():
+    """``with dense_route_max(k):`` solvers built in the block give each
+    SCC of up to k nodes a dense inverse and each larger one a shifted
+    sparse factor, as if ``_linalg._DENSE_ROUTE_MAX`` were k.
+    """
+
+    @contextmanager
+    def route_max(k: int):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_linalg, "_DENSE_ROUTE_MAX", k)
+            yield
+
+    return route_max
 
 
 @pytest.fixture(scope="session")

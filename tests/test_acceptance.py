@@ -31,6 +31,7 @@ from attnflow import (
     transition_matrix,
     validate,
 )
+from attnflow._linalg import _DENSE_ROUTE_MAX
 
 
 @pytest.fixture
@@ -361,7 +362,7 @@ def test_c11_pipeline_determinism(scale_network, tmp_path, check, child_env):
 
 
 def test_c12_giant_scc_selected_inversion(check):
-    """A session log's giant SCC above the dense threshold: diag(U) and
+    """A session log's giant SCC above the dense route's cut: diag(U) and
     diag(U^2), read from the selected inverse of its one shifted factor,
     match a dense inverse, and C and l_source are finite.
     """
@@ -369,14 +370,14 @@ def test_c12_giant_scc_selected_inversion(check):
     net, _ = certify(build_flow_network(to_transition_edges(log)))
     tm = transition_matrix(net)
     n = tm.n_interior
-    fm = fundamental_matrix(tm, dense_threshold=256)
+    fm = fundamental_matrix(tm)
     (giant, _), = fm._factored
     U = np.linalg.inv(np.eye(n) - tm.interior.toarray())
     err_u = float(np.abs(fm.diagonal() / np.diag(U) - 1).max())
     err_u2 = float(np.abs(fm.squared_diagonal() / np.einsum("ij,ji->i", U, U) - 1).max())
     stats = node_flows(net, fm)
     finite = bool(np.isfinite(stats.impact).all() and np.isfinite(source_distances(fm)).all())
-    ok = giant.size > 256 and max(err_u, err_u2) <= 1e-12 and finite
+    ok = giant.size > _DENSE_ROUTE_MAX and max(err_u, err_u2) <= 1e-12 and finite
     check(
         "12 giant-scc-diagonals",
         ok,

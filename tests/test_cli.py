@@ -142,9 +142,8 @@ READERS = {
     "gap_seconds": (LOG_READERS, "60"),
     "delimiter": (LOG_READERS + ("generate",), ";"),
     "header": (LOG_READERS + ("generate",), None),
-    "dense_threshold": (("stats", "distance", "regress", "compare", "pipeline"), "32"),
+    "dense_threshold": (("distance", "pipeline"), "32"),
     "pairwise": (("distance", "pipeline"), None),
-    "pairwise_cap": (("distance", "pipeline"), "10"),
     "seed": (("simulate", "compare", "generate"), "7"),
     "walkers": (("simulate", "compare"), "1e3"),
     "multiplier": (("compare",), "2.5"),
@@ -214,6 +213,7 @@ class TestSettings:
             ["stats", "--pairwise-cap", "10"],
             ["generate", "--input", "in.csv"],
             ["duplication", "--mode", "residual"],
+            ["stats", "--dense-threshold", "32"],
         ],
     )
     def test_dropped_flag_exits_2(self, argv, capsys):
@@ -233,9 +233,12 @@ class TestSettings:
             ("ingest", "delimiter", "ab"),
             ("pipeline", "gap_seconds", "-5"),
             ("ingest", "gap_seconds", "nan"),
-            ("stats", "dense_threshold", "-3"),
-            ("distance", "pairwise_cap", "-1"),
+            ("distance", "dense_threshold", "-3"),
             ("generate", "avg_degree", "-1"),
+            ("compare", "multiplier", "inf"),
+            ("compare", "multiplier", "nan"),
+            ("compare", "multiplier", "-1"),
+            ("compare", "multiplier", "0"),
         ],
     )
     def test_bad_value_names_file_line_and_key(self, tmp_path, capsys, command, key, raw):
@@ -641,17 +644,17 @@ class TestPipeline:
 
 
     def test_pairwise_over_cap_fails_pipeline(self, tmp_path, network_dir, capsys):
-        """With ``pairwise = true`` a network above the pairwise cap fails
-        the whole pipeline, as it fails ``distance --pairwise``.
+        """With ``pairwise = true`` a network above ``--dense-threshold``
+        nodes fails the whole pipeline, as it fails ``distance --pairwise``.
         """
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("pairwise = true\npairwise-cap = 10\n")
+        cfg.write_text("pairwise = true\ndense-threshold = 10\n")
         out = tmp_path / "pp"
         network = network_dir / "network.csv"
         args = ["--input", network, "--config", cfg, "--out", out]
         assert run(["pipeline", "--input-kind", "network"] + args) == 1
         err = capsys.readouterr().err
-        assert err.startswith("ValueError: pairwise distances need a dense 60 x 60")
+        assert err == "MemoryError: dense fundamental matrix of order 60 exceeds threshold 10\n"
         assert os.listdir(out) == []
         assert run(["distance"] + args) == 1
         assert capsys.readouterr().err == err

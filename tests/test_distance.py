@@ -267,9 +267,10 @@ class TestPairwise:
         assert c[0, 0] == 0.0
 
     def test_cap(self, balanced_cyclic_net):
-        fm = _fm(balanced_cyclic_net)
-        with pytest.raises(ValueError, match="cap"):
-            pairwise_distances(fm, cap=10)
+        """The solver's dense threshold is the only bound on the table."""
+        fm = fundamental_matrix(transition_matrix(balanced_cyclic_net), dense_threshold=10)
+        with pytest.raises(MemoryError, match="order 60 exceeds threshold 10"):
+            pairwise_distances(fm)
 
     @staticmethod
     def _check_mask(fm):

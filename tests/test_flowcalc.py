@@ -36,7 +36,7 @@ from attnflow import (
     write_stats_csv,
 )
 from attnflow import _linalg
-from attnflow._linalg import PIVOT_TOL, SHIFT, _filled_pattern
+from attnflow._linalg import _DENSE_ROUTE_MAX, PIVOT_TOL, SHIFT, _filled_pattern
 
 
 class _FactorProxy:
@@ -53,6 +53,26 @@ class _FactorProxy:
 
     def __getattr__(self, name):
         return getattr(self._lu, name)
+
+
+def _record_factorizations(monkeypatch) -> list:
+    """A list to which each later call of splu appends (order, permc_spec),
+    each SCC decomposition "scc" and each np.linalg.inv the order inverted."""
+    calls = []
+
+    def counted(func, record):
+        def wrapper(*args, **kwargs):
+            calls.append(record(*args, **kwargs))
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(spla, "splu", counted(
+        spla.splu, lambda A, permc_spec=None, **kw: (A.shape[0], permc_spec)))
+    monkeypatch.setattr(csgraph, "connected_components", counted(
+        csgraph.connected_components, lambda *a, **kw: "scc"))
+    monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, lambda A: A.shape[-1]))
+    return calls
 
 
 def _neumann_series(W, tol=1e-15, max_terms=5000) -> np.ndarray:
@@ -186,7 +206,7 @@ class TestFundamentalMatrix:
             fm.squared_diagonal(), np.diag(U @ U), rtol=1e-10
         )
 
-    def test_sparse_path_matches_dense(self, balanced_cyclic_net):
+    def test_sparse_path_matches_dense(self, balanced_cyclic_net, dense_route_max):
         # a session log's hub items tie almost every item into one giant SCC
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         session_net = build_flow_network(to_transition_edges(log))
@@ -197,10 +217,11 @@ class TestFundamentalMatrix:
             U = np.linalg.inv(np.eye(n) - tm.interior.toarray())
             b = np.linspace(0.5, 1.5, n)
             B = np.column_stack([b, b[::-1], np.ones(n)])
-            # threshold 8 sends the components above 8 nodes through the
+            # a route cut at 8 sends the components above 8 nodes through the
             # selected inverse of a shifted factor instead of a dense inverse
-            for threshold in (DENSE_THRESHOLD, 8):
-                fm = fundamental_matrix(tm, dense_threshold=threshold)
+            for route_max in (_DENSE_ROUTE_MAX, 8):
+                with dense_route_max(route_max):
+                    fm = fundamental_matrix(tm)
                 np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-10)
                 np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-10)
                 np.testing.assert_allclose(fm.solve(B), U @ B, rtol=1e-10)
@@ -210,12 +231,12 @@ class TestFundamentalMatrix:
                     fm.squared_diagonal(), np.diag(U @ U), rtol=1e-10
                 )
 
-    def test_one_scc_decomposition(self, monkeypatch):
+    def test_one_scc_decomposition(self, monkeypatch, dense_route_max):
         """One SCC pass; each SCC takes its route. The singleton run a -> b
         -> c (depths 4, 3, 2) gets one pivot-free triangular factor; the
         3-cycle d-e-f (depth 1), the 2-cycle x-y (depth 0) and the
         singleton g beside it (depth 0) get batched dense inverses up to
-        each threshold tried and a sparse factor above it. diagonal()
+        each route cut tried and a sparse factor above it. diagonal()
         factors nothing, and every answer matches a dense inverse.
         """
         net = build_flow_network(
@@ -226,30 +247,18 @@ class TestFundamentalMatrix:
         )
         tm = transition_matrix(net)
         U = np.linalg.inv(np.eye(tm.n_interior) - tm.interior.toarray())
-        calls = []
-
-        def counted(func, record):
-            def wrapper(*args, **kwargs):
-                calls.append(record(*args, **kwargs))
-                return func(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(spla, "splu", counted(
-            spla.splu, lambda A, permc_spec=None, **kw: (A.shape[0], permc_spec)))
-        monkeypatch.setattr(csgraph, "connected_components", counted(
-            csgraph.connected_components, lambda *a, **kw: "scc"))
-        monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, lambda A: A.shape[-1]))
+        calls = _record_factorizations(monkeypatch)
         b = np.arange(1.0, tm.n_interior + 1)
-        for threshold, factors, inverses in [
-            (DENSE_THRESHOLD, [(3, "NATURAL")], [1, 2, 3]),
+        for route_max, factors, inverses in [
+            (_DENSE_ROUTE_MAX, [(3, "NATURAL")], [1, 2, 3]),
             (2, [(3, "NATURAL"), (3, "MMD_AT_PLUS_A")], [1, 2]),
             (1, [(3, "NATURAL"), (3, "MMD_AT_PLUS_A"), (2, "MMD_AT_PLUS_A")], [1]),
             (0, [(3, "NATURAL"), (3, "MMD_AT_PLUS_A"), (2, "MMD_AT_PLUS_A"),
                  (1, "MMD_AT_PLUS_A")], []),
         ]:
             del calls[:]
-            fm = fundamental_matrix(tm, dense_threshold=threshold)
+            with dense_route_max(route_max):
+                fm = fundamental_matrix(tm)
             assert calls[0] == "scc" and "scc" not in calls[1:]
             assert sorted(c for c in calls if isinstance(c, tuple)) == sorted(factors)
             assert sorted(c for c in calls if isinstance(c, int)) == inverses
@@ -260,8 +269,29 @@ class TestFundamentalMatrix:
             np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-12)
             np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-12)
 
-    @pytest.mark.parametrize("threshold", [DENSE_THRESHOLD, 2])
-    def test_closed_scc_among_open_ones_is_named(self, threshold):
+    @pytest.mark.parametrize("extra, factors, inverses", [
+        (0, [], [_DENSE_ROUTE_MAX]),
+        (1, [(_DENSE_ROUTE_MAX + 1, "MMD_AT_PLUS_A")], []),
+    ])
+    def test_default_route_cut(self, monkeypatch, extra, factors, inverses):
+        """With the route cut as shipped, a leaky cycle of _DENSE_ROUTE_MAX
+        nodes gets one dense inverse and a cycle of one node more one
+        shifted sparse factor, ordered by minimum degree."""
+        n = _DENSE_ROUTE_MAX + extra
+        M = sp.lil_matrix((n + 2, n + 2))
+        M[0, 1] = 1.0
+        for i in range(1, n + 1):
+            M[i, i % n + 1] = M[i, n + 1] = 0.5
+        tm = TransitionMatrix(items=tuple(map(str, range(n))), matrix=M.tocsr())
+        calls = _record_factorizations(monkeypatch)
+        fundamental_matrix(tm)
+        assert calls[0] == "scc"
+        assert [c for c in calls if isinstance(c, tuple)] == factors
+        assert [c for c in calls if isinstance(c, int)] == inverses
+
+    # a route cut at 4096 inverts every SCC here densely
+    @pytest.mark.parametrize("route_max", [4096, 2])
+    def test_closed_scc_among_open_ones_is_named(self, route_max, dense_route_max):
         # open: the chain a -> b, the leaky 2-cycle x-y and the 3-cycle
         # d-e-f that escapes into a; closed: the 3-cycle k-l-m fed by b
         net = build_flow_network(
@@ -270,12 +300,12 @@ class TestFundamentalMatrix:
              ("d", "e", 1), ("e", "f", 1), ("f", "d", 1), ("f", "a", 1),
              ("__source__", "x", 1), ("x", "y", 1), ("y", "x", 1), ("y", "__sink__", 1)]
         )
-        with pytest.raises(SingularSystem) as exc:
-            fundamental_matrix(transition_matrix(net), dense_threshold=threshold)
+        with pytest.raises(SingularSystem) as exc, dense_route_max(route_max):
+            fundamental_matrix(transition_matrix(net))
         assert sorted(net.items[i] for i in exc.value.component) == ["k", "l", "m"]
 
     @pytest.mark.parametrize("chained", [True, False])
-    def test_near_unit_self_loop_is_singular(self, chained):
+    def test_near_unit_self_loop_is_singular(self, chained, dense_route_max):
         # X keeps 1 - 1e-13 of its walkers; chained, it sits in the
         # singleton run a -> X -> b and passes the rest on to b
         items = ("a", "X", "b") if chained else ("X",)
@@ -287,13 +317,13 @@ class TestFundamentalMatrix:
             M[i, i + 1] = 1.0
         M[x, x], M[x, x + 1] = 1.0 - 1e-13, 1e-13
         tm = TransitionMatrix(items=items, matrix=M.tocsr())
-        for threshold in (DENSE_THRESHOLD, 1):
-            with pytest.raises(SingularSystem) as exc:
-                fundamental_matrix(tm, dense_threshold=threshold)
+        for route_max in (_DENSE_ROUTE_MAX, 1):
+            with pytest.raises(SingularSystem) as exc, dense_route_max(route_max):
+                fundamental_matrix(tm)
             assert exc.value.component == (x - 1,)
 
-    @pytest.mark.parametrize("threshold", [DENSE_THRESHOLD, 1])
-    def test_near_closed_block_is_refused_by_its_factor(self, threshold):
+    @pytest.mark.parametrize("route_max", [4096, 1])
+    def test_near_closed_block_is_refused_by_its_factor(self, route_max, dense_route_max):
         # the 2-cycle {0, 1} keeps 1 - 1e-13 per step and its only way out
         # is an explicitly stored zero, so only its inverse or its factor
         # can tell that it is singular
@@ -306,8 +336,8 @@ class TestFundamentalMatrix:
                      [None, W, sp.csr_matrix(np.array([[1e-13], [1e-13], [0.5]]))],
                      [sp.csr_matrix((1, 1)), None, None]]).tocsr()
         tm = TransitionMatrix(items=("u", "v", "w"), matrix=M)
-        with pytest.raises(SingularSystem) as exc:
-            fundamental_matrix(tm, dense_threshold=threshold)
+        with pytest.raises(SingularSystem) as exc, dense_route_max(route_max):
+            fundamental_matrix(tm)
         assert exc.value.component == (0, 1)
         assert exc.value.min_pivot < PIVOT_TOL
 
@@ -316,12 +346,13 @@ class TestFundamentalMatrix:
         n=st.integers(min_value=1, max_value=24),
         arcs=st.lists(st.tuples(st.integers(0, 23), st.integers(0, 23), st.integers(1, 4)),
                       max_size=60),
-        threshold=st.sampled_from([0, 1, 2, 3, DENSE_THRESHOLD]),
+        route_max=st.sampled_from([0, 1, 2, 3, _DENSE_ROUTE_MAX]),
         leak=st.sampled_from([1.0, 1e-3, 1e-6, 1e-9]),
     )
-    def test_every_route_matches_a_dense_inverse(self, n, arcs, threshold, leak):
+    def test_every_route_matches_a_dense_inverse(self, n, arcs, route_max, leak,
+                                                 dense_route_max):
         """On drawn substochastic blocks, whatever mix of runs, dense
-        groups and selected inversions the threshold makes, solves with one
+        groups and selected inversions the route cut makes, solves with one
         or several columns, both ways, and both diagonals match a dense
         inverse: 1e-10 relative for solves, 1e-12 for diagonals. Each row
         keeps ``leak`` in ``rowsum + leak`` of its flow. A leak below 1
@@ -347,7 +378,8 @@ class TestFundamentalMatrix:
             inv = np.linalg.inv(np.eye(block.size) - W[np.ix_(block, block)])
             diag_u[block], diag_u2[block] = np.diag(inv), np.einsum("ij,ji->i", inv, inv)
         scale = 1.0 if leak == 1.0 else max(1.0, float(np.abs(U).sum(axis=1).max()))
-        fm = fundamental_matrix(tm, dense_threshold=threshold)
+        with dense_route_max(route_max):
+            fm = fundamental_matrix(tm)
         B = np.arange(1.0, 2 * n + 1).reshape(n, 2)
         for b in (B[:, 0], B):
             np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-10 * scale)
@@ -355,12 +387,12 @@ class TestFundamentalMatrix:
         np.testing.assert_allclose(fm.diagonal(), diag_u, rtol=1e-12 * scale)
         np.testing.assert_allclose(fm.squared_diagonal(), diag_u2, rtol=1e-12 * scale)
 
-    @pytest.mark.parametrize("threshold", [0, 1, 2])
-    def test_selected_inversion_closes_the_pattern(self, threshold):
+    @pytest.mark.parametrize("route_max", [0, 1, 2])
+    def test_selected_inversion_closes_the_pattern(self, route_max, dense_route_max):
         """A directed 8-cycle with three chords: its shifted factor's L and
         U^T patterns differ, and closing their union along the elimination
         tree adds an entry. Both diagonals still match a dense inverse to
-        1e-12, with one SCC above each threshold.
+        1e-12, with one SCC above each route cut.
         """
         n = 8
         W = np.zeros((n, n))
@@ -375,13 +407,14 @@ class TestFundamentalMatrix:
         cols, _ = _filled_pattern(lu)
         assert sum(c.size for c in cols) > (lower + upper_t).nnz
         tm = TransitionMatrix(items=tuple("abcdefgh"), matrix=sp.csr_matrix(np.pad(W, 1)))
-        fm = fundamental_matrix(tm, dense_threshold=threshold)
+        with dense_route_max(route_max):
+            fm = fundamental_matrix(tm)
         assert [nodes.size for nodes, _ in fm._factored] == [n]
         U = np.linalg.inv(np.eye(n) - W)
         np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-12)
         np.testing.assert_allclose(fm.squared_diagonal(), np.diag(U @ U), rtol=1e-12)
 
-    def test_chunked_selected_inversion_agrees(self, monkeypatch):
+    def test_chunked_selected_inversion_agrees(self, monkeypatch, dense_route_max):
         """Cutting the temporaries of the selected inversion to a few
         entries (pair rectangles into one-row bands of two pairs, the
         trailing block's products into slices of 16 columns) and its
@@ -389,43 +422,47 @@ class TestFundamentalMatrix:
         both diagonals unchanged."""
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         tm = transition_matrix(build_flow_network(to_transition_edges(log)))
-        whole = fundamental_matrix(tm, dense_threshold=8)
-        diag_u, diag_u2 = whole.diagonal(), whole.squared_diagonal()  # before the cut
-        monkeypatch.setattr(_linalg, "_CHUNK_BYTES", 256)
-        monkeypatch.setattr(_linalg, "_BLOCK", 5)
-        cut = fundamental_matrix(tm, dense_threshold=8)
+        with dense_route_max(8):
+            whole = fundamental_matrix(tm)
+            diag_u, diag_u2 = whole.diagonal(), whole.squared_diagonal()  # before the cut
+            monkeypatch.setattr(_linalg, "_CHUNK_BYTES", 256)
+            monkeypatch.setattr(_linalg, "_BLOCK", 5)
+            cut = fundamental_matrix(tm)
         np.testing.assert_allclose(cut.diagonal(), diag_u, rtol=1e-13)
         np.testing.assert_allclose(cut.squared_diagonal(), diag_u2, rtol=1e-13)
 
-    def test_diagonal_solves_nothing(self):
-        """diag(U) and diag(U^2) of an SCC above the threshold come from
+    def test_diagonal_solves_nothing(self, dense_route_max):
+        """diag(U) and diag(U^2) of an SCC above the route cut come from
         its factor's L and U alone: no SuperLU solve, one column or many."""
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         tm = transition_matrix(build_flow_network(to_transition_edges(log)))
-        fm = fundamental_matrix(tm, dense_threshold=8)
+        with dense_route_max(8):
+            fm = fundamental_matrix(tm)
         proxies = [_FactorProxy(lu) for _, lu in fm._factored]
         fm._factored = [(nodes, proxy) for (nodes, _), proxy in zip(fm._factored, proxies)]
         fm.diagonal()
         assert proxies and all(proxy.solves == 0 for proxy in proxies)
 
-    def test_off_diagonal_pivoting_is_refused(self):
+    def test_off_diagonal_pivoting_is_refused(self, dense_route_max):
         """The selected inverse reads one symmetric permutation of the
         factor; a factor whose row and column orders differ raises."""
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         tm = transition_matrix(build_flow_network(to_transition_edges(log)))
-        fm = fundamental_matrix(tm, dense_threshold=8)
+        with dense_route_max(8):
+            fm = fundamental_matrix(tm)
         fm._factored = [(nodes, _FactorProxy(lu, perm_r=np.roll(lu.perm_r, 1)))
                         for nodes, lu in fm._factored]
         with pytest.raises(RuntimeError, match="pivoted off its diagonal"):
             fm.diagonal()
 
-    def test_pattern_missing_a_pair_is_refused(self, monkeypatch):
+    def test_pattern_missing_a_pair_is_refused(self, monkeypatch, dense_route_max):
         """The leading columns read Z at every pair of a column's rows from
         the filled pattern; a pattern missing one raises instead of reading
         a neighbouring entry."""
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         tm = transition_matrix(build_flow_network(to_transition_edges(log)))
-        fm = fundamental_matrix(tm, dense_threshold=8)
+        with dense_route_max(8):
+            fm = fundamental_matrix(tm)
         closed = _linalg._filled_pattern
 
         def missing_one(lu):
@@ -604,16 +641,19 @@ class TestNodeFlows:
         recirculation=st.sampled_from([0.0, 0.1, 0.3, 0.5]),
         avg_degree=st.floats(min_value=1.0, max_value=5.0),
     )
-    def test_conservation_at_documented_tolerance(self, seed, size, recirculation, avg_degree):
+    def test_conservation_at_documented_tolerance(self, seed, size, recirculation, avg_degree,
+                                                  dense_route_max):
         """phi = A to 1e-9 on certified networks, whichever route each SCC
-        takes: threshold 1 factors every cycle sparsely, 2 and 4096 invert
-        small ones densely; runs of one-node SCCs are factored whole.
+        takes: a route cut at 1 factors every cycle sparsely, at 2 and at
+        the default small ones are inverted densely; runs of one-node SCCs
+        are factored whole.
         """
         net = generate(GeneratorSpec(family="random-cyclic", size=size, seed=seed,
                                      recirculation=recirculation, avg_degree=avg_degree))
         assert validate(net).certified
-        for threshold in (1, 2, 4096):
-            assert node_flows(net, dense_threshold=threshold).flux_residual() <= 1e-9
+        for route_max in (1, 2, _DENSE_ROUTE_MAX):
+            with dense_route_max(route_max):
+                assert node_flows(net).flux_residual() <= 1e-9
 
 
 class TestStatsCsv:
@@ -655,9 +695,9 @@ class TestStatsCsv:
         assert p1.read_bytes() == p2.read_bytes()
 
 
-def _calculus(net, dense_threshold):
+def _calculus(net):
     """W and every per-node output of the calculus, l_source included."""
-    fm = fundamental_matrix(transition_matrix(net), dense_threshold)
+    fm = fundamental_matrix(transition_matrix(net))
     return fm.transition.matrix, node_flows(net, fm).columns(), source_distances(fm)
 
 
@@ -677,21 +717,22 @@ class TestMetamorphic:
 
     @pytest.mark.parametrize("seed", _CYCLIC_SEEDS)
     @pytest.mark.parametrize("k", [-3, 7, 40])
-    def test_power_of_two_scaling_is_exact(self, seed, k):
+    def test_power_of_two_scaling_is_exact(self, seed, k, dense_route_max):
         # W = diag(1/A) times the flow is scale-free; every other output is linear
         # in the weights through operations that a power of two commutes with
         net = _cyclic_net(seed)
         scaled = FlowNetwork(items=net.items, flow=net.flow * 2.0**k)
-        for threshold in (DENSE_THRESHOLD, 8):
-            W, cols, l_source = _calculus(net, threshold)
-            W2, cols2, l_source2 = _calculus(scaled, threshold)
+        for route_max in (_DENSE_ROUTE_MAX, 8):
+            with dense_route_max(route_max):
+                W, cols, l_source = _calculus(net)
+                W2, cols2, l_source2 = _calculus(scaled)
             assert (W != W2).nnz == 0
             for name, col in cols.items():
                 np.testing.assert_array_equal(cols2[name], col * 2.0**k, err_msg=name)
             np.testing.assert_array_equal(l_source2, l_source)
 
     @pytest.mark.parametrize("seed", _CYCLIC_SEEDS)
-    def test_relabelling_permutes_every_output(self, seed):
+    def test_relabelling_permutes_every_output(self, seed, dense_route_max):
         net = _cyclic_net(seed)
         rng = np.random.default_rng(seed)
         rename = {item: f"r{k}" for item, k in zip(net.items, rng.permutation(net.n_interior))}
@@ -702,9 +743,10 @@ class TestMetamorphic:
         where = {item: i for i, item in enumerate(relabelled.items)}
         perm = [where[rename[item]] for item in net.items]
         assert sorted(perm) == list(range(net.n_interior)) and perm != sorted(perm)
-        for threshold in (DENSE_THRESHOLD, 8):
-            _, cols, l_source = _calculus(net, threshold)
-            _, cols2, l_source2 = _calculus(relabelled, threshold)
+        for route_max in (_DENSE_ROUTE_MAX, 8):
+            with dense_route_max(route_max):
+                _, cols, l_source = _calculus(net)
+                _, cols2, l_source2 = _calculus(relabelled)
             for name, col in cols.items():
                 np.testing.assert_allclose(
                     cols2[name][perm], col, rtol=1e-12, atol=0, err_msg=name

@@ -12,12 +12,13 @@ from pathlib import Path
 import pytest
 
 from attnflow import parse_log, sessionize
+from attnflow._linalg import _DENSE_ROUTE_MAX
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 #: Installs the benchmark's tracer on every target, runs ``pipeline`` on a
-#: small session log with --dense-threshold below its giant SCC, and prints
-#: what the tracer saw.
+#: session log whose giant SCC (about 560 nodes) takes the shifted factor
+#: and its selected inversion, and prints what the tracer saw.
 _TRACED_PIPELINE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -26,13 +27,12 @@ from tracing import TARGETS, Tracer, layer_metrics
 import attnflow.cli as cli
 
 log = sys.argv[2] + "/sessions.csv"
-info = inputs.session_log(log, 1, 150)
+info = inputs.session_log(log, 1, 600)
 tracer = Tracer()
 tracer.install(TARGETS)
-threshold = info["largest_scc"] // 2
 code = cli.main(["pipeline", "--input", log, "--out", sys.argv[2] + "/out",
-                 "--gap-seconds", str(info["gap_seconds"]), "--dense-threshold", str(threshold)])
-print(json.dumps({"code": code, "missing": tracer.missing, "threshold": threshold, "input": info,
+                 "--gap-seconds", str(info["gap_seconds"])])
+print(json.dumps({"code": code, "missing": tracer.missing, "input": info,
                   "spans": sorted({span["name"] for span in tracer.spans}),
                   "metrics": layer_metrics(tracer.spans, tracer.counters)}))
 """
@@ -95,8 +95,8 @@ def test_network_work_runs_inside_traced_functions(monkeypatch, tmp_path):
 def test_traced_pipeline_records_every_layer(tmp_path, child_env, duplication_by_dicts):
     """A refactor cannot silently blank the per-layer metrics: under the
     benchmark's tracer every target resolves, the parse, duplication and
-    diagonals spans are recorded, the largest-SCC counter reads the
-    interior block, and the ingest and duplication counters read what the
+    diagonals spans are recorded, the largest-SCC counter reads a giant
+    SCC above the dense route's cut, and the ingest and duplication counters read what the
     input holds and what the dict-loop filter keeps of it.
     """
     proc = subprocess.run(
@@ -109,7 +109,7 @@ def test_traced_pipeline_records_every_layer(tmp_path, child_env, duplication_by
     assert seen["missing"] == []
     assert {"ingest.parse_log", "stats.duplication", "linalg.diagonals"} <= set(seen["spans"])
     metrics = seen["metrics"]
-    assert metrics["linalg.largest_scc"] > seen["threshold"] > 0
+    assert metrics["linalg.largest_scc"] > _DENSE_ROUTE_MAX
     assert metrics["ingest.records"] == seen["input"]["records"]
     assert metrics["ingest.sessions"] == seen["input"]["sessions"]
 
