@@ -10,6 +10,7 @@ on failure. Errors exit 1 with a single machine-parseable line
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -65,6 +66,13 @@ from .stats import (
     write_duplication_csv,
     write_zipf_csv,
 )
+
+# Move every object the imports made (some 40k, most of them numpy's and
+# scipy's) out of the collector's reach: a run's first full collection
+# would otherwise walk them all and free none. Once per process, here: in
+# main() each freeze would also keep the cyclic garbage of earlier calls
+# alive for as long as a process that calls main() many times runs.
+gc.freeze()
 
 SUMMARY_SCHEMA_VERSION = 1
 

@@ -11,7 +11,10 @@ import csv
 import io
 import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .errors import (
     MissingTimestamps,
     NonMonotonicTimestampsWarning,
 )
-from .network import SINK, SOURCE, split_columns
+from .network import SINK, SOURCE, _edge_rows, split_columns
 
 
 @dataclass(frozen=True)
@@ -32,38 +35,144 @@ class LogFormat:
     has_header: bool = False
 
 
-@dataclass
-class SessionLog:
-    """Ordered visit sequences per user plus raw-data-level counts.
-
-    ``sessions`` maps user id to a list of visit sequences; ``timestamps``
-    mirrors that structure when the input carried a time column.
+class _PerUser(Mapping):
+    """A read-only mapping user id -> that user's sessions, each a list of
+    one value per visit, held as :class:`SessionLog`'s columns. The dict
+    itself is made on first read; ``len()`` reads the user count.
     """
 
-    sessions: dict[str, list[list[str]]]
-    item_registry: set[str] = field(default_factory=set)
-    timestamps: dict[str, list[list[int]]] | None = None
-    n_records: int = 0
+    def __init__(self, log: SessionLog, column: np.ndarray, labels: tuple[str, ...] | None = None):
+        self._users = log.users
+        self._owners = log.owners
+        self._starts = log.starts
+        self._column = column  # one value per visit, or its code in labels
+        self._labels = labels
 
-    def __post_init__(self):
-        if not self.item_registry:
-            self.item_registry = {
-                item for seqs in self.sessions.values() for seq in seqs for item in seq
-            }
-        if self.n_records == 0:
-            self.n_records = self.n_visits
+    @cached_property
+    def _dict(self) -> dict[str, list[list]]:
+        values = self._column.tolist()
+        if self._labels is not None:
+            values = list(map(self._labels.__getitem__, values))
+        bounds = self._starts.tolist()
+        seqs = [values[a:b] for a, b in zip(bounds, bounds[1:])]
+        cuts = np.searchsorted(self._owners, np.arange(len(self._users) + 1)).tolist()
+        return {user: seqs[a:b] for user, a, b in zip(self._users, cuts, cuts[1:])}
+
+    def __getitem__(self, user):
+        return self._dict[user]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self) -> int:
+        return len(self._users)
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
+
+
+@dataclass(frozen=True, eq=False)
+class SessionLog:
+    """A log's visits on columns, in the order :func:`parse_log` groups
+    them: users by first appearance, each user's sessions in time order,
+    a session's visits consecutive.
+
+    ``users`` and ``items`` hold the ids by code. ``visits`` holds every
+    visit's item code; ``stamps`` its int64 timestamp (an object array of
+    Python ints where one lies outside int64), or None without a time
+    column. ``starts`` holds the offset of every session's first visit and
+    then the number of visits; ``owners`` every session's user code, in
+    non-decreasing order. ``sessions`` and ``timestamps`` read the columns
+    as read-only mappings user id -> list of visit sequences.
+    """
+
+    users: tuple[str, ...]
+    items: tuple[str, ...]
+    visits: np.ndarray
+    stamps: np.ndarray | None
+    starts: np.ndarray
+    owners: np.ndarray
+    n_records: int
+
+    @classmethod
+    def from_sessions(cls, sessions: dict[str, list[list[str]]],
+                      timestamps: dict[str, list[list[int]]] | None = None,
+                      n_records: int = 0) -> SessionLog:
+        """The log of ``sessions``, user id -> list of visit sequences, and
+        of ``timestamps`` shaped alike. ``n_records`` defaults to the
+        number of visits. Raises ValueError for an empty sequence, a
+        reserved item id or timestamps shaped unlike the sessions.
+        """
+        users = tuple(sessions)
+        seqs = [seq for user in users for seq in sessions[user]]
+        lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+        if not lengths.all():
+            raise ValueError("a session has no visits")
+        flat = list(chain.from_iterable(seqs))
+        code = {item: k for k, item in enumerate(dict.fromkeys(flat))}
+        if SOURCE in code or SINK in code:
+            raise ValueError(f"{SOURCE!r} and {SINK!r} are reserved, not item ids")
+        stamps = None
+        if timestamps is not None:
+            times = [seq for user in users for seq in timestamps[user]]
+            if list(map(len, times)) != lengths.tolist():
+                raise ValueError("timestamps are not shaped like the sessions")
+            stamps = _stamp_column(list(chain.from_iterable(times)))
+        starts = np.zeros(len(seqs) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=starts[1:])
+        return cls(
+            users=users,
+            items=tuple(code),
+            visits=np.fromiter(map(code.__getitem__, flat), dtype=np.intp, count=len(flat)),
+            stamps=stamps,
+            starts=starts,
+            owners=np.repeat(np.arange(len(users)), [len(sessions[user]) for user in users]),
+            n_records=n_records or len(flat),
+        )
+
+    @cached_property
+    def sessions(self) -> Mapping[str, list[list[str]]]:
+        return _PerUser(self, self.visits, self.items)
+
+    @cached_property
+    def timestamps(self) -> Mapping[str, list[list[int]]] | None:
+        if self.stamps is None:
+            return None
+        return _PerUser(self, self.stamps)
+
+    @property
+    def item_registry(self) -> set[str]:
+        return set(self.items)
 
     @property
     def n_users(self) -> int:
-        return len(self.sessions)
+        return len(self.users)
 
     @property
     def n_visits(self) -> int:
-        return sum(len(seq) for seqs in self.sessions.values() for seq in seqs)
+        return len(self.visits)
 
     @property
     def n_sessions(self) -> int:
-        return sum(len(seqs) for seqs in self.sessions.values())
+        return len(self.owners)
+
+    def visit_users(self) -> np.ndarray:
+        """The user code of every visit."""
+        return np.repeat(self.owners, np.diff(self.starts))
+
+
+def _stamp_column(values: list) -> np.ndarray:
+    """``values`` as int64, or as an object array of the values themselves
+    where one is not a whole number inside int64.
+    """
+    try:
+        column = np.array(values, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError):
+        column = None
+    if column is None or column.tolist() != values:
+        column = np.empty(len(values), dtype=object)
+        column[:] = values
+    return column
 
 
 def parse_log(stream, fmt: LogFormat = LogFormat()) -> SessionLog:
@@ -133,21 +242,20 @@ def _parse_columns(text: str, fmt: LogFormat) -> SessionLog | None:
         order = np.argsort(user_code, kind="stable")
     else:
         order = np.lexsort((stamps, user_code))
-    ends = np.cumsum(np.bincount(user_code)).tolist()
-    starts = [0, *ends[:-1]]
-    visits = list(map(items.__getitem__, order.tolist()))
-    sessions = {user: [visits[a:b]] for user, a, b in zip(code, starts, ends)}
-    times = None
+    starts = np.zeros(len(code) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(user_code), out=starts[1:])
     if stamps is not None:
         # the stable sort moves a user's records only where their stamps decrease
         moved = np.diff(order) < 0
-        moved[np.array(starts[1:], dtype=np.intp) - 1] = False
+        moved[starts[1:-1] - 1] = False
         by_code = list(code)
         for k in np.unique(user_code[order[1:][moved]]).tolist():
             _warn_unsorted(by_code[k])
-        sorted_stamps = stamps[order].tolist()
-        times = {user: [sorted_stamps[a:b]] for user, a, b in zip(code, starts, ends)}
-    return SessionLog(sessions=sessions, item_registry=set(items), timestamps=times, n_records=n)
+        stamps = stamps[order]
+    item_code = {item: k for k, item in enumerate(dict.fromkeys(items))}
+    visits = np.fromiter(map(item_code.__getitem__, items), dtype=np.intp, count=n)[order]
+    return SessionLog(users=tuple(code), items=tuple(item_code), visits=visits, stamps=stamps,
+                      starts=starts, owners=np.arange(len(code)), n_records=n)
 
 
 def _parse_rows(lines, fmt: LogFormat) -> SessionLog:
@@ -205,11 +313,7 @@ def _parse_rows(lines, fmt: LogFormat) -> SessionLog:
         sessions[user] = [[item for item, _ in recs]]
         if with_time:
             times[user] = [[ts for _, ts in recs]]
-    return SessionLog(
-        sessions=sessions,
-        timestamps=times if with_time else None,
-        n_records=n_records,
-    )
+    return SessionLog.from_sessions(sessions, times if with_time else None, n_records)
 
 
 def sessionize(log: SessionLog, gap_threshold: float | None = None) -> SessionLog:
@@ -222,58 +326,64 @@ def sessionize(log: SessionLog, gap_threshold: float | None = None) -> SessionLo
         return log
     if not (math.isfinite(gap_threshold) and gap_threshold >= 0):
         raise ValueError(f"gap threshold must be a finite number >= 0, got {gap_threshold!r}")
-    if log.timestamps is None:
+    if log.stamps is None:
         raise MissingTimestamps("gap threshold given but the log has no timestamps")
 
-    sessions: dict[str, list[list[str]]] = {}
-    times: dict[str, list[list[int]]] = {}
-    for user, seqs in log.sessions.items():
-        new_seqs: list[list[str]] = []
-        new_times: list[list[int]] = []
-        for seq, stamps in zip(seqs, log.timestamps[user]):
-            cur_items = [seq[0]]
-            cur_times = [stamps[0]]
-            for item, ts in zip(seq[1:], stamps[1:]):
-                if ts - cur_times[-1] > gap_threshold:
-                    new_seqs.append(cur_items)
-                    new_times.append(cur_times)
-                    cur_items, cur_times = [], []
-                cur_items.append(item)
-                cur_times.append(ts)
-            new_seqs.append(cur_items)
-            new_times.append(cur_times)
-        sessions[user] = new_seqs
-        times[user] = new_times
-    return SessionLog(sessions=sessions, timestamps=times, n_records=log.n_records)
+    first = np.zeros(log.n_visits + 1, dtype=bool)
+    first[log.starts] = True
+    first[1:-1] |= _rises_over(log.stamps, gap_threshold)
+    starts = np.flatnonzero(first)
+    # a new session belongs to the user of the session it was cut from
+    owners = log.owners[np.searchsorted(log.starts, starts[:-1], side="right") - 1]
+    return replace(log, starts=starts, owners=owners)
 
 
-def to_transition_edges(log: SessionLog, mode: str = "session-closed") -> dict[tuple[str, str], int]:
+def _rises_over(stamps: np.ndarray, gap: float) -> np.ndarray:
+    """Whether each stamp after the first exceeds the one before it by more
+    than ``gap``, compared as Python compares the exact difference.
+    """
+    if stamps.dtype == object:
+        return np.diff(stamps) > gap
+    # a whole number exceeds gap exactly when it exceeds floor(gap); where
+    # a stamp is above the one before, their difference is exact in uint64
+    limit = np.uint64(min(math.floor(gap), 2**64 - 1))
+    rise = stamps[1:].view(np.uint64) - stamps[:-1].view(np.uint64)
+    return (stamps[1:] > stamps[:-1]) & (rise > limit)
+
+
+def to_transition_edges(log: SessionLog, mode: str = "session-closed") -> Mapping[tuple[str, str], int]:
     """Count consecutive-visit transitions as weighted edges.
 
     In ``session-closed`` mode every session also contributes a source edge
     into its first item and a sink edge out of its last, which balances the
     network exactly. ``residual`` mode emits interior transitions only and
     leaves balancing to the network layer.
+
+    Returns a read-only mapping ``(src, dst) -> count`` held as code and
+    count arrays, each edge at its first use: per session, the source
+    edge, the transitions in visit order, then the sink edge.
     """
     if mode not in ("session-closed", "residual"):
         raise ValueError(f"unknown mode {mode!r}")
     if log.n_visits == 0:
         raise EmptyInput("session log has no visits")
-    edges: dict[tuple[str, str], int] = {}
-
-    def bump(src: str, dst: str) -> None:
-        key = (src, dst)
-        edges[key] = edges.get(key, 0) + 1
-
-    for user, seqs in log.sessions.items():
-        for seq in seqs:
-            if mode == "session-closed":
-                bump(SOURCE, seq[0])
-            for a, b in zip(seq, seq[1:]):
-                bump(a, b)
-            if mode == "session-closed":
-                bump(seq[-1], SINK)
-    return edges
+    labels = [SOURCE, SINK, *log.items]
+    codes = log.visits + 2
+    starts = log.starts
+    if mode == "session-closed":
+        # each session's visits between a SOURCE (code 0) and a SINK (code 1)
+        shift = 2 * np.arange(log.n_sessions)
+        walk = np.empty(codes.size + shift.size * 2, dtype=np.intp)
+        walk[np.arange(codes.size) + np.repeat(shift + 1, np.diff(starts))] = codes
+        walk[starts[:-1] + shift] = 0
+        walk[starts[1:] + shift + 1] = 1
+        steps = walk[:-1] != 1  # not from one session's SINK to the next's SOURCE
+        src, dst = walk[:-1][steps], walk[1:][steps]
+    else:
+        steps = np.ones(codes.size - 1, dtype=bool)
+        steps[starts[1:-1] - 1] = False  # not from one session's last visit to the next's first
+        src, dst = codes[:-1][steps], codes[1:][steps]
+    return _edge_rows(labels, np.stack((src, dst), axis=1))
 
 
 def serialize_log(log: SessionLog, fmt: LogFormat = LogFormat()) -> str:
@@ -286,11 +396,11 @@ def serialize_log(log: SessionLog, fmt: LogFormat = LogFormat()) -> str:
     writer = csv.writer(out, delimiter=fmt.delimiter, lineterminator="\n")
     if fmt.has_header:
         writer.writerow(["user", "item", "timestamp"] if log.timestamps else ["user", "item"])
-    for user, seqs in log.sessions.items():
-        for si, seq in enumerate(seqs):
-            for vi, item in enumerate(seq):
-                if log.timestamps is not None:
-                    writer.writerow([user, item, log.timestamps[user][si][vi]])
-                else:
-                    writer.writerow([user, item])
+    columns = [
+        list(map(log.users.__getitem__, log.visit_users().tolist())),
+        list(map(log.items.__getitem__, log.visits.tolist())),
+    ]
+    if log.stamps is not None:
+        columns.append(log.stamps.tolist())
+    writer.writerows(zip(*columns))
     return out.getvalue()

@@ -153,7 +153,7 @@ def _coded_edges(edges) -> tuple[list, np.ndarray, np.ndarray]:
     ``(src, dst) -> weight`` or an iterable of ``(src, dst, weight)`` triples.
     """
     if isinstance(edges, _EdgeRows):
-        return edges.labels, edges.codes, edges.weight
+        return edges.labels, edges.codes, edges.weight.astype(float, copy=False)
     if hasattr(edges, "items"):
         ends = list(chain.from_iterable(edges))
         weight = np.fromiter(edges.values(), dtype=float, count=len(edges))
@@ -522,10 +522,11 @@ def _read_edge_rows(path) -> tuple[list[str], np.ndarray]:
 
 
 class _EdgeRows(Mapping):
-    """What :func:`read_edges` returns: the read-only mapping ``(src, dst)
-    -> weight``, held as labels, codes and weights in the form of
-    :func:`_coded_edges`, one row per distinct edge. The dict itself is
-    made only when the rows are used as a mapping.
+    """What :func:`read_edges` and ``ingest.to_transition_edges`` return:
+    the read-only mapping ``(src, dst) -> weight``, held as labels, codes
+    and weights (or whole counts) in the form of :func:`_coded_edges`, one
+    row per distinct edge. The dict itself is made only when the rows are
+    used as a mapping.
     """
 
     def __init__(self, labels: list, codes: np.ndarray, weight: np.ndarray):
@@ -552,6 +553,23 @@ class _EdgeRows(Mapping):
         return repr(self._dict)
 
 
+def _edge_rows(labels: list, codes: np.ndarray, weight: np.ndarray | None = None) -> _EdgeRows:
+    """The ``(m, 2)`` label codes ``codes`` with their rows' ``weight``,
+    or a count of 1 each without one, as :class:`_EdgeRows`: each distinct
+    edge at its first row, its rows' weights summed in row order.
+    """
+    pairs, first, inverse = np.unique(
+        codes[:, 0] * len(labels) + codes[:, 1], return_index=True, return_inverse=True
+    )
+    if weight is not None and pairs.size == len(weight):
+        # each weight as a sum from 0.0, which turns -0.0 into 0.0
+        return _EdgeRows(labels, codes, weight + 0.0)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return _EdgeRows(labels, codes[first[order]], np.bincount(rank[inverse], weights=weight))
+
+
 def read_edges(path) -> Mapping[tuple[str, str], float]:
     """Read ``src,dst,weight`` CSV into a read-only mapping ``(src, dst) ->
     weight``. Duplicate edges are summed in row order, each at its first
@@ -564,18 +582,7 @@ def read_edges(path) -> Mapping[tuple[str, str], float]:
     ends, weight = _read_edge_rows(path)
     labels, codes = _label_codes(ends)
     del ends
-    codes = codes.reshape(-1, 2)
-    pairs, first, inverse = np.unique(
-        codes[:, 0] * len(labels) + codes[:, 1], return_index=True, return_inverse=True
-    )
-    if pairs.size == len(weight):
-        # each weight as a sum from 0.0, which turns -0.0 into 0.0
-        return _EdgeRows(labels, codes, weight + 0.0)
-    # each pair at its first row, its rows' weights summed in row order
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return _EdgeRows(labels, codes[first[order]], np.bincount(rank[inverse], weights=weight))
+    return _edge_rows(labels, codes.reshape(-1, 2), weight)
 
 
 def write_network(net: FlowNetwork, csv_path, json_path=None,

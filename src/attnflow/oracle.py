@@ -209,7 +209,7 @@ def _gen_session_log(spec: GeneratorSpec) -> SessionLog:
         length = 1 + int(rng.geometric(0.35))
         picks = rng.choice(n, size=length, p=popularity)
         sessions[f"x{k + 1:06d}"] = [[names[i] for i in picks]]
-    return SessionLog(sessions=sessions)
+    return SessionLog.from_sessions(sessions)
 
 
 #: Every generator family, in the order the CLI lists them. A network
@@ -545,7 +545,10 @@ def compare(
     Covers through-flow, dissipation, and (when given) source distances;
     a node passes a quantity when |z| <= multiplier, and the report
     passes when every quantity's pass fraction reaches MIN_PASS_FRACTION.
+    A multiplier that is not a finite number > 0 raises ValueError.
     """
+    if not (math.isfinite(multiplier) and multiplier > 0):
+        raise ValueError(f"multiplier must be a finite number > 0, got {multiplier!r}")
     if est.items != stats.items:
         raise MismatchedNetworks(
             f"estimate has {len(est.items)} items, stats {len(stats.items)}; "

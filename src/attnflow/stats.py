@@ -11,7 +11,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -206,24 +205,28 @@ class DuplicationReport:
         return len(self.kept) / len(self.observed) if self.observed else 0.0
 
 
+def _sorted_codes(labels: tuple[str, ...]) -> tuple[tuple[str, ...], np.ndarray]:
+    """``labels`` sorted, and the position there of each label's code."""
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = np.empty(len(labels), dtype=np.intp)
+    rank[order] = np.arange(len(labels))
+    return tuple(map(labels.__getitem__, order)), rank
+
+
 def duplication_filter(log: SessionLog) -> DuplicationReport:
     """Build the audience overlap network and drop independence-level pairs.
 
     Overlap is counted from distinct users, not visits; items sharing no
     users never form an edge and so are filtered implicitly.
     """
-    items = tuple(sorted(log.item_registry))
+    items, item_rank = _sorted_codes(log.items)
     if len(items) < 2:
         raise InsufficientData("duplication filter needs at least 2 items")
-    index = {item: i for i, item in enumerate(items)}
-    sessions = list(map(log.sessions.__getitem__, sorted(log.sessions)))
-    n_users = len(sessions)
-    visits = [sum(map(len, seqs)) for seqs in sessions]
-    cols = np.fromiter(
-        map(index.__getitem__, chain.from_iterable(chain.from_iterable(sessions))),
-        dtype=np.intp, count=sum(visits),
-    )
-    rows = np.repeat(np.arange(n_users), visits)
+    # users numbered by sorted id, so that the product's entries keep their order
+    _, user_rank = _sorted_codes(log.users)
+    n_users = len(user_rank)
+    rows = user_rank[log.visit_users()]
+    cols = item_rank[log.visits]
     # one entry per (user, item): the CSR sums a user's repeat visits
     member = sp.csr_matrix(
         (np.ones(cols.size, dtype=np.int64), (rows, cols)), shape=(n_users, len(items))

@@ -466,6 +466,19 @@ class TestPipeline:
         assert "regression" in summary
         assert "duplication" in summary
 
+    def test_imports_are_frozen_once_per_process(self, tmp_path, log_file):
+        """Importing the CLI moves what the imports made out of the
+        collector's reach; main() freezes nothing more, so a process that
+        calls it many times keeps no earlier run's garbage alive.
+        """
+        import gc
+
+        frozen = gc.get_freeze_count()
+        assert frozen > 0
+        for k in range(2):
+            assert run(["pipeline", "--input", log_file, "--out", tmp_path / f"p{k}"]) == 0
+        assert gc.get_freeze_count() == frozen
+
     def test_network_input_skips_log_analyses(self, tmp_path, network_dir):
         out = tmp_path / "pn"
         code = run(

@@ -1,11 +1,12 @@
 """Log parsing, sessionization, and transition-edge extraction."""
 import io
 import warnings
+from itertools import accumulate, chain
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from attnflow import LogFormat, parse_log, sessionize, to_transition_edges
+from attnflow import LogFormat, SessionLog, parse_log, sessionize, to_transition_edges
 from attnflow.errors import (
     EmptyInput,
     MalformedRecord,
@@ -197,9 +198,7 @@ _user_sessions = st.dictionaries(
 @given(_user_sessions)
 def test_roundtrip_grouped_logs(sessions):
     """Grouped well-formed logs serialize and reparse byte-identically."""
-    from attnflow import SessionLog
-
-    log = SessionLog(sessions=sessions)
+    log = SessionLog.from_sessions(sessions)
     text = serialize_log(log)
     reparsed = parse_log(text)
     assert reparsed.sessions == sessions
@@ -209,9 +208,7 @@ def test_roundtrip_grouped_logs(sessions):
 @given(_user_sessions)
 def test_session_closed_visit_conservation(sessions):
     """Interior in-weights total the visit count of the whole log."""
-    from attnflow import SessionLog
-
-    log = SessionLog(sessions=sessions)
+    log = SessionLog.from_sessions(sessions)
     edges = to_transition_edges(log, "session-closed")
     arrivals = sum(w for (_, d), w in edges.items() if d != "__sink__")
     assert arrivals == log.n_visits
@@ -277,3 +274,127 @@ def test_parse_log_matches_row_loop(records, width, delimiter, header, newline, 
     assert _outcome(parse_log, io.BytesIO(text.encode()), fmt) == universal
     untranslated = _outcome(_parse_rows, io.StringIO(text, newline=""), fmt)
     assert _outcome(parse_log, io.StringIO(text, newline=""), fmt) == untranslated
+
+
+def _sessionize_by_visits(sessions, times, gap):
+    """Sessions and timestamps split where a visit follows the one before
+    by more than ``gap``, one visit at a time: the reference for the
+    columnar :func:`sessionize`.
+    """
+    out_sessions, out_times = {}, {}
+    for user, seqs in sessions.items():
+        out_sessions[user], out_times[user] = [], []
+        for seq, stamps in zip(seqs, times[user]):
+            cur_items, cur_times = [seq[0]], [stamps[0]]
+            for item, ts in zip(seq[1:], stamps[1:]):
+                if ts - cur_times[-1] > gap:
+                    out_sessions[user].append(cur_items)
+                    out_times[user].append(cur_times)
+                    cur_items, cur_times = [], []
+                cur_items.append(item)
+                cur_times.append(ts)
+            out_sessions[user].append(cur_items)
+            out_times[user].append(cur_times)
+    return out_sessions, out_times
+
+
+def _edges_by_visits(sessions, mode):
+    """Edge counts in order of first use, one visit at a time: the
+    reference for the columnar :func:`to_transition_edges`.
+    """
+    edges = {}
+    for seqs in sessions.values():
+        for seq in seqs:
+            walk = ["__source__", *seq, "__sink__"] if mode == "session-closed" else seq
+            for pair in zip(walk, walk[1:]):
+                edges[pair] = edges.get(pair, 0) + 1
+    return edges
+
+
+def _check_against_visits(log, sessions, times, gap):
+    """``sessionize(log, gap)`` and its edges in both modes against the
+    per-visit references, on the log whose sessions and timestamps are
+    ``sessions`` and ``times``.
+    """
+    assert list(log.sessions.items()) == list(sessions.items())
+    assert list(log.timestamps.items()) == list(times.items())
+    if gap is not None:
+        sessions, times = _sessionize_by_visits(sessions, times, gap)
+    out = sessionize(log, gap)
+    assert list(out.sessions.items()) == list(sessions.items())
+    assert list(out.timestamps.items()) == list(times.items())
+    assert out.n_users == len(sessions)
+    assert out.n_sessions == sum(map(len, sessions.values()))
+    assert out.n_visits == sum(len(seq) for seqs in sessions.values() for seq in seqs)
+    assert out.n_records == log.n_records
+    for mode in ("session-closed", "residual"):
+        assert list(to_transition_edges(out, mode).items()) == list(
+            _edges_by_visits(sessions, mode).items()
+        )
+
+
+#: a visit's timestamp step from the visit before it: none, backwards, and
+#: around 2**53, where a float stops holding every whole number, and 2**63
+_step = st.sampled_from([0, 0, 1, -1, -7, 2**53 - 1, 2**53, 2**53 + 1, 2**63 - 1, 2**63, 2**64 - 1])
+_timed_sessions = st.dictionaries(
+    st.text(alphabet="uvw", min_size=1, max_size=2),
+    st.tuples(
+        st.one_of(st.sampled_from([-2**63, -2**53, 0, 2**63 - 1]), st.integers(-2**63, 2**63 - 1)),
+        st.lists(st.lists(st.tuples(_item, _step), min_size=1, max_size=4), min_size=1, max_size=3),
+    ),
+    min_size=1,
+    max_size=4,
+)
+_gap = st.one_of(
+    st.none(),
+    st.sampled_from([0, 0.0, 0.5, 2**53 - 1, 2**53, 2.0**53, 2**53 + 1, 2.0**53 + 2,
+                     2**63 - 1, 2.0**63, 2**63, 2**64 - 1, 2.0**64, 2**64 + 7]),
+    st.integers(0, 2**66),
+    st.floats(0, 2.0**66),
+)
+
+
+def _timestamps(first, steps, wide):
+    """The running sums of ``steps`` from ``first``, each held inside
+    int64 unless ``wide``.
+    """
+    def add(stamp, step):
+        return stamp + step if wide else min(max(stamp + step, -2**63), 2**63 - 1)
+
+    return list(accumulate(steps, add, initial=first))[1:]
+
+
+@settings(max_examples=400)
+@given(_timed_sessions, _gap, st.booleans())
+@example({"u": (0, [[("A", 0), ("B", 2**53 + 1)]])}, 2**53, False)  # 2**53 + 1 rounds as a float
+@example({"u": (-2**63, [[("A", 0), ("B", 2**64 - 1)]])}, 0, False)  # overflows int64
+@example({"u": (-1, [[("A", 0), ("B", 2**63)]])}, 2**63 - 1, False)  # one past int64
+def test_columnar_ingest_matches_visit_loop(drawn, gap, wide):
+    """Sessions, timestamps, counts and edges (order and counts, both
+    modes) of the columnar ingest equal the per-visit loop's, for a log
+    built from lists and for the same log serialized and parsed. The
+    stamps reach the int64 extremes, or pass them when ``wide``.
+    """
+    sessions, times = {}, {}
+    for user, (first, seqs) in drawn.items():
+        stamps = iter(_timestamps(first, [step for seq in seqs for _, step in seq], wide))
+        sessions[user] = [[item for item, _ in seq] for seq in seqs]
+        times[user] = [[next(stamps) for _ in seq] for seq in seqs]
+    log = SessionLog.from_sessions(sessions, times)
+    _check_against_visits(log, sessions, times, gap)
+
+    # parse_log gives each user one session, stably sorted by time
+    text = serialize_log(log)
+    merged = {user: sorted(zip(chain(*sessions[user]), chain(*times[user])), key=lambda v: v[1])
+              for user in sessions}
+    parsed_sessions = {user: [[item for item, _ in visits]] for user, visits in merged.items()}
+    parsed_times = {user: [[ts for _, ts in visits]] for user, visits in merged.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NonMonotonicTimestampsWarning)
+        parsed = parse_log(text)
+    _check_against_visits(parsed, parsed_sessions, parsed_times, gap)
+
+    # a parsed log serializes to text that parses back to it
+    again = serialize_log(parsed)
+    assert serialize_log(parse_log(again)) == again
+    assert list(parse_log(again).sessions.items()) == list(parsed_sessions.items())

@@ -385,6 +385,13 @@ class TestCompare:
         assert not report.passed
         assert report.worst  # offenders reported
 
+    @pytest.mark.parametrize("multiplier", [float("inf"), float("nan"), -1.0, 0.0])
+    def test_meaningless_multiplier_is_refused(self, chain_net, multiplier):
+        # inf passed any tally, even one planted three times too large
+        est = simulate_walkers(chain_net, 100, seed=0)
+        with pytest.raises(ValueError, match=f"multiplier must be .* got {multiplier!r}"):
+            compare(est, node_flows(chain_net), multiplier=multiplier)
+
     def test_mismatched_networks(self, chain_net, star_net):
         est = simulate_walkers(chain_net, 100, seed=0)
         with pytest.raises(MismatchedNetworks):

@@ -181,8 +181,8 @@ class TestZipf:
 
 def _audience_log(memberships: dict[str, list[str]]) -> SessionLog:
     """One single-visit session per (user, item) membership."""
-    return SessionLog(
-        sessions={user: [[item] for item in items] for user, items in memberships.items()}
+    return SessionLog.from_sessions(
+        {user: [[item] for item in items] for user, items in memberships.items()}
     )
 
 
@@ -229,8 +229,8 @@ class TestDuplicationFilter:
         assert report.retained_fraction() == 0.0
 
     def test_counts_users_not_visits(self):
-        log = SessionLog(
-            sessions={
+        log = SessionLog.from_sessions(
+            {
                 "u1": [["a", "a", "a", "b"]],
                 "u2": [["a"], ["b", "b"]],
                 "u3": [["a"]],
@@ -293,7 +293,7 @@ class TestDuplicationArrays:
     @settings(max_examples=150)
     @given(_audiences)
     def test_matches_dict_loop(self, tmp_path_factory, duplication_by_dicts, sessions):
-        log = SessionLog(sessions=sessions)
+        log = SessionLog.from_sessions(sessions)
         if len(log.item_registry) < 2:
             with pytest.raises(InsufficientData):
                 duplication_filter(log)

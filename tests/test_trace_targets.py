@@ -94,10 +94,11 @@ def test_network_work_runs_inside_traced_functions(monkeypatch, tmp_path):
 
 def test_traced_pipeline_records_every_layer(tmp_path, child_env, duplication_by_dicts):
     """A refactor cannot silently blank the per-layer metrics: under the
-    benchmark's tracer every target resolves, the parse, duplication and
-    diagonals spans are recorded, the largest-SCC counter reads a giant
-    SCC above the dense route's cut, and the ingest and duplication counters read what the
-    input holds and what the dict-loop filter keeps of it.
+    benchmark's tracer every target resolves, the parse, sessionize, edge,
+    build, duplication and diagonals spans are recorded, the largest-SCC
+    counter reads a giant SCC above the dense route's cut, and the ingest
+    and duplication counters read what the input holds and what the
+    dict-loop filter keeps of it.
     """
     proc = subprocess.run(
         [sys.executable, "-c", _TRACED_PIPELINE, str(TRACING.parent), str(tmp_path)],
@@ -107,7 +108,10 @@ def test_traced_pipeline_records_every_layer(tmp_path, child_env, duplication_by
     seen = json.loads(proc.stdout.splitlines()[-1])
     assert seen["code"] == 0
     assert seen["missing"] == []
-    assert {"ingest.parse_log", "stats.duplication", "linalg.diagonals"} <= set(seen["spans"])
+    assert {
+        "ingest.parse_log", "ingest.sessionize", "ingest.to_transition_edges", "network.build",
+        "stats.duplication", "linalg.diagonals",
+    } <= set(seen["spans"])
     metrics = seen["metrics"]
     assert metrics["linalg.largest_scc"] > _DENSE_ROUTE_MAX
     assert metrics["ingest.records"] == seen["input"]["records"]
