@@ -183,10 +183,10 @@ def parse_log(stream, fmt: LogFormat = LogFormat()) -> SessionLog:
     in file order; with timestamps, each user's records are re-sorted stably
     by time (out-of-order input triggers a warning, not an error).
 
-    Raises MalformedRecord (bad column count, empty field, reserved item
-    token, non-integer timestamp) or EmptyInput.
+    Raises MalformedRecord (a row csv.reader refuses, bad column count,
+    empty field, reserved item token, non-integer timestamp) or EmptyInput.
     """
-    lines = None
+    lines = None  # where the text is not plain, csv.reader reads io.StringIO(text)
     if isinstance(stream, (bytes, bytearray)):
         stream = stream.decode("utf-8")
     if isinstance(stream, str):
@@ -198,29 +198,24 @@ def parse_log(stream, fmt: LogFormat = LogFormat()) -> SessionLog:
             text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         except UnicodeDecodeError:
             # the rows before the undecodable chunk are checked first
-            return _parse_rows(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), fmt)
+            _raise_bad_record(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), fmt)
     else:
         lines = list(stream)  # split as the stream splits its lines
-        text = "".join(lines)
-    log = _parse_columns(text, fmt)
+        # csv.reader ends a row where a line ends, with a line end or without
+        text = "".join(line if line.endswith(("\n", "\r")) else line + "\n" for line in lines)
+    log = _parse_columns(text, fmt, lines)
     if log is None:
-        log = _parse_rows(io.StringIO(text) if lines is None else lines, fmt)
+        _raise_bad_record(io.StringIO(text) if lines is None else lines, fmt)
     return log
 
 
-def _warn_unsorted(user: str) -> None:
-    warnings.warn(
-        f"user {user!r}: timestamps not non-decreasing; re-sorting",
-        NonMonotonicTimestampsWarning,
-    )
-
-
-def _parse_columns(text: str, fmt: LogFormat) -> SessionLog | None:
-    """:func:`parse_log` of ``text``, every check run a column at a time;
-    None where :func:`split_columns` cannot split the text, a check fails
-    or a timestamp is outside int64.
+def _parse_columns(text: str, fmt: LogFormat, lines=None) -> SessionLog | None:
+    """:func:`parse_log` of ``text``, read by :func:`split_columns` from
+    ``lines`` where it is not plain, every check run a column at a time;
+    None where a check fails.
     """
-    columns = split_columns(text, fmt.delimiter, header=fmt.has_header, skip_empty=True)
+    columns = split_columns(text, fmt.delimiter, header=fmt.has_header, skip_empty=True,
+                            lines=lines)
     if columns is None or len(columns) not in (2, 3):
         return None
     users, items = columns[0], columns[1]
@@ -230,8 +225,11 @@ def _parse_columns(text: str, fmt: LogFormat) -> SessionLog | None:
     stamps = None
     if len(columns) == 3:
         try:
-            stamps = np.fromiter(map(int, columns[2]), dtype=np.int64, count=n)
-        except (ValueError, OverflowError):
+            try:
+                stamps = np.fromiter(map(int, columns[2]), dtype=np.int64, count=n)
+            except OverflowError:  # a stamp outside int64
+                stamps = _stamp_column(list(map(int, columns[2])))
+        except ValueError:
             return None
 
     # users in order of first appearance, each one's records in file order
@@ -250,7 +248,10 @@ def _parse_columns(text: str, fmt: LogFormat) -> SessionLog | None:
         moved[starts[1:-1] - 1] = False
         by_code = list(code)
         for k in np.unique(user_code[order[1:][moved]]).tolist():
-            _warn_unsorted(by_code[k])
+            warnings.warn(
+                f"user {by_code[k]!r}: timestamps not non-decreasing; re-sorting",
+                NonMonotonicTimestampsWarning,
+            )
         stamps = stamps[order]
     item_code = {item: k for k, item in enumerate(dict.fromkeys(items))}
     visits = np.fromiter(map(item_code.__getitem__, items), dtype=np.intp, count=n)[order]
@@ -258,62 +259,38 @@ def _parse_columns(text: str, fmt: LogFormat) -> SessionLog | None:
                       starts=starts, owners=np.arange(len(code)), n_records=n)
 
 
-def _parse_rows(lines, fmt: LogFormat) -> SessionLog:
-    """:func:`parse_log` of an iterable of lines, read one csv row at a
-    time. A bad row raises its error, naming the row's last line.
+def _raise_bad_record(lines, fmt: LogFormat) -> None:
+    """Raise the error of the first record of ``lines``, read one csv row
+    at a time, that :func:`_parse_columns` refuses, naming the row's last
+    line; EmptyInput where there is none.
     """
     reader = csv.reader(lines, delimiter=fmt.delimiter)
-    if fmt.has_header:
-        next(reader, None)
-
-    users: list[str] = []
-    records: dict[str, list[tuple[str, int | None]]] = {}
     n_columns: int | None = None
-    n_records = 0
-    for row in reader:
-        if not row:
-            continue
-        lineno = reader.line_num
-        if n_columns is None:
-            if len(row) not in (2, 3):
-                raise MalformedRecord(lineno, f"expected 2 or 3 columns, got {len(row)}")
-            n_columns = len(row)
-        if len(row) != n_columns:
-            raise MalformedRecord(lineno, f"expected {n_columns} columns, got {len(row)}")
-        user, item = row[0], row[1]
-        if not user or not item:
-            raise MalformedRecord(lineno, "empty user or item field")
-        if item in (SOURCE, SINK):
-            raise MalformedRecord(lineno, f"reserved token {item!r} used as item id")
-        ts: int | None = None
-        if n_columns == 3:
-            try:
-                ts = int(row[2])
-            except ValueError:
-                raise MalformedRecord(lineno, f"bad timestamp {row[2]!r}") from None
-        if user not in records:
-            records[user] = []
-            users.append(user)
-        records[user].append((item, ts))
-        n_records += 1
-
-    if n_records == 0:
+    try:
+        if fmt.has_header:
+            next(reader, None)
+        for row in filter(None, reader):
+            lineno = reader.line_num
+            if n_columns is None:
+                if len(row) not in (2, 3):
+                    raise MalformedRecord(lineno, f"expected 2 or 3 columns, got {len(row)}")
+                n_columns = len(row)
+            if len(row) != n_columns:
+                raise MalformedRecord(lineno, f"expected {n_columns} columns, got {len(row)}")
+            if not row[0] or not row[1]:
+                raise MalformedRecord(lineno, "empty user or item field")
+            if row[1] in (SOURCE, SINK):
+                raise MalformedRecord(lineno, f"reserved token {row[1]!r} used as item id")
+            if n_columns == 3:
+                try:
+                    int(row[2])
+                except ValueError:
+                    raise MalformedRecord(lineno, f"bad timestamp {row[2]!r}") from None
+    except csv.Error as exc:
+        raise MalformedRecord(reader.line_num, str(exc)) from None
+    if n_columns is None:
         raise EmptyInput("no records in input")
-
-    with_time = n_columns == 3
-    sessions: dict[str, list[list[str]]] = {}
-    times: dict[str, list[list[int]]] = {}
-    for user in users:
-        recs = records[user]
-        if with_time:
-            stamps = [ts for _, ts in recs]
-            if any(b < a for a, b in zip(stamps, stamps[1:])):
-                _warn_unsorted(user)
-            recs = sorted(recs, key=lambda rt: rt[1])
-        sessions[user] = [[item for item, _ in recs]]
-        if with_time:
-            times[user] = [[ts for _, ts in recs]]
-    return SessionLog.from_sessions(sessions, times if with_time else None, n_records)
+    raise AssertionError("the row checks pass a log the column checks reject")
 
 
 def sessionize(log: SessionLog, gap_threshold: float | None = None) -> SessionLog:

@@ -152,7 +152,7 @@ def _coded_edges(edges) -> tuple[list, np.ndarray, np.ndarray]:
     every edge's ends and the edges' float weights, from a mapping
     ``(src, dst) -> weight`` or an iterable of ``(src, dst, weight)`` triples.
     """
-    if isinstance(edges, _EdgeRows):
+    if isinstance(edges, _EdgeRows) and tuple(edges.labels[:2]) == (SOURCE, SINK):
         return edges.labels, edges.codes, edges.weight.astype(float, copy=False)
     if hasattr(edges, "items"):
         ends = list(chain.from_iterable(edges))
@@ -368,17 +368,42 @@ def write_csv(path, header, rows) -> None:
 
 
 def split_columns(text: str, delimiter: str = ",", header: bool = False,
-                  skip_empty: bool = False) -> list[list[str]] | None:
-    """The cells of the rows ``csv.reader`` reads from ``text``, a column
-    at a time: ``columns[k][r]`` is cell ``k`` of row ``r``. With ``header``
-    the first row is left out, and with ``skip_empty`` every empty row; no
-    rows give no columns.
+                  skip_empty: bool = False, *, lines=None) -> list[list[str]] | None:
+    """The cells of the rows ``csv.reader`` reads from ``lines``, the lines
+    of ``text`` (by default ``io.StringIO(text)``, which splits at LF only),
+    a column at a time: ``columns[k][r]`` is cell ``k`` of row ``r``. With
+    ``header`` the first row is left out, and with ``skip_empty`` every
+    empty row; no rows give no columns. None for rows of more than one
+    width, an empty row without ``skip_empty``, or a row csv.reader refuses.
 
-    Each row is one line split at ``delimiter``, which is what csv.reader
-    reads only when the text holds no ``"`` and no CR outside a CRLF, and
-    no line is longer than ``csv.field_size_limit()``. For such text, for
-    an empty row without ``skip_empty``, and for rows of more than one
-    width, this returns None and the caller reads the text with csv.reader.
+    Text with no ``"``, no CR outside a CRLF and no line longer than
+    ``csv.field_size_limit()`` is split at its line ends and ``delimiter``,
+    which is what csv.reader reads of it. Only other text is read with
+    csv.reader, and only then is ``lines`` read.
+    """
+    rows = _plain_lines(text, delimiter)
+    if rows is None:
+        reader = csv.reader(io.StringIO(text) if lines is None else lines, delimiter=delimiter)
+        return _reader_columns(reader, header, skip_empty)
+    if header:
+        del rows[:1]
+    if "" in rows:
+        if not skip_empty:
+            return None
+        rows = list(filter(None, rows))
+    if not rows:
+        return []
+    widths = set(map(str.count, rows, repeat(delimiter)))
+    if len(widths) != 1:
+        return None
+    width = widths.pop() + 1
+    cells = delimiter.join(rows).split(delimiter)
+    return [cells[k::width] for k in range(width)]
+
+
+def _plain_lines(text: str, delimiter: str) -> list[str] | None:
+    """The lines of ``text``, each of which csv.reader reads as its split
+    at ``delimiter``; None where it may read the text otherwise.
     """
     if len(delimiter) != 1 or delimiter in '"\r\n' or '"' in text:
         return None
@@ -392,20 +417,26 @@ def split_columns(text: str, delimiter: str = ",", header: bool = False,
     limit = csv.field_size_limit()
     if len(text) > limit and max(map(len, lines)) > limit:
         return None
-    if header:
-        del lines[:1]
-    if "" in lines:
-        if not skip_empty:
-            return None
-        lines = list(filter(None, lines))
-    if not lines:
-        return []
-    widths = set(map(str.count, lines, repeat(delimiter)))
-    if len(widths) != 1:
+    return lines
+
+
+def _reader_columns(reader, header: bool, skip_empty: bool) -> list[list[str]] | None:
+    """:func:`split_columns` of the rows of a csv.reader."""
+    try:
+        if header:
+            next(reader, None)
+        rows = filter(None, reader) if skip_empty else reader
+        # every row's cells and then None, which no cell is, to mark where
+        # the row ends; no row's list outlives the row
+        cells = list(chain.from_iterable(chain.from_iterable(zip(rows, repeat((None,))))))
+    except csv.Error:
         return None
-    width = widths.pop() + 1
-    cells = delimiter.join(lines).split(delimiter)
-    return [cells[k::width] for k in range(width)]
+    n = cells.count(None)
+    width = cells.index(None) if n else 0  # of the first row
+    step = width + 1
+    if n and (not width or len(cells) != step * n or cells[width::step].count(None) != n):
+        return None  # an empty row, or rows of more than one width
+    return [cells[k::step] for k in range(width)]
 
 
 def write_json(path, obj) -> None:
@@ -450,30 +481,33 @@ def write_edges(path, edges) -> None:
 
 def _raise_bad_row(path) -> None:
     """Raise the error of the first row of an edge file that no network may
-    hold, naming the file and 1-based line.
+    hold, or that csv.reader refuses, naming the file and 1-based line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            if len(row) != 3:
-                raise InvalidEdge(
-                    f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}"
-                )
-            try:
-                weight = float(row[2])
-            except ValueError:
-                raise InvalidEdge(
-                    f"{path}:{reader.line_num}: weight {row[2]!r} is not a number"
-                ) from None
-            if not math.isfinite(weight):
-                raise InvalidEdge(
-                    f"{path}:{reader.line_num}: weight {row[2]!r} is not finite"
-                )
-            try:
-                _check_edge(row[0], row[1], weight)
-            except AttnFlowError as exc:
-                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+        try:
+            next(reader)
+            for row in reader:
+                if len(row) != 3:
+                    raise InvalidEdge(
+                        f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}"
+                    )
+                try:
+                    weight = float(row[2])
+                except ValueError:
+                    raise InvalidEdge(
+                        f"{path}:{reader.line_num}: weight {row[2]!r} is not a number"
+                    ) from None
+                if not math.isfinite(weight):
+                    raise InvalidEdge(
+                        f"{path}:{reader.line_num}: weight {row[2]!r} is not finite"
+                    )
+                try:
+                    _check_edge(row[0], row[1], weight)
+                except AttnFlowError as exc:
+                    raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise InvalidEdge(f"{path}:{reader.line_num}: {exc}") from None
     raise AssertionError(f"{path}: the row checks pass a row the column checks reject")
 
 
@@ -481,28 +515,19 @@ def _read_edge_rows(path) -> tuple[list[str], np.ndarray]:
     """The labels of every row of an edge file, as src0, dst0, src1, ...,
     and the rows' weights.
 
-    The rows are split by :func:`split_columns`, or by csv.reader where it
-    cannot, and checked a column at a time. Only if a check fails are they
-    read again one by one, to raise the first bad row's error.
+    The rows are split by :func:`split_columns` and checked a column at a
+    time. Only if a check fails are they read again one by one, to raise
+    the first bad row's error.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         text = fh.read()
-    if not text:
-        raise InvalidEdge(f"{path}: empty edge file")
-    columns = split_columns(text, header=True)
-    if columns is None:
-        reader = csv.reader(io.StringIO(text, newline=""))
-        next(reader)
-        # every row's cells and then None, which no cell is, to mark where
-        # the row ends; no row's list outlives the row
-        cells = list(chain.from_iterable(chain.from_iterable(zip(reader, repeat((None,))))))
-        n = cells.count(None)
-        if len(cells) == 4 * n and cells[3::4].count(None) == n:  # three columns in every row
-            columns = [cells[0::4], cells[1::4], cells[2::4]]
-        del cells
-    elif not columns:  # a header and no rows
-        columns = [[], [], []]
+        if not text:
+            raise InvalidEdge(f"{path}: empty edge file")
+        fh.seek(0)
+        columns = split_columns(text, header=True, lines=fh)
     del text
+    if columns == []:  # a header and no rows
+        columns = [[], [], []]
     if columns is not None and len(columns) == 3:
         n = len(columns[0])
         ends = [None] * (2 * n)
@@ -522,14 +547,15 @@ def _read_edge_rows(path) -> tuple[list[str], np.ndarray]:
 
 
 class _EdgeRows(Mapping):
-    """What :func:`read_edges` and ``ingest.to_transition_edges`` return:
-    the read-only mapping ``(src, dst) -> weight``, held as labels, codes
-    and weights (or whole counts) in the form of :func:`_coded_edges`, one
-    row per distinct edge. The dict itself is made only when the rows are
-    used as a mapping.
+    """A read-only mapping ``(labels[i], labels[j]) -> weight``, held as
+    labels, the ``(m, 2)`` codes ``[i, j]`` and the weights, one row per
+    distinct pair. :func:`read_edges` and ``ingest.to_transition_edges``
+    return one whose labels are those of :func:`_coded_edges`, SOURCE and
+    SINK first; ``stats.duplication_filter`` one over sorted item pairs.
+    The dict itself is made only when the rows are used as a mapping.
     """
 
-    def __init__(self, labels: list, codes: np.ndarray, weight: np.ndarray):
+    def __init__(self, labels: list | tuple, codes: np.ndarray, weight: np.ndarray):
         self.labels = labels
         self.codes = codes
         self.weight = weight

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
@@ -27,7 +26,7 @@ from .errors import (
 )
 from .flowcalc import NodeFlowStats
 from .ingest import SessionLog
-from .network import write_csv
+from .network import _EdgeRows, write_csv
 
 # Relative singular-value cutoff below which a design matrix is treated as
 # rank deficient.
@@ -142,38 +141,6 @@ def concentration(values, labels: tuple[str, ...] | None = None) -> Concentratio
     return ConcentrationReport(gini=gini(values), zipf=zipf_table(values, labels))
 
 
-class _PairValues(Mapping):
-    """A read-only mapping ``(labels[i], labels[j]) -> data``, held as the
-    arrays ``i``, ``j`` and ``data`` with one entry per pair. The dict
-    itself is made only when the pairs are read as a mapping; ``len()``
-    reads the array size.
-    """
-
-    def __init__(self, labels: tuple[str, ...], i: np.ndarray, j: np.ndarray, data: np.ndarray):
-        self.labels = labels
-        self.i = i
-        self.j = j
-        self.data = data
-
-    @cached_property
-    def _dict(self) -> dict:
-        first = map(self.labels.__getitem__, self.i.tolist())
-        second = map(self.labels.__getitem__, self.j.tolist())
-        return dict(zip(zip(first, second), self.data.tolist()))
-
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:
-        return repr(self._dict)
-
-
 @dataclass(frozen=True)
 class DuplicationReport:
     """Audience-overlap network and its independence-filtered version.
@@ -198,8 +165,8 @@ class DuplicationReport:
     def degrees_after(self) -> dict[str, int]:
         return dict(zip(self.items, self._degrees(self.kept).tolist()))
 
-    def _degrees(self, edges: _PairValues) -> np.ndarray:
-        return np.bincount(np.concatenate((edges.i, edges.j)), minlength=len(self.items))
+    def _degrees(self, edges: _EdgeRows) -> np.ndarray:
+        return np.bincount(edges.codes.ravel(), minlength=len(self.items))
 
     def retained_fraction(self) -> float:
         return len(self.kept) / len(self.observed) if self.observed else 0.0
@@ -236,6 +203,7 @@ def duplication_filter(log: SessionLog) -> DuplicationReport:
     overlap = (member.T @ member).tocoo()
     upper = overlap.row < overlap.col
     i, j, count = overlap.row[upper], overlap.col[upper], overlap.data[upper]
+    pairs = np.stack((i, j), axis=1)
     sizes = np.asarray(member.sum(axis=0)).ravel()
     expected = sizes[i] * sizes[j] / n_users
     kept = count >= expected
@@ -243,9 +211,9 @@ def duplication_filter(log: SessionLog) -> DuplicationReport:
         items=items,
         n_users=n_users,
         audience_sizes=dict(zip(items, sizes.tolist())),
-        observed=_PairValues(items, i, j, count),
-        expected=_PairValues(items, i, j, expected),
-        kept=_PairValues(items, i[kept], j[kept], count[kept]),
+        observed=_EdgeRows(items, pairs, count),
+        expected=_EdgeRows(items, pairs, expected),
+        kept=_EdgeRows(items, pairs[kept], count[kept]),
     )
 
 

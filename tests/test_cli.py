@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -689,6 +690,22 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("MalformedRecord: line 2:")
 
+    def test_row_csv_reader_refuses_names_its_line(self, tmp_path, capsys):
+        log = tmp_path / "log.csv"
+        log.write_text("u1,A\nu1,B\nu2,LONG_ITEM_ID_X\n")
+        edges = tmp_path / "net.csv"
+        edges.write_text("src,dst,weight\n__source__,a,1\na,LONG_NODE_LABEL,1\n")
+        default = csv.field_size_limit(12)
+        try:
+            assert run(["ingest", "--input", log, "--out", tmp_path / "i"]) == 1
+            assert run(["build", "--input", edges, "--out", tmp_path / "b"]) == 1
+        finally:
+            csv.field_size_limit(default)
+        assert capsys.readouterr().err == (
+            "MalformedRecord: line 3: field larger than field limit (12)\n"
+            f"InvalidEdge: {edges}:3: field larger than field limit (12)\n"
+        )
+
     def test_partial_artifacts_removed(self, tmp_path, stats_dir, capsys):
         out = tmp_path / "fitfail"
         code = run(
@@ -793,6 +810,70 @@ class TestCertifiedInputs:
         assert run(["build", "--input", edges, "--out", out]) == 1
         assert capsys.readouterr().err == message.format(edges) + "\n"
         assert os.listdir(out) == []
+
+
+def _quote_all(plain: Path, quoted: Path) -> None:
+    """Write the rows of ``plain`` to ``quoted`` with every field quoted
+    and CRLF line ends.
+    """
+    with open(plain, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    with open(quoted, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+
+
+def _assert_same_trees(one: Path, two: Path) -> None:
+    files = sorted(os.listdir(one))
+    assert files == sorted(os.listdir(two))
+    for name in files:
+        if name != "config.json":  # echoes the differing --input and --out
+            assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+class TestQuotedInput:
+    """Input that csv.reader reads otherwise than a split at line ends and
+    delimiters, every field quoted and CRLF line ends, gives the artifacts
+    of the same rows written plain.
+    """
+
+    def test_quoted_log(self, tmp_path):
+        gen = tmp_path / "gen"
+        args = ["generate", "--family", "session-log", "--size", "60", "--seed", "3"]
+        assert run(args + ["--out", gen]) == 0
+        with open(gen / "sessions.csv", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        # timestamps out of order for some users, and gaps to split at
+        plain = tmp_path / "plain.csv"
+        with open(plain, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerows(row + [str(k * 7919 % 20000)] for k, row in enumerate(rows))
+        quoted = tmp_path / "quoted.csv"
+        _quote_all(plain, quoted)
+        assert b'"\r\n"' in quoted.read_bytes()
+        commands = {
+            "ingest": ["ingest"],
+            "residual": ["ingest", "--mode", "residual"],
+            "pipeline": ["pipeline", "--gap-seconds", "1800"],
+        }
+        for name, command in commands.items():
+            caught = []
+            for log in (plain, quoted):
+                out = tmp_path / log.stem / name
+                with warnings.catch_warnings(record=True) as record:
+                    warnings.simplefilter("always")
+                    assert run(command + ["--input", log, "--out", out]) == 0
+                caught.append([(w.category, str(w.message)) for w in record])
+            assert caught[0] == caught[1] and caught[0]
+            _assert_same_trees(tmp_path / "plain" / name, tmp_path / "quoted" / name)
+
+    def test_quoted_edge_file(self, tmp_path, network_dir):
+        plain = network_dir / "network.csv"
+        quoted = tmp_path / "quoted.csv"
+        _quote_all(plain, quoted)
+        assert quoted.read_bytes() != plain.read_bytes()
+        for edges in (plain, quoted):
+            assert run(["build", "--input", edges, "--out", tmp_path / edges.stem]) == 0
+        _assert_same_trees(tmp_path / "network", tmp_path / "quoted")
 
 
 class TestDeterminism:

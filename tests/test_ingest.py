@@ -1,4 +1,5 @@
 """Log parsing, sessionization, and transition-edge extraction."""
+import csv
 import io
 import warnings
 from itertools import accumulate, chain
@@ -13,7 +14,73 @@ from attnflow.errors import (
     MissingTimestamps,
     NonMonotonicTimestampsWarning,
 )
-from attnflow.ingest import _parse_columns, _parse_rows, serialize_log
+from attnflow.ingest import _parse_columns, serialize_log
+from attnflow.network import SINK, SOURCE
+
+
+def _parse_rows(lines, fmt: LogFormat) -> SessionLog:
+    """The reference of :func:`parse_log`: an iterable of lines read one
+    csv row at a time. A bad row raises its error, naming the row's last
+    line; a row csv.reader refuses raises MalformedRecord with its reason.
+    """
+    reader = csv.reader(lines, delimiter=fmt.delimiter)
+    try:
+        if fmt.has_header:
+            next(reader, None)
+
+        users: list[str] = []
+        records: dict[str, list[tuple[str, int | None]]] = {}
+        n_columns: int | None = None
+        n_records = 0
+        for row in reader:
+            if not row:
+                continue
+            lineno = reader.line_num
+            if n_columns is None:
+                if len(row) not in (2, 3):
+                    raise MalformedRecord(lineno, f"expected 2 or 3 columns, got {len(row)}")
+                n_columns = len(row)
+            if len(row) != n_columns:
+                raise MalformedRecord(lineno, f"expected {n_columns} columns, got {len(row)}")
+            user, item = row[0], row[1]
+            if not user or not item:
+                raise MalformedRecord(lineno, "empty user or item field")
+            if item in (SOURCE, SINK):
+                raise MalformedRecord(lineno, f"reserved token {item!r} used as item id")
+            ts: int | None = None
+            if n_columns == 3:
+                try:
+                    ts = int(row[2])
+                except ValueError:
+                    raise MalformedRecord(lineno, f"bad timestamp {row[2]!r}") from None
+            if user not in records:
+                records[user] = []
+                users.append(user)
+            records[user].append((item, ts))
+            n_records += 1
+    except csv.Error as exc:
+        raise MalformedRecord(reader.line_num, str(exc)) from None
+
+    if n_records == 0:
+        raise EmptyInput("no records in input")
+
+    with_time = n_columns == 3
+    sessions: dict[str, list[list[str]]] = {}
+    times: dict[str, list[list[int]]] = {}
+    for user in users:
+        recs = records[user]
+        if with_time:
+            stamps = [ts for _, ts in recs]
+            if any(b < a for a, b in zip(stamps, stamps[1:])):
+                warnings.warn(
+                    f"user {user!r}: timestamps not non-decreasing; re-sorting",
+                    NonMonotonicTimestampsWarning,
+                )
+            recs = sorted(recs, key=lambda rt: rt[1])
+        sessions[user] = [[item for item, _ in recs]]
+        if with_time:
+            times[user] = [[ts for _, ts in recs]]
+    return SessionLog.from_sessions(sessions, times if with_time else None, n_records)
 
 
 class TestParseLog:
@@ -96,6 +163,26 @@ class TestParseLog:
             log = parse_log(f"u1,A,{2**70}\nu1,B,{-2**70}\n".encode())
         assert log.sessions == {"u1": [["B", "A"]]}
         assert log.timestamps == {"u1": [[-2**70, 2**70]]}
+
+    @pytest.mark.parametrize("text, line, reason", [
+        ("u1,A\nu2,LONG_ITEM\n", 2, "field larger than field limit (8)"),
+        ("u1,\nu2,LONG_ITEM\n", 1, "empty user or item field"),
+        ('u1,"A\nB"\nu2,LONG_ITEM\n', 3, "field larger than field limit (8)"),
+        ("u1,A\nu2,B\rC\n", 2, "new-line character seen in unquoted field"),
+    ])
+    def test_row_csv_reader_refuses(self, text, line, reason):
+        """A row csv.reader refuses raises MalformedRecord naming its
+        line, unless an earlier row is bad.
+        """
+        default = csv.field_size_limit(8)
+        try:
+            outcome = _outcome(parse_log, text)
+            assert outcome == _outcome(_parse_rows, io.StringIO(text), LogFormat())
+        finally:
+            csv.field_size_limit(default)
+        (kind, message), caught = outcome
+        assert kind is MalformedRecord and not caught
+        assert message.startswith(f"line {line}: {reason}")
 
     @pytest.mark.parametrize("text", [
         "u1,A,5\nu2,B,7\n",
@@ -257,7 +344,8 @@ def _outcome(parse, *args):
 )
 def test_parse_log_matches_row_loop(records, width, delimiter, header, newline, blank, final):
     """Every route of parse_log returns, raises and warns what the row loop
-    does on the same lines: text, bytes, a binary and a text stream.
+    does on the same lines: text, bytes, a binary and a text stream, and a
+    list of lines.
     """
     rows = [delimiter.join(record[:own or width]) for *record, own in records]
     if header:
@@ -274,6 +362,8 @@ def test_parse_log_matches_row_loop(records, width, delimiter, header, newline, 
     assert _outcome(parse_log, io.BytesIO(text.encode()), fmt) == universal
     untranslated = _outcome(_parse_rows, io.StringIO(text, newline=""), fmt)
     assert _outcome(parse_log, io.StringIO(text, newline=""), fmt) == untranslated
+    # lines without line ends, each of which csv.reader ends a row at
+    assert _outcome(parse_log, rows, fmt) == _outcome(_parse_rows, rows, fmt)
 
 
 def _sessionize_by_visits(sessions, times, gap):

@@ -568,27 +568,30 @@ def _reference_read_edges(path) -> dict:
         header = next(reader, None)
         if header is None:
             raise InvalidEdge(f"{path}: empty edge file")
-        for row in reader:
-            if len(row) != 3:
-                raise InvalidEdge(
-                    f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}"
-                )
-            try:
-                weight = float(row[2])
-            except ValueError:
-                raise InvalidEdge(
-                    f"{path}:{reader.line_num}: weight {row[2]!r} is not a number"
-                ) from None
-            if not math.isfinite(weight):
-                raise InvalidEdge(
-                    f"{path}:{reader.line_num}: weight {row[2]!r} is not finite"
-                )
-            try:
-                _check_edge(row[0], row[1], weight)
-            except AttnFlowError as exc:
-                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
-            key = (row[0], row[1])
-            edges[key] = edges.get(key, 0.0) + weight
+        try:
+            for row in reader:
+                if len(row) != 3:
+                    raise InvalidEdge(
+                        f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}"
+                    )
+                try:
+                    weight = float(row[2])
+                except ValueError:
+                    raise InvalidEdge(
+                        f"{path}:{reader.line_num}: weight {row[2]!r} is not a number"
+                    ) from None
+                if not math.isfinite(weight):
+                    raise InvalidEdge(
+                        f"{path}:{reader.line_num}: weight {row[2]!r} is not finite"
+                    )
+                try:
+                    _check_edge(row[0], row[1], weight)
+                except AttnFlowError as exc:
+                    raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
+                key = (row[0], row[1])
+                edges[key] = edges.get(key, 0.0) + weight
+        except csv.Error as exc:
+            raise InvalidEdge(f"{path}:{reader.line_num}: {exc}") from None
     return edges
 
 
@@ -672,6 +675,39 @@ class TestReaderMatchesRowReader:
         expected = (InvalidEdge, f"{path}:120001: weight 'x' is not a number")
         assert _read_outcome(read_edges, path) == expected
         assert _read_outcome(_reference_read_edges, path) == expected
+
+    @pytest.mark.parametrize("rows, line, reason", [
+        (["a,b,1", "c,LONG_LABEL,1"], 3, "field larger than field limit (8)"),
+        (["a,b,x", "c,LONG_LABEL,1"], 2, "weight 'x' is not a number"),
+        (['a,"b\nb",1', "c,b,1\rLONG_LABEL,d,1"], 5, "field larger than field limit (8)"),
+    ])
+    def test_row_csv_reader_refuses(self, tmp_path, rows, line, reason):
+        """A row csv.reader refuses raises InvalidEdge naming its line,
+        unless an earlier row is bad.
+        """
+        path = tmp_path / "edges.csv"
+        path.write_text("src,dst,weight\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        default = csv.field_size_limit(8)
+        try:
+            outcome = _read_outcome(read_edges, path)
+            assert outcome == _read_outcome(_reference_read_edges, path)
+        finally:
+            csv.field_size_limit(default)
+        assert outcome[0] is InvalidEdge
+        assert outcome[1].startswith(f"{path}:{line}: {reason}")
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"])
+    def test_rows_end_at_any_line_end(self, tmp_path, end):
+        """An edge file is read in newline="" mode, where a lone CR, as a
+        quoted label holds, also ends a row.
+        """
+        path = tmp_path / "edges.csv"
+        rows = ["src,dst,weight", "__source__,a,1", 'a,"b\rc",2.5', "a,__sink__,1"]
+        path.write_bytes((end.join(rows) + end).encode("utf-8"))
+        assert _read_outcome(read_edges, path) == _read_outcome(_reference_read_edges, path)
+        assert dict(read_edges(path)) == {
+            (SOURCE, "a"): 1.0, ("a", "b\rc"): 2.5, ("a", SINK): 1.0
+        }
 
     def test_read_edges_is_read_only(self, tmp_path):
         path = tmp_path / "edges.csv"

@@ -15,6 +15,7 @@ from attnflow import (
     SingularDesign,
     TooFewPoints,
     TooFewRows,
+    build_flow_network,
     concentration,
     duplication_filter,
     fit_power_law,
@@ -326,6 +327,19 @@ class TestDuplicationArrays:
             assert "_dict" not in vars(pairs)
         assert report.kept == {("a", "b"): 2}
         assert "_dict" in vars(report.kept)
+
+    def test_pairs_build_the_network_of_their_dict(self):
+        """The pairs are over sorted items, not SOURCE and SINK first, so
+        build_flow_network reads them as the mapping they are.
+        """
+        report = duplication_filter(
+            _audience_log({"u1": ["a", "b", "c"], "u2": ["a", "b", "c"], "u3": ["d"]})
+        )
+        assert len(report.kept) == 3
+        net = build_flow_network(report.kept)
+        expected = build_flow_network(dict(report.kept))
+        assert net.items == expected.items == ("a", "b", "c")
+        assert (net.flow != expected.flow).nnz == 0
 
 
 class TestOlsRegress:

@@ -1,8 +1,8 @@
 """The artifact format has one owner, the wire-format section of
 ``network.py``. An AST scan of ``src/attnflow/*.py`` checks that every
-text-mode ``open()`` names UTF-8 and that no other code writes JSON or CSV
-to a file. The section's tokenizer, ``split_columns``, reads what
-csv.reader reads or declines.
+text-mode ``open()`` names UTF-8, that no other code writes JSON or CSV
+to a file, and that csv.reader turns text into columns in one place. The
+section's tokenizer, ``split_columns``, reads what csv.reader reads.
 """
 import ast
 import csv
@@ -21,6 +21,15 @@ SECTION = "# --- wire formats"
 OWNERS = {
     "json.dump": {"write_json"},
     "csv.writer": {"write_csv"},
+}
+
+#: the functions allowed to call csv.reader: the one tokenizer, the two
+#: row loops that only raise the first bad row's error, and the stats reader
+READERS = {
+    "network.split_columns",
+    "network._raise_bad_row",
+    "ingest._raise_bad_record",
+    "flowcalc.read_stats_csv",
 }
 
 
@@ -123,6 +132,17 @@ def test_writers_live_in_wire_format_section(path):
         )
 
 
+@pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
+def test_csv_reader_has_one_column_builder(path):
+    for name, call, function in _scan(path).calls:
+        if name not in ("csv.reader", "csv.DictReader"):
+            continue
+        owner = f"{path.stem}.{function.name if function else '<module>'}"
+        assert name == "csv.reader" and owner in READERS, (
+            f"{path.name}:{call.lineno}: {name} outside {sorted(READERS)}"
+        )
+
+
 def _csv_rows(text: str, delimiter: str, newline: str):
     """csv.reader's rows of ``text`` split into lines in ``newline`` mode,
     or the error it raises.
@@ -144,6 +164,30 @@ _CELL = st.sampled_from(
 _ROW_WIDTH = st.sampled_from([-1] * 8 + [0, 1, 2, 3])
 
 
+def _csv_columns(text: str, delimiter: str, newline: str, header: bool, skip_empty: bool):
+    """What split_columns returns for ``text`` read by csv.reader in
+    ``newline`` mode: None for a row csv.reader refuses, an empty row
+    without ``skip_empty`` and rows of more than one width.
+    """
+    rows = _csv_rows(text, delimiter, newline)
+    if isinstance(rows, csv.Error):
+        return None
+    if header:
+        rows = rows[1:]
+    if skip_empty:
+        rows = [row for row in rows if row]
+    if [] in rows or len(set(map(len, rows))) > 1:
+        return None
+    return [list(column) for column in zip(*rows)]
+
+
+class _Unread:
+    """A line source that fails the test if it is read."""
+
+    def __iter__(self):
+        raise AssertionError("the lines were read")
+
+
 class TestSplitColumns:
     @pytest.mark.parametrize("text, columns", [
         ("a,b\r\nc,d\r\n", [["a", "c"], ["b", "d"]]),
@@ -154,16 +198,28 @@ class TestSplitColumns:
     ])
     def test_plain_text_is_split(self, text, columns):
         assert split_columns(text) == columns
+        assert split_columns(text, lines=_Unread()) == columns
 
     @pytest.mark.parametrize("text", [
-        'a,"b"\n',  # a quote
-        "a,b\rc,d\n",  # a CR outside a CRLF
-        "a,b\r",
+        "a,b\rc,d\n",  # a CR outside a CRLF, which csv.reader refuses in a line
         "a,b\nc\n",  # two widths
         "a,b\n\nc,d\n",  # an empty row
     ])
     def test_declines_what_csv_reads_otherwise(self, text):
         assert split_columns(text) is None
+
+    @pytest.mark.parametrize("text, columns", [
+        ('a,"b"\n', [["a"], ["b"]]),
+        ("a,b\r", [["a"], ["b"]]),
+        ('"x,y",z\r\n"q""",\r\n', [["x,y", 'q"'], ["z", ""]]),
+        ('a,"b\r\nc"\nd,e', [["a", "d"], ["b\r\nc", "e"]]),
+    ])
+    def test_other_text_is_read_by_csv_reader(self, text, columns):
+        assert split_columns(text) == columns
+
+    def test_csv_reader_reads_the_given_lines(self):
+        text = "a,b\rc,d\n"
+        assert split_columns(text, lines=io.StringIO(text, newline="")) == [["a", "c"], ["b", "d"]]
 
     def test_empty_rows_skipped_and_header_left_out(self):
         text = "h\n\na,b\n\nc,d\n"
@@ -171,11 +227,14 @@ class TestSplitColumns:
         assert split_columns(text, skip_empty=True) is None  # the header has one cell
         # the header is the first row even when it is empty
         assert split_columns("\na,b\n", header=True) == [["a"], ["b"]]
+        assert split_columns('"\n"\na,b\n\n', header=True, skip_empty=True) == [["a"], ["b"]]
 
     def test_line_longer_than_the_field_limit(self):
         limit = csv.field_size_limit()
         assert split_columns("a" * limit + "\n") == [["a" * limit]]
         assert split_columns("a" * (limit + 1) + "\n") is None
+        # a line longer than the limit whose cells are not
+        assert split_columns("a" * limit + ",b\n") == [["a" * limit], ["b"]]
 
     @settings(max_examples=400)
     @given(
@@ -193,20 +252,16 @@ class TestSplitColumns:
     ):
         """Drawn text holds quotes, CRLF and lone CRs, NUL, empty lines,
         tab and non-ASCII delimiters, and fields at a lowered size limit.
+        Read from its LF-split lines, the default, and from the lines of
+        newline="" mode, split_columns returns csv.reader's rows as
+        columns, or None exactly where they cannot be columns.
         """
         lines = [delimiter.join(cells[:own if own >= 0 else width]) for cells, own in rows]
         text = newline.join(lines) + (newline if final else "")
         default = csv.field_size_limit(limit)
         try:
-            columns = split_columns(text, delimiter, header, skip_empty)
-            expected = [_csv_rows(text, delimiter, mode) for mode in ("\n", "")]
+            for mode, source in (("\n", None), ("", io.StringIO(text, newline=""))):
+                columns = split_columns(text, delimiter, header, skip_empty, lines=source)
+                assert columns == _csv_columns(text, delimiter, mode, header, skip_empty), mode
         finally:
             csv.field_size_limit(default)
-        if columns is None:
-            return
-        assert expected[0] == expected[1]
-        expected = expected[0][1:] if header else expected[0]
-        if skip_empty:
-            expected = [row for row in expected if row]
-        assert [list(row) for row in zip(*columns)] == expected
-        assert not columns or all(len(column) == len(expected) for column in columns)
