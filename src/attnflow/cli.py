@@ -87,11 +87,14 @@ def _boolean(raw: str) -> bool:
 
 
 def _count(raw: str) -> int:
-    """A whole number that may be written as a float, such as ``1e6``."""
+    """A whole number >= 1 that may be written as a float, such as ``1e6``."""
     try:
-        return int(float(raw))
+        value = int(float(raw))
     except OverflowError:
         raise ValueError(f"expected a finite number, got {raw!r}") from None
+    if value < 1:
+        raise ValueError(f"expected a whole number >= 1, got {raw!r}")
+    return value
 
 
 def _nonnegative_float(raw: str) -> float:
@@ -182,7 +185,9 @@ class RunConfig:
     pairwise: bool = _setting(
         False, "also write the pairwise distance table", ("distance", "pipeline"), _boolean
     )
-    seed: int = _setting(0, "random seed", ("simulate", "compare", "generate"), int)
+    seed: int = _setting(
+        0, "random seed", ("simulate", "compare", "generate"), _nonnegative_int
+    )
     walkers: int = _setting(100_000, "walker count", ("simulate", "compare"), _count)
     multiplier: float = _setting(3.0, "z-score threshold", ("compare",), _positive_float)
     family: str = _setting("random-cyclic", "generator family", ("generate",), choices=_FAMILIES)

@@ -203,6 +203,12 @@ def parse_log(stream, fmt: LogFormat = LogFormat()) -> SessionLog:
         lines = list(stream)  # split as the stream splits its lines
         # csv.reader ends a row where a line ends, with a line end or without
         text = "".join(line if line.endswith(("\n", "\r")) else line + "\n" for line in lines)
+        if '"' not in text and any(
+            "\n" in body or "\r" in body for body in (line.rstrip("\r\n") for line in lines)
+        ):
+            # csv.reader refuses a line end inside an unquoted line, where
+            # the joined text would start a new row
+            _raise_bad_record(lines, fmt)
     log = _parse_columns(text, fmt, lines)
     if log is None:
         _raise_bad_record(io.StringIO(text) if lines is None else lines, fmt)

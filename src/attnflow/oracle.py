@@ -19,7 +19,7 @@ import scipy.sparse.csgraph as csgraph
 from .errors import InvalidSpec, MismatchedNetworks, NotCertified, StepCapWarning
 from .flowcalc import NodeFlowStats, transition_matrix
 from .ingest import SessionLog
-from .network import FlowNetwork, build_flow_network, cell, validate, write_csv
+from .network import FlowNetwork, build_flow_network, cells, validate, write_csv
 
 STEP_CAP = 1_000_000
 
@@ -31,9 +31,28 @@ MIN_PASS_FRACTION = 0.95
 # tally for a given seed, so it must stay as it is.
 _BATCH_ENTRY_BUDGET = 8_000_000
 
+# Consecutive batches step together in waves of as many whole batches as
+# fit in this many walkers (at least one), so each numpy call covers more
+# walkers. Every batch still draws from its own child stream, for its own
+# walkers in walker order, so the value changes no tally: it only sets how
+# large each step's arrays are.
+_WAVE_WALKERS = 8_192
+
 # Queued arrivals are folded into a batch's per-(walker, node) table once
 # they reach this count or the table's size, whichever is larger.
 _ARRIVAL_CHUNK = 1 << 20
+
+# Per-node sums every simulation keeps; subtree_sum is added on request.
+_SUMS = (
+    "visit_sum",
+    "visit_sumsq",
+    "absorption",
+    "first_arrival",
+    "fp_sum",
+    "fp_sumsq",
+    "fp_count",
+)
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -314,12 +333,12 @@ class _PairTally:
         self.counts = np.zeros(0, dtype=np.int64)
         self.first = np.zeros(0, dtype=np.int64)
         self._queued: list[np.ndarray] = []
-        self._steps: list[np.ndarray] = []
+        self._steps: list[int] = []
         self._n_queued = 0
 
     def add(self, keys: np.ndarray, step: int) -> None:
         self._queued.append(keys)
-        self._steps.append(np.full(keys.size, step, dtype=np.int64))
+        self._steps.append(step)
         self._n_queued += keys.size
         if self._n_queued >= max(_ARRIVAL_CHUNK, self.keys.size):
             self.fold()
@@ -327,7 +346,8 @@ class _PairTally:
     def fold(self) -> None:
         keys = np.concatenate([self.keys, *self._queued])
         counts = np.concatenate([self.counts, np.ones(self._n_queued, dtype=np.int64)])
-        first = np.concatenate([self.first, *self._steps])
+        steps = np.repeat(np.array(self._steps, dtype=np.int64), [q.size for q in self._queued])
+        first = np.concatenate([self.first, steps])
         self._queued, self._steps, self._n_queued = [], [], 0
         if not keys.size:
             return
@@ -339,6 +359,24 @@ class _PairTally:
         self.first = first[order][starts]
 
 
+def _add_pair_sums(pairs: _PairTally, length: np.ndarray, n_total: int, sums: dict) -> None:
+    """Fold one batch's pair table into the per-node sums; ``length`` is
+    each walker's step count, used when ``sums`` holds ``subtree_sum``.
+    """
+    pairs.fold()
+    node = pairs.keys % n_total
+    first = pairs.first
+    sums["first_arrival"] += np.bincount(node[first == 1], minlength=n_total)
+    sums["visit_sum"] += np.bincount(node, weights=pairs.counts, minlength=n_total)
+    sums["visit_sumsq"] += np.bincount(node, weights=pairs.counts**2, minlength=n_total)
+    sums["fp_count"] += np.bincount(node, minlength=n_total)
+    sums["fp_sum"] += np.bincount(node, weights=first, minlength=n_total)
+    sums["fp_sumsq"] += np.bincount(node, weights=first * first, minlength=n_total)
+    if "subtree_sum" in sums:
+        onward = length[pairs.keys // n_total] - first + 1
+        sums["subtree_sum"] += np.bincount(node, weights=onward, minlength=n_total)
+
+
 def simulate_walkers(
     net: FlowNetwork,
     n_walkers: int,
@@ -348,15 +386,20 @@ def simulate_walkers(
 ) -> WalkEstimate:
     """Drop seeded random walkers at the source and tally their paths.
 
-    Deterministic given (network, n_walkers, seed): walkers are processed
-    in fixed-size batches with SeedSequence-spawned child streams, so the
-    result is independent of any execution schedule. Walkers still alive
-    at step_cap are counted in cap_exceeded and excluded from absorption.
-    Tallies are kept per visited (walker, node) pair, so memory follows
-    walkers times path length, not the node count.
+    Deterministic given (network, n_walkers, seed): walkers are split into
+    fixed-size batches, each drawing from its own SeedSequence-spawned
+    child stream, so the result is independent of any execution schedule.
+    Consecutive batches step together in waves of at most _WAVE_WALKERS
+    walkers (at least one batch); each batch draws only for its own
+    walkers, as it would alone. Walkers still alive at step_cap are counted
+    in cap_exceeded and excluded from absorption. Tallies are kept per
+    visited (walker, node) pair in one table per batch, so memory follows
+    the wave's walkers times their path length, not the node count.
     """
     if n_walkers < 1:
         raise ValueError("n_walkers must be >= 1")
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     report = validate(net)
     if not report.certified:
         raise NotCertified(
@@ -367,69 +410,70 @@ def simulate_walkers(
     M = transition_matrix(net).matrix.tocsr()
     n_total = M.shape[0]
     sink = net.sink_index
-    data = M.data
     indptr = M.indptr
     indices = M.indices
-    cum = np.concatenate([[0.0], np.cumsum(data)])
-    row_mass = cum[indptr[1:]] - cum[indptr[:-1]]
+    cum = np.concatenate([[0.0], np.cumsum(M.data)])
+    row_base = cum[indptr[:-1]]
+    row_mass = cum[indptr[1:]] - row_base
+    row_last = indptr[1:] - 1
 
-    visit_sum = np.zeros(n_total)
-    visit_sumsq = np.zeros(n_total)
-    absorption = np.zeros(n_total)
-    first_arrival = np.zeros(n_total)
-    fp_sum = np.zeros(n_total)
-    fp_sumsq = np.zeros(n_total)
-    fp_count = np.zeros(n_total)
-    subtree_sum = np.zeros(n_total) if track_subtree else None
+    names = _SUMS + ("subtree_sum",) if track_subtree else _SUMS
+    sums = {name: np.zeros(n_total) for name in names}
     cap_exceeded = 0
 
     batch = _batch_size(n_total, n_walkers)
     n_batches = -(-n_walkers // batch)
     streams = np.random.SeedSequence(seed).spawn(n_batches)
-    done = 0
-    for child in streams:
-        b = min(batch, n_walkers - done)
-        done += b
-        rng = np.random.default_rng(child)
-        pos = np.zeros(b, dtype=np.int64)
-        alive = np.arange(b)
-        length = np.zeros(b, dtype=np.int64)
+    per_wave = max(1, _WAVE_WALKERS // batch)
+    for first_batch in range(0, n_batches, per_wave):
+        rngs = list(map(np.random.default_rng, streams[first_batch : first_batch + per_wave]))
+        # each batch's walker range in the wave; only the last batch is short
+        offsets = np.minimum(np.arange(len(rngs) + 1) * batch, n_walkers - first_batch * batch)
+        bounds = offsets  # each batch's range among the alive walkers
+        alive = np.arange(offsets[-1])
+        pos = np.zeros(alive.size, dtype=np.int64)  # node of each alive walker
+        length = np.zeros(alive.size, dtype=np.int64)
         absorbed_from: list[np.ndarray] = []
-        pairs = _PairTally()
+        tables = [_PairTally() for _ in rngs]
         step = 0
         while alive.size and step < step_cap:
             step += 1
-            p = pos[alive]
-            u = rng.random(alive.size)
-            start = indptr[p]
-            target = cum[start] + u * row_mass[p]
-            k = np.searchsorted(cum, target, side="right")
-            k = np.minimum(np.maximum(k - 1, start), indptr[p + 1] - 1)
+            target = np.empty(alive.size)
+            for rng, lo, hi in zip(rngs, bounds[:-1], bounds[1:]):
+                if hi > lo:
+                    rng.random(out=target[lo:hi])
+            # each walker's uniform, scaled onto its row's stretch of cum
+            target *= row_mass[pos]
+            target += row_base[pos]
+            # searchsorted is several times faster on sorted keys
+            order = np.argsort(target)
+            k = np.empty(alive.size, dtype=np.int64)
+            k[order] = np.searchsorted(cum, target[order], side="right")
+            k -= 1
+            np.maximum(k, indptr[pos], out=k)
+            np.minimum(k, row_last[pos], out=k)
             nxt = indices[k]
-            pos[alive] = nxt
             hit_sink = nxt == sink
             if hit_sink.any():
-                absorbed_from.append(p[hit_sink])
+                absorbed_from.append(pos[hit_sink])
                 length[alive[hit_sink]] = step - 1
-            alive = alive[~hit_sink]
-            pairs.add(alive * n_total + nxt[~hit_sink], step)
+                alive = alive[~hit_sink]
+                nxt = nxt[~hit_sink]
+                bounds = np.searchsorted(alive, offsets)
+            pos = nxt
+            keys = alive * n_total + pos
+            for pairs, lo, hi in zip(tables, bounds[:-1], bounds[1:]):
+                if hi > lo:
+                    pairs.add(keys[lo:hi], step)
         if alive.size:
             cap_exceeded += alive.size
             length[alive] = step
         if absorbed_from:
-            absorption += np.bincount(np.concatenate(absorbed_from), minlength=n_total)
-        pairs.fold()
-        node = pairs.keys % n_total
-        first = pairs.first
-        first_arrival += np.bincount(node[first == 1], minlength=n_total)
-        visit_sum += np.bincount(node, weights=pairs.counts, minlength=n_total)
-        visit_sumsq += np.bincount(node, weights=pairs.counts**2, minlength=n_total)
-        fp_count += np.bincount(node, minlength=n_total)
-        fp_sum += np.bincount(node, weights=first, minlength=n_total)
-        fp_sumsq += np.bincount(node, weights=first * first, minlength=n_total)
-        if track_subtree:
-            onward = length[pairs.keys // n_total] - first + 1
-            subtree_sum += np.bincount(node, weights=onward, minlength=n_total)
+            sums["absorption"] += np.bincount(np.concatenate(absorbed_from), minlength=n_total)
+        # each table is dropped as it is summed: one kept while the next wave
+        # steps leaves holes in the heap that raised the audit's peak RSS
+        while tables:
+            _add_pair_sums(tables.pop(0), length, n_total, sums)
     if cap_exceeded:
         warnings.warn(
             f"{cap_exceeded} walkers hit the {step_cap}-step cap", StepCapWarning
@@ -441,15 +485,8 @@ def simulate_walkers(
         n_walkers=n_walkers,
         seed=seed,
         total_flow=net.total_source_outflow(),
-        visit_sum=visit_sum[interior],
-        visit_sumsq=visit_sumsq[interior],
-        absorption=absorption[interior],
-        first_arrival=first_arrival[interior],
-        fp_sum=fp_sum[interior],
-        fp_sumsq=fp_sumsq[interior],
-        fp_count=fp_count[interior],
         cap_exceeded=cap_exceeded,
-        subtree_sum=subtree_sum[interior] if track_subtree else None,
+        **{name: tally[interior] for name, tally in sums.items()},
     )
 
 
@@ -463,22 +500,12 @@ def write_estimates_csv(path, est: WalkEstimate) -> None:
     l_hat, _ = est.source_distance_estimate()
     c = est.impact_estimate()
     header = ["item", "A_hat", "D_hat", "S_hat", "F_hat", "l_hat"]
+    floats = [map(repr, v.tolist()) for v in (a_hat, d_hat, s_hat, a_hat - d_hat)]
+    columns = [est.items, *floats, cells(l_hat)]
     if c is not None:
         header.append("C_hat")
-    rows = []
-    for i, item in enumerate(est.items):
-        row = [
-            item,
-            repr(float(a_hat[i])),
-            repr(float(d_hat[i])),
-            repr(float(s_hat[i])),
-            repr(float(a_hat[i] - d_hat[i])),
-            cell(l_hat[i]),
-        ]
-        if c is not None:
-            row.append(repr(float(c[0][i])))
-        rows.append(row)
-    write_csv(path, header, rows)
+        columns.append(map(repr, c[0].tolist()))
+    write_csv(path, header, zip(*columns))
 
 
 @dataclass(frozen=True)

@@ -227,8 +227,12 @@ class TestSettings:
         "command, key, raw",
         [
             ("generate", "seed", "abc"),
+            ("generate", "seed", "-1"),
+            ("simulate", "seed", "-1"),
             ("simulate", "walkers", "lots"),
             ("simulate", "walkers", "inf"),
+            ("simulate", "walkers", "0"),
+            ("compare", "walkers", "-3"),
             ("ingest", "mode", "bogus"),
             ("generate", "family", "nope"),
             ("ingest", "delimiter", "ab"),

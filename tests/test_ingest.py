@@ -184,6 +184,31 @@ class TestParseLog:
         assert kind is MalformedRecord and not caught
         assert message.startswith(f"line {line}: {reason}")
 
+    @pytest.mark.parametrize("lines, line, reason", [
+        (["u1,A\nu2,B\n"], 1, "new-line character seen in unquoted field"),
+        (["u1,A\n", "u2,B\rC\n"], 2, "new-line character seen in unquoted field"),
+        (["u1,A", "\nu2,B"], 2, "new-line character seen in unquoted field"),
+        (["x\n", "u1,A\nu2,B\n"], 1, "expected 2 or 3 columns, got 1"),
+    ])
+    def test_line_end_inside_a_listed_line(self, lines, line, reason):
+        """A list of lines is read as csv.reader reads it, which refuses a
+        line end inside an unquoted line rather than starting a new row.
+        """
+        outcome = _outcome(parse_log, lines)
+        assert outcome == _outcome(_parse_rows, lines, LogFormat())
+        (kind, message), _ = outcome
+        assert kind is MalformedRecord
+        assert message.startswith(f"line {line}: {reason}")
+
+    @pytest.mark.parametrize("lines", [
+        ["u1,A\r\n", "u2,B\r\n"],
+        ["u1,A\n\n", "u2,B"],
+        ['u1,"A\nB"\n', "u2,C\n"],
+    ])
+    def test_listed_lines_csv_reader_accepts(self, lines):
+        assert _outcome(parse_log, lines) == _outcome(_parse_rows, lines, LogFormat())
+        assert parse_log(lines).n_records == 2
+
     @pytest.mark.parametrize("text", [
         "u1,A,5\nu2,B,7\n",
         "user,item,ts\r\nu1,A,5\r\n\r\nu2,B,7",
@@ -364,6 +389,10 @@ def test_parse_log_matches_row_loop(records, width, delimiter, header, newline, 
     assert _outcome(parse_log, io.StringIO(text, newline=""), fmt) == untranslated
     # lines without line ends, each of which csv.reader ends a row at
     assert _outcome(parse_log, rows, fmt) == _outcome(_parse_rows, rows, fmt)
+    # two rows to a line, which csv.reader refuses where the line end is unquoted
+    ended = [row + newline for row in rows]
+    paired = [a + b for a, b in zip(ended[::2], ended[1::2] + [""])]
+    assert _outcome(parse_log, paired, fmt) == _outcome(_parse_rows, paired, fmt)
 
 
 def _sessionize_by_visits(sessions, times, gap):

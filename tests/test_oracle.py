@@ -183,6 +183,12 @@ class TestSimulateWalkers:
         with pytest.raises(ValueError):
             simulate_walkers(chain_net, 0)
 
+    @pytest.mark.parametrize("step_cap", [0, -1])
+    def test_bad_step_cap(self, chain_net, step_cap):
+        # a cap of 0 counted every walker as over it and estimated zeros
+        with pytest.raises(ValueError, match=f"step_cap must be >= 1, got {step_cap}"):
+            simulate_walkers(chain_net, 10, step_cap=step_cap)
+
     def test_step_cap_accounting(self, balanced_loop_net):
         heavy = build_flow_network(
             {("__source__", "X"): 2, ("X", "X"): 8, ("X", "__sink__"): 2}
@@ -341,6 +347,58 @@ class TestSparseTallies:
         monkeypatch.setattr(oracle, "_ARRIVAL_CHUNK", 7)
         self._assert_matches_dense(balanced_cyclic_net, 3_000, seed=4)
         self._assert_matches_dense(_heavy_loop_net(), 2_000, seed=5, step_cap=40)
+
+    @staticmethod
+    def _waves_of(monkeypatch, batches):
+        """Batches of 1,024 walkers, the fewest _batch_size gives, stepped
+        ``batches`` to a wave; returns every pair table made, in order.
+        """
+        monkeypatch.setattr(oracle, "_BATCH_ENTRY_BUDGET", 1)
+        monkeypatch.setattr(oracle, "_WAVE_WALKERS", batches * 1024)
+        tables = []
+
+        class Recording(oracle._PairTally):
+            """A pair table that remembers the last step it was given."""
+
+            def __init__(self):
+                super().__init__()
+                self.last_step = 0
+                tables.append(self)
+
+            def add(self, keys, step):
+                self.last_step = step
+                super().add(keys, step)
+
+        monkeypatch.setattr(oracle, "_PairTally", Recording)
+        return tables
+
+    @pytest.mark.parametrize("batches", [2, 3])
+    def test_waves_with_a_short_last_batch(self, monkeypatch, balanced_cyclic_net, batches):
+        # 7,777 walkers: seven full batches and one of 609, in waves of 2 or 3
+        tables = self._waves_of(monkeypatch, batches)
+        self._assert_matches_dense(balanced_cyclic_net, 7_777, seed=2)
+        assert len(tables) == 8
+
+    def test_batches_of_a_wave_end_at_different_steps(self, monkeypatch):
+        tables = self._waves_of(monkeypatch, 3)
+        self._assert_matches_dense(_heavy_loop_net(), 9 * 1024, seed=3)
+        waves = [tables[i : i + 3] for i in range(0, len(tables), 3)]
+        assert len(waves) == 3
+        assert all(len({t.last_step for t in wave}) > 1 for wave in waves)
+
+    def test_step_cap_inside_a_wave(self, monkeypatch):
+        # one wave of three batches, the last of 952 walkers
+        tables = self._waves_of(monkeypatch, 3)
+        est = self._assert_matches_dense(_heavy_loop_net(), 3_000, seed=1, step_cap=5)
+        assert len(tables) == 3
+        assert est.cap_exceeded > 0
+
+    def test_folds_within_a_wave(self, monkeypatch, balanced_cyclic_net):
+        tables = self._waves_of(monkeypatch, 3)
+        monkeypatch.setattr(oracle, "_ARRIVAL_CHUNK", 7)
+        self._assert_matches_dense(balanced_cyclic_net, 3_500, seed=4)
+        self._assert_matches_dense(_heavy_loop_net(), 5_000, seed=5, step_cap=40)
+        assert len(tables) == 4 + 5
 
     def test_memory_follows_path_length(self):
         """100k nodes, each leaking half its flow to the sink: walkers take
@@ -508,6 +566,24 @@ class TestEstimatesCsv:
         lines = p1.read_text().splitlines()
         assert lines[0] == "item,A_hat,D_hat,S_hat,F_hat,l_hat"
         assert len(lines) == 3
+
+    def test_matches_row_by_row(self, tmp_path, star_net):
+        """The columns hold each value at repr precision, as a row at a
+        time did; a leaf no walker reached has an empty l_hat.
+        """
+        est = simulate_walkers(star_net, 2, seed=1, track_subtree=True)
+        path = tmp_path / "e.csv"
+        write_estimates_csv(path, est)
+        a, d, s = (f()[0] for f in (est.through_flow_estimate, est.dissipation_estimate,
+                                    est.source_inflow_estimate))
+        l_hat, c_hat = est.source_distance_estimate()[0], est.impact_estimate()[0]
+        rows = ["item,A_hat,D_hat,S_hat,F_hat,l_hat,C_hat"]
+        for i, item in enumerate(est.items):
+            cells = [float(a[i]), float(d[i]), float(s[i]), float(a[i] - d[i]), float(l_hat[i])]
+            cells = ["" if np.isnan(x) else repr(x) for x in cells] + [repr(float(c_hat[i]))]
+            rows.append(",".join([item, *cells]))
+        assert np.isnan(l_hat).any()
+        assert path.read_text() == "\n".join(rows) + "\n"
 
     def test_impact_column_when_tracked(self, tmp_path, chain_net):
         est = simulate_walkers(chain_net, 200, seed=4, track_subtree=True)
