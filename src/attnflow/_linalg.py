@@ -6,10 +6,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-from scipy.linalg import solve_triangular
 
 from .errors import SingularSystem
 
@@ -24,12 +24,13 @@ PIVOT_TOL = 1e-12
 DENSE_THRESHOLD = 2000
 
 # Strongly connected components at or below this order get a batched dense
-# inverse, larger ones a shifted sparse factor. Timed on session-log giant
-# SCCs (build, both diagonals and two solves; 2 cores, one BLAS thread):
-# 22 against 30 ms at 431-442 nodes, a tie at 569-592, and 620 against
-# 320 ms at 1.9k. The cut sits below the tie, on the side of the route
-# whose cost grows slower with size.
-_DENSE_ROUTE_MAX = 512
+# inverse, larger ones a hub-core factor (_HubCore). Timed on session-log
+# giant SCCs (build, both diagonals and two solves; 2 cores, one BLAS
+# thread): 4.9-7.1 against 6.4-8.4 ms at 305-356 nodes, the factor ahead
+# from 378 nodes (7.6 against 8.8 ms) and level within noise to 431, and
+# 52 against 377 ms at 1.9k. The cut sits below the tie, on the side of
+# the route whose cost grows slower with size.
+_DENSE_ROUTE_MAX = 320
 
 # Imaginary shift h of the larger SCCs' factors of A - ihI, A = I - W:
 # (A - ihI)^-1 = U + ihU^2 + O(h^2), so one complex factor answers solves
@@ -37,11 +38,9 @@ _DENSE_ROUTE_MAX = 512
 # cancellation; Squire & Trapp, SIAM Review 40(1), 1998).
 SHIFT = 1e-20
 
-# Rough bound, in bytes, on each temporary of the selected inversion.
+# Rough bound, in bytes, on each temporary of the selected inversion and of
+# the products that form a hub core's Schur complement.
 _CHUNK_BYTES = 1 << 18
-
-# Columns of a dense trailing block inverted per step (_invert_in_place).
-_BLOCK = 256
 
 
 def _condensation_depths(src: np.ndarray, dst: np.ndarray, n_comp: int) -> np.ndarray:
@@ -66,6 +65,37 @@ def _condensation_depths(src: np.ndarray, dst: np.ndarray, n_comp: int) -> np.nd
         targets = dag.indices[dag.indptr[comp] : dag.indptr[comp + 1]]
         depth[comp] = 1 + (depth[root[targets]] + hops[targets]).max()
     return depth[root] + hops
+
+
+def _rows(M: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
+    """M[lo:hi] on views of M's own index and value arrays, without scipy's
+    row slicing and its copies."""
+    a, z = M.indptr[lo], M.indptr[hi]
+    return sp.csr_matrix((M.data[a:z], M.indices[a:z], M.indptr[lo : hi + 1] - a),
+                         shape=(hi - lo, M.shape[1]))
+
+
+def _triangles(lu) -> tuple:
+    """(values, rows, columns) of a SuperLU factor's L below the diagonal
+    and of its U above it, and U's diagonal, one factor copy at a time."""
+    parts = []
+    for name in ("L", "U"):
+        factor = getattr(lu, name)
+        row = factor.indices.astype(np.intp)
+        col = np.repeat(np.arange(factor.shape[1]), np.diff(factor.indptr))
+        off = row > col if name == "L" else row < col
+        parts.append((factor.data[off], row[off], col[off]))
+        if name == "U":
+            pivot = np.empty(factor.shape[1], dtype=factor.dtype)
+            pivot[col[row == col]] = factor.data[row == col]
+        del factor
+    return parts[0], parts[1], pivot
+
+
+def _csr(parts: list, shape: tuple) -> sp.csr_matrix:
+    """The CSR matrix of (values, rows, columns) triples, concatenated."""
+    val, row, col = (np.concatenate(x) for x in zip(*parts))
+    return sp.csr_matrix((val, (row, col)), shape=shape)
 
 
 def _sparse_factor(block: sp.csr_matrix, nodes: np.ndarray, diagonal=1.0, **options):
@@ -104,6 +134,123 @@ def _dense_inverses(inner: sp.csr_matrix, a: int, z: int, s: int, nodes: np.ndar
     return inv
 
 
+def _hub_core(block: sp.csr_matrix) -> tuple[np.ndarray, int]:
+    """A large SCC's nodes as [periphery, core], each part in the SCC's own
+    order, and the core's size k. Ranked by degree in the pattern of A^T +
+    A, the core is the top k for the smallest k that leaves the rest no
+    more edges among themselves than nodes: with its hubs out, the rest is
+    nearly a forest (SlashBurn: Lim, Kang & Faloutsos, IEEE TKDE 26(12),
+    2014). The remaining count for every k is a suffix sum over each
+    edge's higher-ranked end."""
+    n = block.shape[0]
+    sym = (block + block.T).tocoo()
+    upper = sym.row < sym.col
+    ends = np.stack([sym.row[upper], sym.col[upper]]).astype(np.intp)
+    ranked = np.argsort(-np.bincount(ends.ravel(), minlength=n), kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[ranked] = np.arange(n)
+    left = np.cumsum(np.bincount(rank[ends].min(axis=0, initial=n), minlength=n + 1)[::-1])[::-1]
+    k = int(np.argmax(left <= n - np.arange(n + 1)))
+    in_core = np.zeros(n, dtype=bool)
+    in_core[ranked[:k]] = True
+    return np.r_[np.flatnonzero(~in_core), np.flatnonzero(in_core)], k
+
+
+def _unit_lower_solve(strict: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
+    """x with (I + N) x = b for a strictly lower triangular N, all sparse:
+    x = (I - N)(I + N^2)(I + N^4) ... b, the product ending at the first
+    power of N that is zero, so one squaring per doubling of the longest
+    chain in N. For the factors of an M-matrix every term has one sign."""
+    x = b - strict @ b
+    power = strict @ strict
+    while power.nnz:
+        x = x + power @ x
+        power = power @ power
+    return x
+
+
+class _HubCore:
+    """The shifted block B = (1 - ih) I - V of one large SCC, V its block
+    of W, split by _hub_core into a periphery L and a hub core T:
+
+        Q B Q^T = [L_LL  0] [U_LL  G]     P B_LL P^T = L_LL U_LL, SuperLU,
+                  [H     I] [0     S],    minimum degree on B^T + B and
+                                          diagonal pivots; Q = diag(P, I),
+
+    G = L_LL^-1 P B_LT and H = B_TL P^T U_LL^-1 carry the periphery's factor
+    into the core (sparse, held as G and Ht = H^T, both periphery x core),
+    and the Schur complement S = B_TT - H G (BEAR: Shin, Jung, Sael & Kang,
+    SIGMOD 2015), dense by the choice of T, is inverted by LAPACK as Z. S
+    is the Schur complement of a nonsingular M-matrix up to the shift, so
+    a singular one means a singular SCC. A solve substitutes through the
+    periphery's factor and Z; the selected inverse (_selected_diagonal)
+    reads L_LL, U_LL, G, Ht and Z."""
+
+    def __init__(self, block: sp.csr_matrix, nodes: np.ndarray):
+        n = block.shape[0]
+        self.split, k = _hub_core(block)
+        m = self.m = n - k
+        at = np.empty(n, dtype=np.intp)
+        at[self.split] = np.arange(n)
+        v = block.tocoo()
+        r, c, w = at[v.row], at[v.col], v.data
+        row_l, col_l = r < m, c < m
+        ll, lt, tl, tt = (row_l & col_l, row_l & ~col_l, ~row_l & col_l, ~(row_l | col_l))
+        lu = self.lu = _sparse_factor(sp.csc_matrix((w[ll], (r[ll], c[ll])), shape=(m, m)),
+                                      nodes, 1.0 - 1j * SHIFT, permc_spec="MMD_AT_PLUS_A",
+                                      diag_pivot_thresh=0)
+        self.b_lt = sp.csr_matrix((-w[lt], (r[lt], c[lt] - m)), shape=(m, k))
+        self.b_tl = sp.csr_matrix((-w[tl], (r[tl] - m, c[tl])), shape=(k, m))
+        if k == 0:  # no hubs: the periphery's factor is the SCC's
+            self.G = self.Ht = sp.csr_matrix((m, 0), dtype=complex)
+            self.Z = np.zeros((0, 0), dtype=complex)
+            return
+
+        # L_LL G = P B_LT and U_LL^T Ht = P B_TL^T as one unit lower system,
+        # rows in the factor's order, U^T's scaled by its pivots
+        (l_val, l_row, l_col), (u_val, u_row, u_col), pivot = _triangles(lu)
+        perm, inv_pivot = lu.perm_c, 1.0 / pivot
+        strict = _csr([(l_val, l_row, l_col), (u_val * inv_pivot[u_col], m + u_col, m + u_row)],
+                      (2 * m, 2 * m))
+        rhs = _csr([(-w[lt], perm[r[lt]], c[lt] - m),
+                    (-w[tl] * inv_pivot[perm[c[tl]]], m + perm[c[tl]], r[tl] - m)], (2 * m, k))
+        both = _unit_lower_solve(strict, rhs)
+        self.G, self.Ht = _rows(both, 0, m), _rows(both, m, 2 * m)
+
+        # S = B_TT - H G, in Fortran order, so LAPACK inverts it in place
+        S = np.zeros((k, k), dtype=complex, order="F")
+        S[r[tt] - m, c[tt] - m] = -w[tt]
+        S[np.arange(k), np.arange(k)] += 1.0 - 1j * SHIFT
+        GT = self.G.T.tocsr()
+        width = max(16, _CHUNK_BYTES // (16 * k))  # columns of S per product
+        for c0 in range(0, k, width):
+            S[:, c0 : c0 + width] -= (_rows(GT, c0, min(c0 + width, k)) @ self.Ht).toarray().T
+        try:
+            self.Z = sla.inv(S, overwrite_a=True, check_finite=False)
+            peak = np.abs(np.diagonal(self.Z)).max()
+        except np.linalg.LinAlgError:  # exactly singular
+            peak = np.inf
+        if not peak <= 1.0 / PIVOT_TOL:  # as for a dense inverse
+            raise SingularSystem(sorted(nodes.tolist()), 1.0 / peak)
+
+    def solve(self, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """B^-1 b, or B^-T b for trans="T", b and the result in the SCC's
+        order: y = B_LL^-1 b_L, x_T = Z (b_T - B_TL y), x_L = y - B_LL^-1
+        B_LT x_T, and the same with every block transposed."""
+        m, lu = self.m, self.lu
+        into, out, Z = ((self.b_tl, self.b_lt, self.Z) if trans == "N"
+                        else (self.b_lt.T, self.b_tl.T, self.Z.T))
+        b = b[self.split]
+        parts = [lu.solve(b[:m], trans=trans)]
+        if m < b.shape[0]:
+            y, = parts
+            x_t = Z @ (b[m:] - into @ y)
+            parts = [y - lu.solve(out @ x_t, trans=trans), x_t]
+        x = np.empty(b.shape, dtype=complex)
+        x[self.split] = np.concatenate(parts)
+        return x
+
+
 class AbsorbingSolver:
     """U = (I - W)^-1 of a transition matrix's interior block, answered
     from one factorization per strongly connected component (SCC) of W.
@@ -111,9 +258,10 @@ class AbsorbingSolver:
     Ordered by SCC depth, I - W is block lower triangular (Duff & Reid, ACM
     TOMS 4(2), 1978; KLU). SCCs up to _DENSE_ROUTE_MAX nodes get dense
     inverses, batched per depth and size into stacked arrays, larger ones a
-    complex sparse LU of A - ihI, A their block of I - W and h = SHIFT
-    (minimum degree on A^T + A, diagonal pivots), whose real part answers
-    solves and whose selected inverse gives both diagonals. Consecutive
+    complex factor of A - ihI, A their block of I - W and h = SHIFT, split
+    at a hub core (_HubCore): a sparse LU of the periphery and a LAPACK
+    inverse of the core's Schur complement. Its real part answers solves
+    and its selected inverse gives both diagonals. Consecutive
     depths of one-node SCCs form a lower triangular run, one LU with the
     natural ordering, no pivoting and no fill. A solve substitutes forward
     over depths and runs, each adding its coupling rows (cut at build); a
@@ -170,15 +318,14 @@ class AbsorbingSolver:
                 factor = _sparse_factor(inner[a:z, a:z], nodes, permc_spec="NATURAL",
                                         diag_pivot_thresh=0, panel_size=1)
             elif s > _DENSE_ROUTE_MAX:
-                factor = _sparse_factor(inner[a:z, a:z], nodes, 1.0 - 1j * SHIFT,
-                                        permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0)
+                factor = _HubCore(inner[a:z, a:z], nodes)
                 self._factored.append((nodes, factor))
             else:
                 factor = _dense_inverses(inner, a, z, s, nodes)
                 self._dense.append((nodes.reshape(-1, s), factor))
             blocks[i].append((a, z, factor))
         KT = K.T.tocsr()
-        self._stages = [(lo, hi, K[lo:hi], KT[lo:hi], b)
+        self._stages = [(lo, hi, _rows(K, lo, hi), _rows(KT, lo, hi), b)
                         for lo, hi, b in zip(bounds[:-1].tolist(), bounds[1:].tolist(), blocks)]
 
     def _sweep(self, b: np.ndarray, trans: bool) -> np.ndarray:
@@ -256,15 +403,15 @@ def fundamental_diagonals(W: sp.spmatrix, dense: list,
     """Exact diag(U) and diag(U^2) of U = (I - W)^-1. A walk from j back to
     j never leaves j's SCC, so both come from the inverse of its restriction:
     1/(1 - w_jj) for one node, the stacked inverses in ``dense``, and for
-    each SCC in ``factored`` the selected inverse of its shifted factor,
-    (A - ihI)^-1 = U + ihU^2 + O(h^2): U_jj = Re, (U^2)_jj = Im / h."""
+    each SCC in ``factored`` the selected inverse of its shifted hub-core
+    factor, (A - ihI)^-1 = U + ihU^2 + O(h^2): U_jj = Re, (U^2)_jj = Im / h."""
     diag_u = 1.0 / (1.0 - W.diagonal())
     diag_u2 = diag_u * diag_u
     for nodes, inv in dense:
         diag_u[nodes] = np.diagonal(inv, axis1=1, axis2=2)
         diag_u2[nodes] = np.einsum("kij,kji->ki", inv, inv)
-    for members, lu in factored:
-        shifted = _selected_diagonal(lu)
+    for members, hub in factored:
+        shifted = _selected_diagonal(hub)
         diag_u[members] = shifted.real
         diag_u2[members] = shifted.imag / SHIFT
     return diag_u, diag_u2
@@ -282,179 +429,113 @@ def _segment_sum(owner: np.ndarray, values: np.ndarray, size: int) -> np.ndarray
             + 1j * np.bincount(owner, values.imag, size))
 
 
-def _filled_pattern(lu) -> tuple[list, np.ndarray]:
-    """Per column, the sorted rows below the diagonal of pattern(L) and
-    pattern(U^T) of a SuperLU factor, closed along their elimination tree:
-    a column's rows past its parent (its first row) join the parent's.
-    Also the parents, -1 at a root. In the closure the rows of a column
-    are pairwise linked, which the selected inverse relies on."""
-    n = lu.shape[0]
-    ones = []
-    for name in ("L", "U"):  # one factor copy at a time; only its pattern is kept
-        factor = getattr(lu, name)
-        ones.append(sp.csc_matrix((np.ones(factor.nnz, dtype=np.int8), factor.indices,
-                                   factor.indptr), shape=(n, n)))
-        del factor
-    union = sp.tril(ones[0] + ones[1].T, -1, format="csc")
-    union.sort_indices()
-    bounds = union.indptr.tolist()
-    cols = [union.indices[a:z] for a, z in zip(bounds[:-1], bounds[1:])]
-    del ones, union
-    children: list[list[int]] = [[] for _ in range(n)]
-    parent = np.full(n, -1)
-    for j in range(n):
-        if children[j]:
-            cols[j] = np.unique(np.concatenate([cols[j]] + [cols[c][1:] for c in children[j]]))
-        if cols[j].size:
-            parent[j] = p = int(cols[j][0])
-            children[p].append(j)
-    return cols, parent
+def _selected_diagonal(hub: _HubCore) -> np.ndarray:
+    """diag(B^-1) of one large SCC's shifted block B, in the SCC's own order.
 
-
-def _invert_in_place(Z: np.ndarray) -> None:
-    """Overwrite a dense block holding unit lower L below its diagonal and
-    U on and above it with (LU)^-1, in blocks of _BLOCK columns from the
-    last. With S the columns after block J, already inverted:
-        Z_SJ = -Z_SS L_SJ L_JJ^-1,   Z_JS = -U_JJ^-1 U_JS Z_SS,
-        Z_JJ = (L_JJ U_JJ)^-1 + U_JJ^-1 U_JS Z_SS L_SJ L_JJ^-1,
-    the last from three products and the recurrences of _selected_diagonal
-    on J alone, which use matrix-vector products only, so a block of at
-    most _BLOCK columns needs no workspace beyond a few vectors."""
-    n = Z.shape[0]
-    for j1 in range(n, 0, -_BLOCK):
-        J, S = slice(max(j1 - _BLOCK, 0), j1), slice(j1, n)
-        packed = Z[J, J]
-        if j1 < n:
-            x = Z[S, S] @ Z[S, J]
-            y = Z[J, S] @ Z[S, S]
-            corner = solve_triangular(packed, Z[J, S] @ x, check_finite=False)
-            # both right divisions by L_JJ, as one transposed left division
-            both = solve_triangular(packed, np.vstack([x, corner]).T, trans="T", lower=True,
-                                    unit_diagonal=True, check_finite=False).T
-            Z[J, S] = -solve_triangular(packed, y, check_finite=False)
-            Z[S, J], corner = -both[: n - j1], both[n - j1 :]
-        for j in range(packed.shape[0] - 1, -1, -1):
-            inner, low, up = packed[j + 1 :, j + 1 :], packed[j + 1 :, j], packed[j, j + 1 :]
-            x = -(inner @ low)
-            y = -(up @ inner) / packed[j, j]
-            packed[j, j] = (1.0 - up @ x) / packed[j, j]
-            low[:], up[:] = x, y
-        if j1 < n:
-            packed += corner
-
-
-def _selected_diagonal(lu) -> np.ndarray:
-    """diag(B^-1) of one shifted SCC factor, in the SCC's own order.
-
-    SuperLU factors P B P^T = L U (one symmetric permutation P, asserted).
-    The Takahashi recurrences (Erisman & Tinney, CACM 18(3), 1975; Lin et
-    al., "SelInv", ACM TOMS 37(4), 2011) give Z = (LU)^-1 on the filled
-    pattern of L and U^T, column by column from the last:
-        Z[S, j] = -Z[S, S] L[S, j],   Z[j, S] = -U[j, S] Z[S, S] / U_jj,
-        Z_jj = (1 - U[j, S] Z[S, j]) / U_jj,   S = rows of column j.
-    The trailing columns that form one chain of the elimination tree are
-    nearly dense; their block Z_TT is inverted densely in place, and its
-    share of every leading column's sums comes from two sparse products
-    with it. The leading columns then run level by level down the tree,
-    gathering only the pairs (a, b) of S x S with a leading one.
-    Temporaries are chunked under _CHUNK_BYTES."""
+    SuperLU factors the periphery P B_LL P^T = L U (one symmetric
+    permutation P, asserted), and _HubCore carries that factor into the
+    core: L[T, :] = H, U[:, T] = G and the trailing block S, whose inverse
+    Z_TT it holds. From Z = (LU)^-1 = U^-1 L^-1, Z L = U^-1 and U Z = L^-1
+    give, column by column from the last (Erisman & Tinney, CACM 18(3),
+    1975):
+        Z[k, j] = -Z[k, C] L[C, j]           for k in R,
+        Z[j, l] = -U[j, R] Z[R, l] / U_jj    for l in C,
+        Z_jj = (1 - U[j, R] Z[R, j]) / U_jj,
+    with C the rows of L's column j and R the columns of U's row j. Every
+    Z[k, l] of R x C sits on the pattern of (L + U)^T, since eliminating j
+    fills (l, k): the signs of an M-matrix's factors rule out cancellation,
+    so the factors' nonzeros are that pattern. The core's share of each
+    sum, Z_TT H and G Z_TT at the entries wanted, comes from two sparse
+    products; the periphery's columns then run in levels, each after the
+    columns it reads, gathering only the pairs (k, l) with a periphery
+    one. Temporaries are chunked under _CHUNK_BYTES."""
+    lu, t, Z = hub.lu, hub.m, hub.Z
     perm = lu.perm_c
     if not np.array_equal(lu.perm_r, perm):
         raise RuntimeError("the shifted SCC factor pivoted off its diagonal")
-    n = perm.size
-    cols, parent = _filled_pattern(lu)
-    off_chain = np.flatnonzero(parent[:-1] != np.arange(1, n))
-    t = int(off_chain[-1]) + 1 if off_chain.size else 0  # the chain is t..n-1
+    n = t + Z.shape[0]
+    # per periphery column j: U's row j right of the diagonal, then L's
+    # column j below it, each over the periphery, then the core (n columns)
+    (l_val, l_row, l_col), (u_val, u_row, u_col), pivot = _triangles(lu)
+    g, h = hub.G.tocoo(), hub.Ht.tocoo()
+    parts = [_csr([(u_val, u_row, u_col), (g.data, g.row, t + g.col)], (t, n)),
+             _csr([(l_val, l_col, l_row), (h.data, h.row, t + h.col)], (t, n))]
+    for part in parts:
+        part.eliminate_zeros()
+        part.sort_indices()
+    del l_val, l_row, l_col, u_val, u_row, u_col, g, h
+    nu, nl = parts[0].nnz, parts[1].nnz
+    base = [part.indptr[:-1].astype(np.intp) + at for part, at in zip(parts, (0, nu))]
+    count = [np.diff(part.indptr).astype(np.intp) for part in parts]
+    index = np.concatenate([part.indices for part in parts]).astype(np.intp)
+    value = np.concatenate([part.data for part in parts])
+    owner = np.repeat(np.tile(np.arange(t), 2), np.concatenate(count))
+    lead = [np.bincount(owner[a:z], index[a:z] < t, t).astype(np.intp)  # periphery first
+            for a, z in ((0, nu), (nu, nu + nl))]
+    del parts, part
 
-    # the leading columns' filled rows
-    count = np.array([c.size for c in cols[:t]], dtype=np.intp)
-    ptr = np.r_[0, np.cumsum(count)]
-    rows = np.concatenate(cols[:t]).astype(np.intp) if t else np.empty(0, dtype=np.intp)
-    del cols
-    owner = np.repeat(np.arange(t), count)
-    key = owner * n + rows
+    # Z where it is read: Z[k, j] for U's entries (j, k), Z[j, l] for L's
+    # (l, j) and Z_jj, in that order in z, each found by its code:
+    # 2 (min * n + max), plus 1 above the diagonal
+    z = np.zeros(nu + nl + t, dtype=complex)
+    code = np.concatenate([owner * n + index, np.arange(t) * (n + 1)]) * 2
+    code[nu : nu + nl] += 1
+    slot = np.argsort(code)
+    code = code[slot]
 
-    # L and U^T on them, the pivots, and the trailing block of both factors
-    # (L below and U on and above its diagonal), one factor copy at a time:
-    # entry (row, col) sits in column lo and row hi of the filled pattern
-    lval = np.zeros(rows.size, dtype=complex)
-    uval = np.zeros(rows.size, dtype=complex)
-    pivot = np.empty(n, dtype=complex)
-    Z = np.zeros((n - t, n - t), dtype=complex)
-    for name, vals in (("L", lval), ("U", uval)):
-        factor = getattr(lu, name)
-        row = factor.indices
-        col = np.repeat(np.arange(n, dtype=row.dtype), np.diff(factor.indptr))
-        lo, hi = (col, row) if name == "L" else (row, col)
-        lead = (lo < hi) & (lo < t)
-        vals[np.searchsorted(key, lo[lead].astype(np.intp) * n + hi[lead])] = factor.data[lead]
-        on = lo == hi  # L's unit diagonal, then U's pivots over it
-        pivot[lo[on]] = factor.data[on]
-        tail = lo >= t
-        Z[row[tail] - t, col[tail] - t] = factor.data[tail]
-        del factor, row, col, lo, hi, lead, on, tail
+    # the core's share starts them: Z_TT H at (k, j), G Z_TT at (j, l)
+    width = max(16, _CHUNK_BYTES // (16 * max(t, n - t)))  # columns of Z per product
+    for a, dense, across in ((0, Z, hub.Ht), (nu, Z.T, hub.G)):
+        tail = a + np.flatnonzero(index[a : a + (nl if a else nu)] >= t)
+        by_col = tail[np.argsort(index[tail], kind="stable")]
+        edges = np.searchsorted(index[by_col], np.arange(t, n + width, width))
+        for c, s0 in enumerate(range(t, n, width)):
+            pick = by_col[edges[c] : edges[c + 1]]
+            need, at = np.unique(owner[pick], return_inverse=True)  # only these rows are read
+            z[pick] = (across[need] @ dense[s0 - t : s0 - t + width].T)[at, index[pick] - s0]
+    del dense, across
 
-    _invert_in_place(Z)
-    z_tail = np.diagonal(Z).copy()
-    if t == 0:
-        return z_tail[perm]
-
-    # the trailing block's share, L[T, :t]^T Z_TT^T and U[:t, T] Z_TT, is
-    # where Z[:, :t] starts; the levels below add the leading pairs' sums
-    tail = rows >= t
-    lead_t = sp.csr_matrix((lval[tail], rows[tail] - t, np.r_[0, np.cumsum(np.bincount(
-        owner[tail], minlength=t))]), shape=(t, n - t))
-    up_t = sp.csr_matrix((uval[tail], lead_t.indices, lead_t.indptr), shape=(t, n - t))
-    z_low = np.zeros(rows.size, dtype=complex)
-    z_up = np.zeros(rows.size, dtype=complex)
-    by_row = np.flatnonzero(tail)[np.argsort(rows[tail], kind="stable")]
-    width = max(16, _CHUNK_BYTES // (16 * max(t, n - t)))  # columns of Z_TT per product
-    edges = np.searchsorted(rows[by_row], np.arange(t, n + width, width))
-    for k, s0 in enumerate(range(t, n, width)):
-        pick = by_row[edges[k] : edges[k + 1]]
-        need, at = np.unique(owner[pick], return_inverse=True)  # only these rows are read
-        cut = rows[pick] - s0
-        z_low[pick] = (lead_t[need] @ Z[s0 - t : s0 - t + width].T)[at, cut]
-        z_up[pick] = (up_t[need] @ Z[:, s0 - t : s0 - t + width])[at, cut]
-    del Z, lead_t, up_t, by_row, tail
-
-    # leading columns by depth below the chain: parents before children
-    depth, up = [0] * t, parent[:t].tolist()
+    # each column after the periphery columns among its entries, which
+    # compute every Z it reads
+    height, listed = [0] * t, index.tolist()
+    u_ends, l_ends = (base[0] + lead[0]).tolist(), (base[1] + lead[1]).tolist()
     for j in range(t - 1, -1, -1):
-        if 0 <= up[j] < t:
-            depth[j] = depth[up[j]] + 1
-    depth = np.array(depth)
-    z_diag = np.zeros(t, dtype=complex)
-    lead = np.bincount(owner, rows < t, t).astype(np.intp)  # leading rows come first
-    for level in np.split(np.argsort(depth, kind="stable"),
-                          np.flatnonzero(np.diff(np.sort(depth))) + 1):
-        c, m, base = count[level], lead[level], ptr[level]
-        entries = _ranges(base, c)
-        local = np.r_[0, np.cumsum(c)[:-1]]
-        acc_l = np.zeros(entries.size, dtype=complex)
-        acc_u = np.zeros(entries.size, dtype=complex)
-        # (a, b) pairs in rectangles: a leading x all b, then a trailing x b leading
-        rect = (np.arange(level.size).repeat(2), np.c_[np.zeros_like(m), m].ravel(),
-                np.c_[m, c - m].ravel(), np.c_[c, m].ravel())
+        reads = listed[base[0][j] : u_ends[j]] + listed[base[1][j] : l_ends[j]]
+        height[j] = max((height[i] + 1 for i in reads), default=0)
+    height = np.array(height, dtype=np.intp)
+    for level in np.split(np.argsort(height, kind="stable"),
+                          np.flatnonzero(np.diff(np.sort(height))) + 1):
+        (bu, bl), (cu, cl), (mu, ml) = ([side[level] for side in pair]
+                                        for pair in (base, count, lead))
+        sizes = np.concatenate([cu, cl])
+        entries = _ranges(np.concatenate([bu, bl]), sizes)
+        local = np.cumsum(sizes) - sizes
+        acc = np.zeros(entries.size, dtype=complex)
+        # (k, l) pairs in rectangles: k periphery x all l, then k core x l periphery
+        rect = (np.arange(level.size).repeat(2), np.stack([np.zeros_like(mu), mu], 1).ravel(),
+                np.stack([mu, cu - mu], 1).ravel(), np.stack([cl, ml], 1).ravel())
         for who, a_idx, b_idx in _pair_chunks(*rect):
-            a_pos, b_pos = base[who] + a_idx, base[who] + b_idx
-            a, b = rows[a_pos], rows[b_pos]
-            same = a == b
-            want = np.minimum(a, b) * n + np.maximum(a, b)
-            at = np.minimum(np.searchsorted(key, want), key.size - 1)
-            if not np.all((key[at] == want) | same):
-                raise RuntimeError("the filled pattern misses a pair of a column's rows")
-            z = np.where(a > b, z_low[at], z_up[at])
-            z[same] = z_diag[a[same]]
-            acc_l += _segment_sum(local[who] + a_idx, z * lval[b_pos], entries.size)
-            acc_u += _segment_sum(local[who] + b_idx, uval[a_pos] * z, entries.size)
-        col = owner[entries]
-        x = -(z_low[entries] + acc_l)
-        z_low[entries] = x
-        z_up[entries] = -(z_up[entries] + acc_u) / pivot[col]
-        z_diag[level] = (1.0 - _segment_sum(np.repeat(np.arange(level.size), c),
-                                            uval[entries] * x, level.size)) / pivot[level]
-    return np.r_[z_diag, z_tail][perm]
+            a_pos, b_pos = bu[who] + a_idx, bl[who] + b_idx
+            k, l = index[a_pos], index[b_pos]
+            want = (np.minimum(k, l) * n + np.maximum(k, l)) * 2 + (k < l)
+            at = np.minimum(np.searchsorted(code, want), code.size - 1)
+            if not np.array_equal(code[at], want):
+                raise RuntimeError("the factors' pattern misses a pair of a column's entries")
+            zz = z[slot[at]]
+            acc += _segment_sum(np.concatenate([local[who] + a_idx,
+                                                local[level.size + who] + b_idx]),
+                                np.concatenate([zz * value[b_pos], value[a_pos] * zz]),
+                                entries.size)
+        x = -(z[entries] + acc)
+        upper = int(cu.sum())  # the level's U entries, then its L entries
+        x[upper:] /= pivot[owner[entries[upper:]]]
+        z[entries] = x
+        z[nu + nl + level] = (1.0 - _segment_sum(np.repeat(np.arange(level.size), cu),
+                                                 value[entries[:upper]] * x[:upper],
+                                                 level.size)) / pivot[level]
+    out = np.empty(n, dtype=complex)
+    out[hub.split] = np.concatenate([z[nu + nl :][perm], np.diagonal(Z)])
+    return out
 
 
 def _pair_chunks(who: np.ndarray, r0: np.ndarray, nr: np.ndarray, nc: np.ndarray):

@@ -113,7 +113,7 @@ def balanced_cyclic_net():
 def dense_route_max():
     """``with dense_route_max(k):`` solvers built in the block give each
     SCC of up to k nodes a dense inverse and each larger one a shifted
-    sparse factor, as if ``_linalg._DENSE_ROUTE_MAX`` were k.
+    hub-core factor, as if ``_linalg._DENSE_ROUTE_MAX`` were k.
     """
 
     @contextmanager

@@ -5,6 +5,7 @@ the impact double sum.
 """
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
@@ -36,7 +37,7 @@ from attnflow import (
     write_stats_csv,
 )
 from attnflow import _linalg
-from attnflow._linalg import _DENSE_ROUTE_MAX, PIVOT_TOL, SHIFT, _filled_pattern
+from attnflow._linalg import _DENSE_ROUTE_MAX, PIVOT_TOL, SHIFT, _hub_core
 
 
 class _FactorProxy:
@@ -57,7 +58,8 @@ class _FactorProxy:
 
 def _record_factorizations(monkeypatch) -> list:
     """A list to which each later call of splu appends (order, permc_spec),
-    each SCC decomposition "scc" and each np.linalg.inv the order inverted."""
+    each LAPACK inverse of a hub core (order, "core"), each SCC
+    decomposition "scc" and each np.linalg.inv the order inverted."""
     calls = []
 
     def counted(func, record):
@@ -72,6 +74,7 @@ def _record_factorizations(monkeypatch) -> list:
     monkeypatch.setattr(csgraph, "connected_components", counted(
         csgraph.connected_components, lambda *a, **kw: "scc"))
     monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, lambda A: A.shape[-1]))
+    monkeypatch.setattr(sla, "inv", counted(sla.inv, lambda A, **kw: (A.shape[0], "core")))
     return calls
 
 
@@ -234,14 +237,19 @@ class TestFundamentalMatrix:
     def test_one_scc_decomposition(self, monkeypatch, dense_route_max):
         """One SCC pass; each SCC takes its route. The singleton run a -> b
         -> c (depths 4, 3, 2) gets one pivot-free triangular factor; the
-        3-cycle d-e-f (depth 1), the 2-cycle x-y (depth 0) and the
-        singleton g beside it (depth 0) get batched dense inverses up to
-        each route cut tried and a sparse factor above it. diagonal()
-        factors nothing, and every answer matches a dense inverse.
+        SCC d-e-f-h (depth 1: the 3-cycle d-e-f, each node also in a
+        2-cycle with h, so its pattern is complete), the 2-cycle x-y
+        (depth 0) and the singleton g beside it (depth 0) get batched dense
+        inverses up to each route cut tried. Above it an SCC gets one
+        periphery factor, plus a LAPACK inverse of its hub core where it has
+        one: d-e-f-h a core of one node and a periphery of three, the
+        2-cycle and the singleton no core. diagonal() factors nothing, and
+        every answer matches a dense inverse.
         """
         net = build_flow_network(
             [("__source__", "a", 1), ("a", "b", 1), ("b", "c", 1), ("c", "d", 1),
-             ("d", "e", 1), ("e", "f", 1), ("f", "d", 1), ("f", "g", 1),
+             ("d", "e", 1), ("e", "f", 1), ("f", "d", 1), ("d", "h", 1), ("h", "d", 1),
+             ("e", "h", 1), ("h", "e", 1), ("f", "h", 1), ("h", "f", 1), ("f", "g", 1),
              ("g", "__sink__", 1), ("__source__", "x", 1), ("x", "y", 1),
              ("y", "x", 1), ("y", "__sink__", 1)]
         )
@@ -249,12 +257,13 @@ class TestFundamentalMatrix:
         U = np.linalg.inv(np.eye(tm.n_interior) - tm.interior.toarray())
         calls = _record_factorizations(monkeypatch)
         b = np.arange(1.0, tm.n_interior + 1)
+        hub_scc = [(3, "MMD_AT_PLUS_A"), (1, "core")]
         for route_max, factors, inverses in [
-            (_DENSE_ROUTE_MAX, [(3, "NATURAL")], [1, 2, 3]),
-            (2, [(3, "NATURAL"), (3, "MMD_AT_PLUS_A")], [1, 2]),
-            (1, [(3, "NATURAL"), (3, "MMD_AT_PLUS_A"), (2, "MMD_AT_PLUS_A")], [1]),
-            (0, [(3, "NATURAL"), (3, "MMD_AT_PLUS_A"), (2, "MMD_AT_PLUS_A"),
-                 (1, "MMD_AT_PLUS_A")], []),
+            (_DENSE_ROUTE_MAX, [(3, "NATURAL")], [1, 2, 4]),
+            (3, [(3, "NATURAL")] + hub_scc, [1, 2]),
+            (1, [(3, "NATURAL")] + hub_scc + [(2, "MMD_AT_PLUS_A")], [1]),
+            (0, [(3, "NATURAL")] + hub_scc + [(2, "MMD_AT_PLUS_A"), (1, "MMD_AT_PLUS_A")],
+             []),
         ]:
             del calls[:]
             with dense_route_max(route_max):
@@ -271,23 +280,70 @@ class TestFundamentalMatrix:
 
     @pytest.mark.parametrize("extra, factors, inverses", [
         (0, [], [_DENSE_ROUTE_MAX]),
-        (1, [(_DENSE_ROUTE_MAX + 1, "MMD_AT_PLUS_A")], []),
+        (1, [(_DENSE_ROUTE_MAX, "MMD_AT_PLUS_A"), (1, "core")], []),
     ])
     def test_default_route_cut(self, monkeypatch, extra, factors, inverses):
-        """With the route cut as shipped, a leaky cycle of _DENSE_ROUTE_MAX
-        nodes gets one dense inverse and a cycle of one node more one
-        shifted sparse factor, ordered by minimum degree."""
+        """With the route cut as shipped, an SCC of _DENSE_ROUTE_MAX nodes
+        gets one dense inverse and an SCC of one node more a hub-core
+        factor: one sparse factor of its periphery, ordered by minimum
+        degree, and one LAPACK inverse of its core. Node 0 is a hub in a
+        2-cycle with every other node, and those form a leaky cycle, so the
+        core is the hub alone."""
         n = _DENSE_ROUTE_MAX + extra
         M = sp.lil_matrix((n + 2, n + 2))
         M[0, 1] = 1.0
-        for i in range(1, n + 1):
-            M[i, i % n + 1] = M[i, n + 1] = 0.5
+        M[1, 2:n + 1] = 1.0 / (n - 1)
+        for i in range(2, n + 1):
+            M[i, 1] = M[i, n + 1] = 0.25
+            M[i, (i - 1) % (n - 1) + 2] = 0.5
         tm = TransitionMatrix(items=tuple(map(str, range(n))), matrix=M.tocsr())
         calls = _record_factorizations(monkeypatch)
         fundamental_matrix(tm)
         assert calls[0] == "scc"
         assert [c for c in calls if isinstance(c, tuple)] == factors
         assert [c for c in calls if isinstance(c, int)] == inverses
+
+    @pytest.mark.parametrize("shape, core", [("leaky-cycle", 0), ("complete", 27),
+                                             ("hub-and-spoke", 3)])
+    def test_hub_core_split_matches_a_dense_inverse(self, shape, core, dense_route_max):
+        """An SCC above the route cut splits, by degree and before any
+        factor, into a hub core and a periphery. A leaky 30-cycle keeps
+        every node in the periphery (k = 0). A complete digraph on 30 nodes
+        puts all but three in the core (k = n - 3, the most the rule gives:
+        any three nodes keep at most three edges). Three hubs, joined to
+        each other and each in a 2-cycle with its share of 40 spokes, the
+        spokes chained one to the next, give the hubs as the core (k = 3).
+        Solves, one column or two, both ways, and both diagonals match a
+        dense inverse to 1e-12."""
+        n = 43 if shape == "hub-and-spoke" else 30
+        W = np.zeros((n, n))
+        if shape == "leaky-cycle":
+            W[np.arange(n), (np.arange(n) + 1) % n] = 0.5
+        elif shape == "complete":
+            W[:] = 0.9 / (n - 1)
+            np.fill_diagonal(W, 0.0)
+        else:
+            spokes = np.arange(3, n)
+            W[:3, :3] = 0.2
+            np.fill_diagonal(W[:3, :3], 0.0)
+            W[spokes % 3, spokes] = 0.5 / np.bincount(spokes % 3)[spokes % 3]
+            W[spokes, spokes % 3] = W[spokes[:-1], spokes[1:]] = 0.4
+        split, k = _hub_core(sp.csr_matrix(W))
+        assert k == core
+        if shape == "hub-and-spoke":
+            assert split[n - k :].tolist() == [0, 1, 2]
+        tm = TransitionMatrix(items=tuple(map(str, range(n))), matrix=sp.csr_matrix(np.pad(W, 1)))
+        with dense_route_max(8):
+            fm = fundamental_matrix(tm)
+        (nodes, hub), = fm._factored
+        assert nodes.size == n and hub.m == n - k and hub.Z.shape == (k, k)
+        U = np.linalg.inv(np.eye(n) - W)
+        B = np.arange(1.0, 2 * n + 1).reshape(n, 2)
+        for b in (B[:, 0], B):
+            np.testing.assert_allclose(fm.solve(b), U @ b, rtol=1e-12)
+            np.testing.assert_allclose(fm.solve_transpose(b), U.T @ b, rtol=1e-12)
+        np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-12)
+        np.testing.assert_allclose(fm.squared_diagonal(), np.diag(U @ U), rtol=1e-12)
 
     # a route cut at 4096 inverts every SCC here densely
     @pytest.mark.parametrize("route_max", [4096, 2])
@@ -341,6 +397,23 @@ class TestFundamentalMatrix:
         assert exc.value.component == (0, 1)
         assert exc.value.min_pivot < PIVOT_TOL
 
+    def test_near_closed_hub_core_is_refused(self, dense_route_max):
+        """A complete digraph on 30 nodes that keeps 1 - 1e-13 of its
+        walkers splits into a 27-node core and a 3-node periphery; the
+        core's Schur complement is numerically singular, and the refusal
+        names the whole SCC."""
+        n = 30
+        M = np.zeros((n + 2, n + 2))
+        M[0, 1] = 1.0
+        M[1 : n + 1, 1 : n + 1] = (1.0 - 1e-13) / (n - 1)
+        np.fill_diagonal(M[1 : n + 1, 1 : n + 1], 0.0)
+        M[1 : n + 1, n + 1] = 1e-13
+        tm = TransitionMatrix(items=tuple(map(str, range(n))), matrix=sp.csr_matrix(M))
+        with pytest.raises(SingularSystem) as exc, dense_route_max(8):
+            fundamental_matrix(tm)
+        assert exc.value.component == tuple(range(n))
+        assert exc.value.min_pivot < PIVOT_TOL
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=24),
@@ -389,91 +462,108 @@ class TestFundamentalMatrix:
 
     @pytest.mark.parametrize("route_max", [0, 1, 2])
     def test_selected_inversion_closes_the_pattern(self, route_max, dense_route_max):
-        """A directed 8-cycle with three chords: its shifted factor's L and
-        U^T patterns differ, and closing their union along the elimination
-        tree adds an entry. Both diagonals still match a dense inverse to
-        1e-12, with one SCC above each route cut.
+        """A directed 8-cycle with three chords: its L and U^T patterns
+        differ, and the selected inverse reads Z only on the pattern of
+        (L + U)^T, which LU fill closes: for every column j, each pair
+        (k, l) of U's row j and L's column j is a fill entry (l, k) of L +
+        U. That holds for the SCC's whole factor and for its periphery
+        factor carried into the hub core, and both diagonals match a dense
+        inverse to 1e-12, with one SCC above each route cut.
         """
         n = 8
         W = np.zeros((n, n))
         for i in range(n):
             W[i, (i + 1) % n] = 0.5
         W[4, 0] = W[7, 2] = W[6, 3] = 0.3
-        A = sp.csc_matrix(np.eye(n) - W) - 1j * SHIFT * sp.identity(n, format="csc")
-        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0)
-        lower = sp.tril(lu.L, -1) != 0
-        upper_t = sp.triu(lu.U, 1).T != 0
-        assert (lower != upper_t).nnz > 0
-        cols, _ = _filled_pattern(lu)
-        assert sum(c.size for c in cols) > (lower + upper_t).nnz
         tm = TransitionMatrix(items=tuple("abcdefgh"), matrix=sp.csr_matrix(np.pad(W, 1)))
         with dense_route_max(route_max):
             fm = fundamental_matrix(tm)
-        assert [nodes.size for nodes, _ in fm._factored] == [n]
+        (nodes, hub), = fm._factored
+        assert nodes.size == n and hub.Z.shape == (2, 2)  # two hubs of degree 3
+        A = sp.csc_matrix(np.eye(n) - W) - 1j * SHIFT * sp.identity(n, format="csc")
+        whole = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0)
+        m = hub.m
+        carried = (sp.vstack([sp.tril(hub.lu.L, -1), hub.Ht.T]),  # n x m
+                   sp.hstack([sp.triu(hub.lu.U, 1), hub.G]))      # m x n
+        for lower, upper, lead in ((sp.tril(whole.L, -1), sp.triu(whole.U, 1), n),
+                                   carried + (m,)):
+            filled = np.zeros((n, n), dtype=bool)
+            filled[:, :lead] |= lower.toarray() != 0
+            filled[:lead, :] |= upper.toarray() != 0
+            filled[lead:, lead:] = True  # the core's inverse is dense
+            for j in range(lead):
+                for k in np.flatnonzero(filled[j, j + 1 :]) + j + 1:
+                    for l in np.flatnonzero(filled[j + 1 :, j]) + j + 1:
+                        assert k == l or filled[l, k], (j, k, l)
+        assert (sp.tril(whole.L, -1) != 0).toarray().tolist() != (
+            sp.triu(whole.U, 1).T != 0).toarray().tolist()
         U = np.linalg.inv(np.eye(n) - W)
         np.testing.assert_allclose(fm.diagonal(), np.diag(U), rtol=1e-12)
         np.testing.assert_allclose(fm.squared_diagonal(), np.diag(U @ U), rtol=1e-12)
 
     def test_chunked_selected_inversion_agrees(self, monkeypatch, dense_route_max):
-        """Cutting the temporaries of the selected inversion to a few
-        entries (pair rectangles into one-row bands of two pairs, the
-        trailing block's products into slices of 16 columns) and its
-        65-column dense trailing block into blocks of 5 columns leaves
-        both diagonals unchanged."""
+        """Cutting the temporaries to a few entries (pair rectangles into
+        one-row bands of two pairs, the core's share products and the Schur
+        complement's into slices of 16 columns) leaves both diagonals and
+        the solves unchanged."""
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         tm = transition_matrix(build_flow_network(to_transition_edges(log)))
+        b = np.linspace(0.5, 1.5, tm.n_interior)
         with dense_route_max(8):
             whole = fundamental_matrix(tm)
             diag_u, diag_u2 = whole.diagonal(), whole.squared_diagonal()  # before the cut
             monkeypatch.setattr(_linalg, "_CHUNK_BYTES", 256)
-            monkeypatch.setattr(_linalg, "_BLOCK", 5)
             cut = fundamental_matrix(tm)
+        assert max(hub.Z.shape[0] for _, hub in cut._factored) > 16
         np.testing.assert_allclose(cut.diagonal(), diag_u, rtol=1e-13)
         np.testing.assert_allclose(cut.squared_diagonal(), diag_u2, rtol=1e-13)
+        np.testing.assert_allclose(cut.solve(b), whole.solve(b), rtol=1e-13)
 
     def test_diagonal_solves_nothing(self, dense_route_max):
         """diag(U) and diag(U^2) of an SCC above the route cut come from
-        its factor's L and U alone: no SuperLU solve, one column or many."""
+        its periphery factor's L and U, G, H and the core's inverse alone:
+        no SuperLU solve, one column or many."""
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         tm = transition_matrix(build_flow_network(to_transition_edges(log)))
         with dense_route_max(8):
             fm = fundamental_matrix(tm)
-        proxies = [_FactorProxy(lu) for _, lu in fm._factored]
-        fm._factored = [(nodes, proxy) for (nodes, _), proxy in zip(fm._factored, proxies)]
+        proxies = []
+        for _, hub in fm._factored:
+            hub.lu = _FactorProxy(hub.lu)
+            proxies.append(hub.lu)
         fm.diagonal()
         assert proxies and all(proxy.solves == 0 for proxy in proxies)
 
     def test_off_diagonal_pivoting_is_refused(self, dense_route_max):
         """The selected inverse reads one symmetric permutation of the
-        factor; a factor whose row and column orders differ raises."""
+        periphery's factor; a factor whose row and column orders differ
+        raises."""
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         tm = transition_matrix(build_flow_network(to_transition_edges(log)))
         with dense_route_max(8):
             fm = fundamental_matrix(tm)
-        fm._factored = [(nodes, _FactorProxy(lu, perm_r=np.roll(lu.perm_r, 1)))
-                        for nodes, lu in fm._factored]
+        for _, hub in fm._factored:
+            hub.lu = _FactorProxy(hub.lu, perm_r=np.roll(hub.lu.perm_r, 1))
         with pytest.raises(RuntimeError, match="pivoted off its diagonal"):
             fm.diagonal()
 
-    def test_pattern_missing_a_pair_is_refused(self, monkeypatch, dense_route_max):
-        """The leading columns read Z at every pair of a column's rows from
-        the filled pattern; a pattern missing one raises instead of reading
-        a neighbouring entry."""
+    def test_pattern_missing_a_pair_is_refused(self, dense_route_max):
+        """Each column reads Z at the pairs of its U row and L column from
+        the transposed pattern of the factors; a pattern missing one (here
+        the fill entry U[l, t] behind the pair of U[j, t] and L[l, j], t in
+        the core) raises instead of reading a neighbouring entry."""
         log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
         tm = transition_matrix(build_flow_network(to_transition_edges(log)))
         with dense_route_max(8):
             fm = fundamental_matrix(tm)
-        closed = _linalg._filled_pattern
-
-        def missing_one(lu):
-            cols, parent = closed(lu)
-            # the first column whose last row a child shares: the child's pairs need it
-            j = next(j for j in range(len(cols)) if cols[j].size > 1 and any(
-                parent[c] == j and cols[j][-1] in cols[c] for c in range(j)))
-            cols[j] = cols[j][:-1]
-            return cols, parent
-
-        monkeypatch.setattr(_linalg, "_filled_pattern", missing_one)
+        (_, hub), = fm._factored
+        lower = sp.tril(hub.lu.L, -1).tocsc()
+        G = hub.G.tolil()
+        j, l, t = next((j, l, t) for j in range(hub.m)
+                       for l in lower.indices[lower.indptr[j] : lower.indptr[j + 1]]
+                       for t in G.rows[j] if G[l, t] != 0)
+        G[l, t] = 0.0
+        hub.G = G.tocsr()
         with pytest.raises(RuntimeError, match="misses a pair"):
             fm.diagonal()
 
