@@ -27,7 +27,7 @@ import scipy.sparse as sp
 # fundamental_diagonals is re-exported: the solver layer is reached through flowcalc
 from ._linalg import DENSE_THRESHOLD, AbsorbingSolver, fundamental_diagonals
 from .errors import ZeroOutflowRow
-from .network import FlowNetwork, write_csv
+from .network import FlowNetwork, reprs, write_csv
 
 STATS_HEADER = ("item", "A", "D", "S", "F", "C", "phi")
 
@@ -164,8 +164,7 @@ def flow_impact_double_sum(fm: AbsorbingSolver, source_flows: np.ndarray) -> np.
 
 def write_stats_csv(path, stats: NodeFlowStats) -> None:
     columns = stats.columns()
-    values = (map(repr, np.asarray(columns[c], dtype=float).tolist()) for c in STATS_HEADER[1:])
-    write_csv(path, STATS_HEADER, zip(stats.items, *values))
+    write_csv(path, STATS_HEADER, zip(stats.items, *(reprs(columns[c]) for c in STATS_HEADER[1:])))
 
 
 def read_stats_csv(path) -> NodeFlowStats:

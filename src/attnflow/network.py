@@ -16,7 +16,7 @@ import warnings
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -190,9 +190,17 @@ def build_flow_network(edges) -> FlowNetwork:
         raise InvalidEdge("edge list is empty")
 
     # interior nodes in order of first appearance over src0, dst0, src1, ...
-    seen, first = np.unique(codes.ravel(), return_index=True)
-    kept = seen > 1
-    interior = seen[kept][np.argsort(first[kept])]
+    # That is code order where every interior code (2 and up) first appears
+    # as a new running maximum, as the codes of _label_codes do unless
+    # dropped edges held a first appearance; only otherwise is it sorted.
+    flat = codes.ravel()
+    top = np.maximum.accumulate(flat)
+    climbs = top[np.concatenate(([True], top[1:] != top[:-1]))]
+    interior = climbs[climbs > 1]
+    if interior.size != np.count_nonzero(np.bincount(flat)[2:]):
+        seen, first = np.unique(flat, return_index=True)
+        kept = seen > 1
+        interior = seen[kept][np.argsort(first[kept])]
     items = tuple(map(labels.__getitem__, interior.tolist()))
     size = len(items) + 2
     index = np.zeros(len(labels), dtype=np.intp)  # SOURCE, and labels of dropped edges
@@ -350,13 +358,23 @@ def cell(x) -> str:
     return "" if math.isnan(x) else repr(x)
 
 
+def reprs(values, nan: str = "nan") -> list[str]:
+    """``repr`` of every value of a float column, or ``nan`` for NaN; each
+    distinct value is formatted once.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    # distinct bit patterns, which keep -0.0 apart from 0.0
+    keys, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    keys = keys.view(float)
+    text = list(map(repr, keys.tolist()))
+    for i in np.flatnonzero(np.isnan(keys)).tolist():
+        text[i] = nan
+    return np.array(text, dtype=object)[inverse.ravel()].tolist()
+
+
 def cells(values) -> list[str]:
-    """:func:`cell` of every value of a column, formatted a column at a time."""
-    values = np.asarray(values, dtype=float)
-    text = list(map(repr, values.tolist()))
-    for i in np.flatnonzero(np.isnan(values)).tolist():
-        text[i] = ""
-    return text
+    """:func:`cell` of every value of a column."""
+    return reprs(values, nan="")
 
 
 def write_csv(path, header, rows) -> None:
@@ -376,48 +394,67 @@ def split_columns(text: str, delimiter: str = ",", header: bool = False,
     empty row; no rows give no columns. None for rows of more than one
     width, an empty row without ``skip_empty``, or a row csv.reader refuses.
 
-    Text with no ``"``, no CR outside a CRLF and no line longer than
-    ``csv.field_size_limit()`` is split at its line ends and ``delimiter``,
-    which is what csv.reader reads of it. Only other text is read with
-    csv.reader, and only then is ``lines`` read.
+    Text with an ASCII ``delimiter``, no ``"``, no CR outside a CRLF and no
+    line longer than ``csv.field_size_limit()`` in UTF-8 bytes is split at
+    its line ends and ``delimiter``, which is what csv.reader reads of it.
+    Only other text is read with csv.reader, and only then is ``lines`` read.
     """
-    rows = _plain_lines(text, delimiter)
-    if rows is None:
+    columns = _split_plain(text, delimiter, header, skip_empty)
+    if columns is False:
         reader = csv.reader(io.StringIO(text) if lines is None else lines, delimiter=delimiter)
-        return _reader_columns(reader, header, skip_empty)
-    if header:
-        del rows[:1]
-    if "" in rows:
-        if not skip_empty:
-            return None
-        rows = list(filter(None, rows))
-    if not rows:
-        return []
-    widths = set(map(str.count, rows, repeat(delimiter)))
-    if len(widths) != 1:
-        return None
-    width = widths.pop() + 1
-    cells = delimiter.join(rows).split(delimiter)
-    return [cells[k::width] for k in range(width)]
+        columns = _reader_columns(reader, header, skip_empty)
+    return columns
 
 
-def _plain_lines(text: str, delimiter: str) -> list[str] | None:
-    """The lines of ``text``, each of which csv.reader reads as its split
-    at ``delimiter``; None where it may read the text otherwise.
+def _split_plain(text: str, delimiter: str, header: bool,
+                 skip_empty: bool) -> list[list[str]] | None | bool:
+    """:func:`split_columns` of plain ``text``, by one scan of its UTF-8
+    bytes and one split; False where csv.reader may read it otherwise.
     """
-    if len(delimiter) != 1 or delimiter in '"\r\n' or '"' in text:
-        return None
+    if len(delimiter) != 1 or delimiter >= "\x80" or delimiter in '"\r\n' or '"' in text:
+        return False
     if "\r" in text:
         if text.count("\r") != text.count("\r\n"):
-            return None
+            return False
         text = text.replace("\r\n", "\n")
-    lines = text.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.flatnonzero(data == 10)
+    if data.size and data[-1] != 10:  # a last line without its LF
+        ends = np.append(ends, data.size)
+    marks = np.flatnonzero(data == ord(delimiter))
+    del data
+    if not ends.size:
+        return []
+    lengths = np.diff(ends, prepend=-1) - 1
+    if int(lengths.max()) > csv.field_size_limit():
+        return False
+    empty = lengths == 0
+    widths = np.diff(np.searchsorted(marks, ends), prepend=0)  # each line's delimiters
+    del ends, marks, lengths  # no buffer of the scan outlives it into the split
+    skip = 0
+    if header:
+        skip = int(widths[0]) + 1  # the header's cells
+        widths, empty = widths[1:], empty[1:]
+    keep = None
+    if empty.any():
+        if not skip_empty:
+            return None
+        keep = np.repeat(~empty, widths + 1)  # an empty line's one cell goes
+        widths = widths[~empty]
+    if not widths.size:
+        return []
+    if (widths != widths[0]).any():
         return None
-    return lines
+    width = int(widths[0]) + 1
+    del widths, empty
+
+    cells = text.replace("\n", delimiter).split(delimiter)
+    if text.endswith("\n"):
+        cells.pop()
+    del cells[:skip]
+    if keep is not None:
+        cells = list(compress(cells, keep.tolist()))
+    return [cells[k::width] for k in range(width)]
 
 
 def _reader_columns(reader, header: bool, skip_empty: bool) -> list[list[str]] | None:
@@ -441,9 +478,9 @@ def _reader_columns(reader, header: bool, skip_empty: bool) -> list[list[str]] |
 
 def write_json(path, obj) -> None:
     """Write a JSON artifact: sorted keys, two-space indent, final newline."""
+    text = json.dumps(obj, indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 #: The characters that make the csv module quote a field of a CRLF file.
@@ -466,9 +503,13 @@ def _write_edge_rows(path, labels, rows: np.ndarray, cols: np.ndarray, weight: n
     precision. Unlike the other artifacts its rows end in CRLF.
     """
     quoted = np.array([_quote(label) for label in labels], dtype=object)
-    lines = map(",".join, zip(quoted[rows].tolist(), quoted[cols].tolist(), map(repr, weight.tolist())))
+    parts = [None, ",", None, ",", None, "\r\n"] * len(weight)
+    parts[0::6] = quoted[rows].tolist()
+    parts[2::6] = quoted[cols].tolist()
+    parts[4::6] = reprs(weight)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(chain(("src,dst,weight",), lines, ("",))))
+        fh.write("src,dst,weight\r\n")
+        fh.write("".join(parts))
 
 
 def write_edges(path, edges) -> None:
@@ -511,9 +552,9 @@ def _raise_bad_row(path) -> None:
     raise AssertionError(f"{path}: the row checks pass a row the column checks reject")
 
 
-def _read_edge_rows(path) -> tuple[list[str], np.ndarray]:
-    """The labels of every row of an edge file, as src0, dst0, src1, ...,
-    and the rows' weights.
+def _read_edge_rows(path) -> tuple[list, np.ndarray, np.ndarray]:
+    """The rows of an edge file as :func:`_coded_edges` gives them: labels,
+    the ``(m, 2)`` codes of every row's ends and the rows' weights.
 
     The rows are split by :func:`split_columns` and checked a column at a
     time. Only if a check fails are they read again one by one, to raise
@@ -538,11 +579,16 @@ def _read_edge_rows(path) -> tuple[list[str], np.ndarray]:
         except ValueError:
             pass
         else:
+            del weights
+            labels, codes = _label_codes(ends)
+            del ends
+            codes = codes.reshape(-1, 2)
             # the rows _raise_bad_row raises for: weights that are not
-            # finite or are negative, edges into SOURCE or out of SINK
+            # finite or are negative, edges into SOURCE (code 0) or out of
+            # SINK (code 1)
             if (np.isfinite(weight).all() and not (weight < 0).any()
-                    and SOURCE not in ends[1::2] and SINK not in ends[0::2]):
-                return ends, weight
+                    and not (codes[:, 1] == 0).any() and not (codes[:, 0] == 1).any()):
+                return labels, codes, weight
     _raise_bad_row(path)
 
 
@@ -605,10 +651,7 @@ def read_edges(path) -> Mapping[tuple[str, str], float]:
     without exactly three columns or with a non-numeric or non-finite weight,
     and for any other row the error :func:`_check_edge` raises, so prefixed.
     """
-    ends, weight = _read_edge_rows(path)
-    labels, codes = _label_codes(ends)
-    del ends
-    return _edge_rows(labels, codes.reshape(-1, 2), weight)
+    return _edge_rows(*_read_edge_rows(path))
 
 
 def write_network(net: FlowNetwork, csv_path, json_path=None,

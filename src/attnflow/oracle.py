@@ -19,7 +19,7 @@ import scipy.sparse.csgraph as csgraph
 from .errors import InvalidSpec, MismatchedNetworks, NotCertified, StepCapWarning
 from .flowcalc import NodeFlowStats, transition_matrix
 from .ingest import SessionLog
-from .network import FlowNetwork, build_flow_network, cells, validate, write_csv
+from .network import FlowNetwork, build_flow_network, cells, reprs, validate, write_csv
 
 STEP_CAP = 1_000_000
 
@@ -500,11 +500,10 @@ def write_estimates_csv(path, est: WalkEstimate) -> None:
     l_hat, _ = est.source_distance_estimate()
     c = est.impact_estimate()
     header = ["item", "A_hat", "D_hat", "S_hat", "F_hat", "l_hat"]
-    floats = [map(repr, v.tolist()) for v in (a_hat, d_hat, s_hat, a_hat - d_hat)]
-    columns = [est.items, *floats, cells(l_hat)]
+    columns = [est.items, *map(reprs, (a_hat, d_hat, s_hat, a_hat - d_hat)), cells(l_hat)]
     if c is not None:
         header.append("C_hat")
-        columns.append(map(repr, c[0].tolist()))
+        columns.append(reprs(c[0]))
     write_csv(path, header, zip(*columns))
 
 

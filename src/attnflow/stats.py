@@ -26,7 +26,7 @@ from .errors import (
 )
 from .flowcalc import NodeFlowStats
 from .ingest import SessionLog
-from .network import _EdgeRows, write_csv
+from .network import _EdgeRows, reprs, write_csv
 
 # Relative singular-value cutoff below which a design matrix is treated as
 # rank deficient.
@@ -357,8 +357,8 @@ def regression_feature_table(
 
 def write_zipf_csv(path, table: list[tuple]) -> None:
     """Two-column rank,value plot data (labels, if present, are dropped)."""
-    values = map(repr, map(float, map(itemgetter(-1), table)))
-    write_csv(path, ["rank", "value"], zip(map(itemgetter(0), table), values))
+    values = np.fromiter(map(itemgetter(-1), table), dtype=float, count=len(table))
+    write_csv(path, ["rank", "value"], zip(map(itemgetter(0), table), reprs(values)))
 
 
 def write_duplication_csv(path, report: DuplicationReport) -> None:

@@ -361,6 +361,32 @@ def test_c11_pipeline_determinism(scale_network, tmp_path, check, child_env):
     )
 
 
+def test_c11_readers_agree_at_scale(scale_network, tmp_path, check, child_env):
+    """The scale network with one label needlessly quoted reads as the same
+    network, but through csv.reader instead of the byte-scan split; the
+    pipeline writes the same artifact tree from both, byte for byte.
+    """
+    plain = scale_network.read_bytes()
+    start = plain.index(b",", plain.index(b"\r\n")) + 1  # the first row's dst label
+    end = plain.index(b",", start)
+    quoted = plain[:start] + b'"' + plain[start:end] + b'"' + plain[end:]
+    trees = []
+    for sub, data in (("plain", plain), ("quoted", quoted)):
+        cwd = tmp_path / sub
+        cwd.mkdir()
+        (cwd / "network.csv").write_bytes(data)
+        _run_pipeline("network.csv", cwd, child_env)  # the same relative path in config.json
+        run = cwd / "run"
+        trees.append({name: (run / name).read_bytes() for name in os.listdir(run)})
+    diff = sorted(n for n in trees[0].keys() | trees[1].keys() if trees[0].get(n) != trees[1].get(n))
+    check(
+        "11 readers agree",
+        not diff,
+        f"label {plain[start:end].decode()} quoted, {len(trees[0])} artifacts compared, "
+        f"mismatches: {diff or 'none'}",
+    )
+
+
 def test_c12_giant_scc_selected_inversion(check):
     """A session log's giant SCC above the dense route's cut: diag(U) and
     diag(U^2), read from the selected inverse of its one shifted factor,

@@ -29,6 +29,7 @@ from attnflow.errors import (
     NotCertified,
     SelfEdgeOnSourceOrSink,
 )
+from attnflow.ingest import SessionLog, to_transition_edges
 from attnflow.network import (
     BALANCE_TOL,
     FlowNetwork,
@@ -716,6 +717,82 @@ class TestReaderMatchesRowReader:
         assert dict(edges) == {("a", "b"): 3.0} and len(edges) == 1
         with pytest.raises(TypeError):
             edges[("a", "b")] = 1.0
+
+
+def _write_triples(path, triples) -> None:
+    """The triples as an edge file, each weight at ``repr`` precision."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["src", "dst", "weight"])
+        writer.writerows((src, dst, repr(float(weight))) for src, dst, weight in triples)
+
+
+def _file_outcomes(path) -> tuple:
+    """read_network's outcome for an edge file, and the per-edge builder's
+    on the per-row reader's dict of it.
+    """
+    return (_build_outcome(read_network, path),
+            _build_outcome(lambda p: _reference_build(_reference_read_edges(p)), path))
+
+
+_SESSION_ITEM = st.sampled_from("abcdef")
+#: several sessions per user, one-visit ones among them, so residual edges
+#: meet items later than their first visit
+_SESSION_LOGS = st.dictionaries(
+    st.sampled_from(["u", "v", "w"]),
+    st.lists(st.lists(_SESSION_ITEM, min_size=1, max_size=4), min_size=1, max_size=4),
+    min_size=1,
+)
+
+
+class TestBuildFromEdgeRows:
+    """Built from the coded rows of read_edges or to_transition_edges, a
+    network numbers its nodes as the per-edge builder does, also where a
+    dropped zero-weight row held a label's first appearance.
+    """
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_BUILD_EDGE, max_size=14))
+    def test_read_network_matches_the_per_row_path(self, triples):
+        """Drawn rows repeat edges and put zero weights anywhere, also
+        before a label's first non-zero row.
+        """
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.csv"
+            _write_triples(path, triples)
+            fast, slow = _file_outcomes(path)
+        assert fast == slow
+
+    @pytest.mark.parametrize("triples, items", [
+        ([("a", "b", 0.0), ("c", "a", 1.0), ("b", "c", 2.0)], ("c", "a", "b")),
+        ([("a", "b", 1.0), ("c", "d", 0.0), ("d", "c", 1.0), ("a", "b", 1.0)], ("a", "b", "d", "c")),
+        ([(SOURCE, "a", 1.0), ("a", SINK, 1.0), ("a", "a", 2.5)], ("a",)),
+    ])
+    def test_first_appearance_after_dropped_rows(self, tmp_path, triples, items):
+        path = tmp_path / "edges.csv"
+        _write_triples(path, triples)
+        fast, slow = _file_outcomes(path)
+        assert fast == slow and fast[0] == items
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(_SESSION_LOGS, st.sampled_from(["session-closed", "residual"]))
+    def test_transition_edges(self, sessions, mode):
+        rows = to_transition_edges(SessionLog.from_sessions(sessions), mode)
+        assert _build_outcome(build_flow_network, rows) == _build_outcome(
+            _reference_build, dict(rows))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edges.csv"
+            write_edges(path, rows)
+            fast, slow = _file_outcomes(path)
+        assert fast == slow
+
+    def test_transition_labels_out_of_first_appearance_order(self):
+        log = SessionLog.from_sessions({"u": [["a"], ["b", "c"], ["c", "a"]]})
+        rows = to_transition_edges(log, "residual")
+        assert rows.labels == [SOURCE, SINK, "a", "b", "c"]
+        assert build_flow_network(rows).items == ("b", "c", "a")
+        assert _build_outcome(build_flow_network, rows) == _build_outcome(
+            _reference_build, dict(rows))
 
 
 _POSITIVE_WEIGHT = st.sampled_from([0.1, 1 / 3, 2.5, 7.0, 1e-300, 1e300, 5e-324])

@@ -2,17 +2,21 @@
 ``network.py``. An AST scan of ``src/attnflow/*.py`` checks that every
 text-mode ``open()`` names UTF-8, that no other code writes JSON or CSV
 to a file, and that csv.reader turns text into columns in one place. The
-section's tokenizer, ``split_columns``, reads what csv.reader reads.
+section's tokenizer, ``split_columns``, reads what csv.reader reads, and
+its float formatter writes what ``repr`` writes.
 """
 import ast
 import csv
 import io
+import math
+import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attnflow.network import split_columns
+from attnflow.network import cell, cells, reprs, split_columns
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attnflow"
 SECTION = "# --- wire formats"
@@ -20,6 +24,7 @@ SECTION = "# --- wire formats"
 #: the functions allowed to call each writer; all in network.py's section.
 OWNERS = {
     "json.dump": {"write_json"},
+    "json.dumps": {"write_json"},
     "csv.writer": {"write_csv"},
 }
 
@@ -265,3 +270,40 @@ class TestSplitColumns:
                 assert columns == _csv_columns(text, delimiter, mode, header, skip_empty), mode
         finally:
             csv.field_size_limit(default)
+
+
+def _bits(pattern: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", pattern))[0]
+
+
+#: signed zeros, NaNs of either sign and other payloads, infinities,
+#: subnormals and values whose repr switches notation, drawn from a short
+#: list so that they repeat, or any float
+_FLOAT = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 1.0, 0.1, 1 / 3, 1e16, -1e16, 1e-5, 1e-4, 5e-324, -5e-324,
+        2.2250738585072014e-308, math.inf, -math.inf, math.nan,
+        _bits(0xFFF8000000000000), _bits(0x7FF0000000000001), _bits(0x7FF8000000000123),
+    ]),
+    st.floats(),
+)
+
+
+class TestReprs:
+    @settings(max_examples=300)
+    @given(st.lists(_FLOAT, max_size=40), st.booleans())
+    def test_matches_repr_and_cell(self, values, square):
+        """Element by element, from a 1-D or a 2-D array (whose unique
+        inverse numpy 2.0 shapes like the input).
+        """
+        array = np.array(values, dtype=float)
+        if square and array.size % 2 == 0:
+            array = array.reshape(2, -1)
+        assert reprs(array) == list(map(repr, values))
+        assert reprs(array, nan="NaN") == ["NaN" if math.isnan(x) else repr(x) for x in values]
+        assert cells(array) == list(map(cell, values))
+
+    def test_signed_zeros_kept_apart(self):
+        assert reprs([0.0, -0.0, 0.0, -0.0]) == ["0.0", "-0.0", "0.0", "-0.0"]
+        assert cells([math.nan, -0.0, math.nan]) == ["", "-0.0", ""]
+        assert reprs([]) == []
