@@ -3,6 +3,7 @@ for the interior transition block W (rows sum to <= 1), never formed at scale
 but answered from one factorization per strongly connected component."""
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -38,8 +39,9 @@ _DENSE_ROUTE_MAX = 320
 # cancellation; Squire & Trapp, SIAM Review 40(1), 1998).
 SHIFT = 1e-20
 
-# Rough bound, in bytes, on each temporary of the selected inversion and of
-# the products that form a hub core's Schur complement.
+# Rough bound, in bytes, on each temporary of the selected inversion, of
+# the products that form a hub core's Schur complement and of each chunk
+# of a stack of dense inverses.
 _CHUNK_BYTES = 1 << 18
 
 
@@ -60,11 +62,13 @@ def _condensation_depths(src: np.ndarray, dst: np.ndarray, n_comp: int) -> np.nd
     while np.any(root[root] != root):
         hops += hops[root]
         root = root[root]
-    depth = np.zeros(n_comp, dtype=np.intp)
+    # on lists: a few list reads per edge instead of numpy calls per SCC
+    depth, up, far = [0] * n_comp, root.tolist(), hops.tolist()
+    indptr, targets = dag.indptr.tolist(), dag.indices.tolist()
     for comp in np.flatnonzero(exits > 1).tolist():
-        targets = dag.indices[dag.indptr[comp] : dag.indptr[comp + 1]]
-        depth[comp] = 1 + (depth[root[targets]] + hops[targets]).max()
-    return depth[root] + hops
+        depth[comp] = 1 + max([depth[up[t]] + far[t]
+                               for t in targets[indptr[comp] : indptr[comp + 1]]])
+    return np.array(depth, dtype=np.intp)[root] + hops
 
 
 def _rows(M: sp.csr_matrix, lo: int, hi: int) -> sp.csr_matrix:
@@ -98,12 +102,32 @@ def _csr(parts: list, shape: tuple) -> sp.csr_matrix:
     return sp.csr_matrix((val, (row, col)), shape=shape)
 
 
-def _sparse_factor(block: sp.csr_matrix, nodes: np.ndarray, diagonal=1.0, **options):
-    """splu of diagonal * I - block; a pivot below PIVOT_TOL raises
-    SingularSystem."""
+def _shifted_csc(row: np.ndarray, col: np.ndarray, w: np.ndarray, m: int,
+                 diagonal=1.0) -> sp.csc_matrix:
+    """diagonal * I - V for the m x m block V holding w at (row, col), no
+    pair twice, laid out as scipy's sparse subtraction lays it out: rows
+    sorted within each column, and no entry that comes out exactly zero."""
+    dtype = np.result_type(diagonal, w)
+    on = row == col
+    lacking = np.ones(m, dtype=bool)
+    lacking[row[on]] = False
+    extra = np.flatnonzero(lacking)
+    val = np.subtract(0, w, dtype=dtype)  # 0 - w, so a complex one keeps +0 imaginary
+    val[on] = diagonal - w[on]
+    val = np.concatenate([val, np.full(extra.size, diagonal, dtype=dtype)])
+    row, col = np.concatenate([row, extra]), np.concatenate([col, extra])
+    keep = val != 0
+    val, row, col = val[keep], row[keep], col[keep]
+    by_col = np.lexsort((row, col))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(col, minlength=m))])
+    return sp.csc_matrix((val[by_col], row[by_col], indptr), shape=(m, m))
+
+
+def _sparse_factor(matrix: sp.csc_matrix, nodes: np.ndarray, **options):
+    """splu of ``matrix``, one SCC's or run's (shifted) block of I - W; a
+    pivot below PIVOT_TOL raises SingularSystem naming ``nodes``."""
     try:
-        lu = spla.splu(diagonal * sp.identity(block.shape[0], format="csc") - block.tocsc(),
-                       **options)
+        lu = spla.splu(matrix, **options)
         min_pivot = float(np.abs(lu.U.diagonal()).min())
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         if "singular" not in str(exc):
@@ -114,24 +138,69 @@ def _sparse_factor(block: sp.csr_matrix, nodes: np.ndarray, diagonal=1.0, **opti
     return lu
 
 
-def _dense_inverses(inner: sp.csr_matrix, a: int, z: int, s: int, nodes: np.ndarray):
-    """Stacked inverses of I - inner[a:z, a:z], SCCs of order s side by side;
-    an inverse diagonal entry not finite or above 1/PIVOT_TOL is refused."""
-    rows = np.repeat(np.arange(z - a), np.diff(inner.indptr[a : z + 1]))
-    cols = inner.indices[inner.indptr[a] : inner.indptr[z]] - a
-    stack = np.zeros(((z - a) // s, s, s))
-    stack[rows // s, rows % s, cols % s] = -inner.data[inner.indptr[a] : inner.indptr[z]]
-    stack[:, np.arange(s), np.arange(s)] += 1.0
+def _checked_inverse(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of matrices, and each one's peak diagonal
+    magnitude, infinite for an exactly singular matrix. LAPACK inverts
+    each matrix on its own, so a stack cut anywhere gives the same bits."""
     try:
         inv = np.linalg.inv(stack)
-        peak = np.abs(np.diagonal(inv, axis1=1, axis2=2)).max(axis=1)
-    except np.linalg.LinAlgError:  # an exactly singular block
-        inv, peak = None, np.where(np.linalg.slogdet(stack)[0] == 0, np.inf, 1.0)
-    bad = ~(peak <= 1.0 / PIVOT_TOL)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise SingularSystem(sorted(nodes[k * s : (k + 1) * s].tolist()), 1.0 / peak[k])
-    return inv
+        singular = None
+    except np.linalg.LinAlgError:  # an exactly singular matrix: invert the others
+        singular = np.linalg.slogdet(stack)[0] == 0
+        stack[singular] = np.eye(stack.shape[1])
+        inv = np.linalg.inv(stack)
+    peak = np.abs(np.diagonal(inv, axis1=1, axis2=2)).max(axis=1)
+    if singular is not None:
+        peak[singular] = np.inf
+    return inv, peak
+
+
+def _dense_stacks(nsize: np.ndarray, dense: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                  w: np.ndarray) -> tuple[dict, tuple | None]:
+    """Inverses of I - V for the SCCs that take the dense route, one stack
+    per SCC size from every depth. In level order an SCC's nodes are
+    consecutive: ``nsize`` is the size of each position's SCC, ``dense``
+    marks the route's positions and (rows, cols, w) are the edges within
+    SCCs, by position. Returns {size: (positions, stack)}, the SCCs in
+    level order, row k of positions holding those of the SCC inverted in
+    stack[k], and the first refused SCC in level order as (position,
+    pivot), or None. A stack is built and inverted in chunks of about
+    _CHUNK_BYTES."""
+    at = np.flatnonzero(dense)
+    at = at[np.argsort(nsize[at], kind="stable")]  # by size, in level order within one
+    rank = np.zeros(nsize.size, dtype=np.intp)
+    rank[at] = np.arange(at.size)
+    inside = np.flatnonzero(dense[rows])
+    inside = inside[np.argsort(rank[rows[inside]], kind="stable")]
+    key, rows, cols, w = rank[rows[inside]], rows[inside], cols[inside], w[inside]
+    del rank, inside
+    sizes, base = np.unique(nsize[at], return_index=True)
+    stacks, refused = {}, None
+    for s, b, e in zip(sizes.tolist(), base.tolist(), np.r_[base[1:], at.size].tolist()):
+        count, per = (e - b) // s, max(1, _CHUNK_BYTES // (8 * s * s))
+        stack = None if count <= per else np.empty((count, s, s))
+        for k0 in range(0, count, per):
+            k1 = min(k0 + per, count)
+            lo, hi = np.searchsorted(key, (b + k0 * s, b + k1 * s)).tolist()
+            local = key[lo:hi] - (b + k0 * s)
+            i = local % s
+            chunk = np.zeros((k1 - k0, s, s))
+            chunk[local // s, i, i + cols[lo:hi] - rows[lo:hi]] = -w[lo:hi]
+            chunk[:, np.arange(s), np.arange(s)] += 1.0
+            inv, peak = _checked_inverse(chunk)
+            del chunk
+            bad = ~(peak <= 1.0 / PIVOT_TOL)
+            if bad.any():
+                k = int(np.argmax(bad))
+                where = int(at[b + (k0 + k) * s])
+                if refused is None or where < refused[0]:
+                    refused = (where, 1.0 / peak[k])
+            if stack is None:
+                stack = inv
+            else:
+                stack[k0:k1] = inv
+        stacks[s] = (at[b:e].reshape(count, s), stack)
+    return stacks, refused
 
 
 def _hub_core(block: sp.csr_matrix) -> tuple[np.ndarray, int]:
@@ -169,6 +238,15 @@ def _unit_lower_solve(strict: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     return x
 
 
+def _matvecs(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v, one matrix-vector product per column of v: BLAS sums a
+    product with several columns in another order, and a column's result
+    should be the same bits as when it is solved alone."""
+    if v.ndim == 1:
+        return M @ v
+    return np.matmul(M, np.ascontiguousarray(v.T)[:, :, None])[:, :, 0].T
+
+
 class _HubCore:
     """The shifted block B = (1 - ih) I - V of one large SCC, V its block
     of W, split by _hub_core into a periphery L and a hub core T:
@@ -196,9 +274,8 @@ class _HubCore:
         r, c, w = at[v.row], at[v.col], v.data
         row_l, col_l = r < m, c < m
         ll, lt, tl, tt = (row_l & col_l, row_l & ~col_l, ~row_l & col_l, ~(row_l | col_l))
-        lu = self.lu = _sparse_factor(sp.csc_matrix((w[ll], (r[ll], c[ll])), shape=(m, m)),
-                                      nodes, 1.0 - 1j * SHIFT, permc_spec="MMD_AT_PLUS_A",
-                                      diag_pivot_thresh=0)
+        lu = self.lu = _sparse_factor(_shifted_csc(r[ll], c[ll], w[ll], m, 1.0 - 1j * SHIFT),
+                                      nodes, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0)
         self.b_lt = sp.csr_matrix((-w[lt], (r[lt], c[lt] - m)), shape=(m, k))
         self.b_tl = sp.csr_matrix((-w[tl], (r[tl] - m, c[tl])), shape=(k, m))
         if k == 0:  # no hubs: the periphery's factor is the SCC's
@@ -244,7 +321,7 @@ class _HubCore:
         parts = [lu.solve(b[:m], trans=trans)]
         if m < b.shape[0]:
             y, = parts
-            x_t = Z @ (b[m:] - into @ y)
+            x_t = _matvecs(Z, b[m:] - into @ y)
             parts = [y - lu.solve(out @ x_t, trans=trans), x_t]
         x = np.empty(b.shape, dtype=complex)
         x[self.split] = np.concatenate(parts)
@@ -257,17 +334,23 @@ class AbsorbingSolver:
 
     Ordered by SCC depth, I - W is block lower triangular (Duff & Reid, ACM
     TOMS 4(2), 1978; KLU). SCCs up to _DENSE_ROUTE_MAX nodes get dense
-    inverses, batched per depth and size into stacked arrays, larger ones a
-    complex factor of A - ihI, A their block of I - W and h = SHIFT, split
-    at a hub core (_HubCore): a sparse LU of the periphery and a LAPACK
-    inverse of the core's Schur complement. Its real part answers solves
-    and its selected inverse gives both diagonals. Consecutive
-    depths of one-node SCCs form a lower triangular run, one LU with the
-    natural ordering, no pivoting and no fill. A solve substitutes forward
-    over depths and runs, each adding its coupling rows (cut at build); a
-    transpose solve runs backwards. A closed or numerically singular SCC
-    raises SingularSystem naming its nodes. Only the route depends on SCC
-    size; ``dense_threshold`` bounds the order of a materialized U.
+    inverses, one stack per size over all depths (_dense_stacks), larger
+    ones a complex factor of A - ihI, A their block of I - W and h =
+    SHIFT, split at a hub core (_HubCore): a sparse LU of the periphery
+    and a LAPACK inverse of the core's Schur complement. Its real part
+    answers solves and its selected inverse gives both diagonals.
+    Consecutive depths of one-node SCCs form a lower triangular run, one
+    LU with the natural ordering, no pivoting and no fill. Runs and large
+    SCCs are cut from the arrays of the edges within SCCs, and the build
+    makes no object per stage (a depth, or a run) beyond its blocks'
+    views. A solve substitutes forward over the stages, each adding its
+    coupling: its row range of one CSR K of the edges into earlier
+    stages, applied as a gather, a product and a bincount in K's stored
+    order, as csr_matvec sums. A transpose solve runs backwards over K^T.
+    A closed or numerically singular SCC raises SingularSystem naming its
+    nodes, the first in level order where several are. Only the route
+    depends on SCC size; ``dense_threshold`` bounds the order of a
+    materialized U.
     """
 
     def __init__(self, tm: TransitionMatrix, dense_threshold: int = DENSE_THRESHOLD):
@@ -300,47 +383,93 @@ class AbsorbingSolver:
         is_run = np.diff(np.r_[first, n_levels]) > 1
         stage = np.repeat(np.arange(first.size), np.diff(bounds))
 
-        # the edges from each stage into earlier ones, and those within it
+        # the edges from each stage into earlier ones, as row ranges of one
+        # CSR K and one of K^T, each entry with its row within its stage
+        # (held in K's own index type: intp would be faster to index and
+        # count with, but it doubles the memory the indices hold)
         rows, cols = pos[coo.row], pos[coo.col]
         out = cols < bounds[stage[rows]]
         K = sp.csr_matrix((coo.data[out], (rows[out], cols[out])), shape=(n, n))
-        inner = sp.csr_matrix((coo.data[~out], (rows[~out], cols[~out])), shape=(n, n))
+        self._couplings, spans = [], []
+        for M in (K, K.T.tocsr()):
+            row = np.repeat(np.arange(n), np.diff(M.indptr))
+            local = (row - bounds[stage[row]]).astype(M.indices.dtype)
+            self._couplings.append((M.indices, M.data, local))
+            spans.append(M.indptr[bounds].tolist())
+        # and those within it, which only SCCs and runs hold
+        rows, cols, w = rows[~out], cols[~out], coo.data[~out]
+        del K, M, row, local, out, coo
 
-        # a stage's blocks: its run, or its SCCs by size, each large SCC alone
+        dense = ~is_run[stage] & (nsize <= _DENSE_ROUTE_MAX)
+        stacks, refused = _dense_stacks(nsize, dense, rows, cols, w)
+        self._dense = [(order[at], stack) for at, stack in stacks.values()]
+        place = np.zeros(n, dtype=np.intp)  # at an SCC's first position, its index in its stack
+        for at, _ in stacks.values():
+            place[at[:, 0]] = np.arange(at.shape[0])
+
+        # a stage's blocks: its run, or its SCCs by size, each large SCC
+        # alone; and the edges within runs and large SCCs, by row
         alone = (nsize > _DENSE_ROUTE_MAX) & ~is_run[stage]
         key = np.stack([stage, nsize, np.where(alone, lab, -1)])
-        ends = np.flatnonzero(np.diff(key, prepend=-2, append=-2).any(axis=0)).tolist()
-        blocks: list[list] = [[] for _ in first]
-        self._dense, self._factored = [], []
-        for a, z in zip(ends[:-1], ends[1:]):
-            i, s, nodes = stage[a], int(nsize[a]), order[a:z]
-            if is_run[i]:
-                factor = _sparse_factor(inner[a:z, a:z], nodes, permc_spec="NATURAL",
-                                        diag_pivot_thresh=0, panel_size=1)
-            elif s > _DENSE_ROUTE_MAX:
-                factor = _HubCore(inner[a:z, a:z], nodes)
-                self._factored.append((nodes, factor))
+        starts = np.flatnonzero(np.diff(key, prepend=-2).any(axis=0))
+        stops = np.r_[starts[1:], n]
+        routed = np.flatnonzero(~dense[rows])
+        routed = routed[np.argsort(rows[routed], kind="stable")]
+        rows, cols, w = rows[routed], cols[routed], w[routed]
+        steps, self._factored = [], []
+        for a, z, s, k, in_stack, run, lo, hi in zip(
+                starts.tolist(), stops.tolist(), nsize[starts].tolist(), place[starts].tolist(),
+                dense[starts].tolist(), is_run[stage[starts]].tolist(),
+                np.searchsorted(rows, starts).tolist(), np.searchsorted(rows, stops).tolist()):
+            if in_stack:
+                steps.append((a, z, stacks[s][1][k : k + (z - a) // s]))
+                continue
+            if refused is not None and refused[0] < a:
+                break  # a dense SCC earlier in level order is refused
+            r, c, nodes = rows[lo:hi] - a, cols[lo:hi] - a, order[a:z]
+            if run:
+                factor = _sparse_factor(_shifted_csc(r, c, w[lo:hi], z - a), nodes,
+                                        permc_spec="NATURAL", diag_pivot_thresh=0, panel_size=1)
             else:
-                factor = _dense_inverses(inner, a, z, s, nodes)
-                self._dense.append((nodes.reshape(-1, s), factor))
-            blocks[i].append((a, z, factor))
-        KT = K.T.tocsr()
-        self._stages = [(lo, hi, _rows(K, lo, hi), _rows(KT, lo, hi), b)
-                        for lo, hi, b in zip(bounds[:-1].tolist(), bounds[1:].tolist(), blocks)]
+                factor = _HubCore(sp.csr_matrix((w[lo:hi], (r, c)), shape=(s, s)), nodes)
+                self._factored.append((nodes, factor))
+            steps.append((a, z, factor))
+        if refused is not None:
+            a, pivot = refused
+            raise SingularSystem(sorted(order[a : a + nsize[a]].tolist()), pivot)
+
+        # per stage: its positions, its ranges of K's and K^T's entries, its blocks
+        ends = np.searchsorted(stage[starts], np.arange(first.size + 1)).tolist()
+        self._stages = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), spans[0][:-1],
+                                spans[0][1:], spans[1][:-1], spans[1][1:],
+                                [steps[u:v] for u, v in zip(ends[:-1], ends[1:])]))
 
     def _sweep(self, b: np.ndarray, trans: bool) -> np.ndarray:
-        """U b by forward substitution over the stages; U^T b backwards."""
-        x = np.asarray(b, dtype=float)[self._order]
-        for lo, hi, coupling, coupling_t, blocks in self._stages[:: -1 if trans else 1]:
-            x[lo:hi] += (coupling_t if trans else coupling) @ x
+        """U b by forward substitution over the stages; U^T b backwards.
+        The columns of b are swept side by side, each as it would be alone."""
+        b = np.asarray(b, dtype=float)
+        width = math.prod(b.shape[1:])
+        x = np.ascontiguousarray(b.reshape(self.n, width)[self._order].T)  # a row per column
+        indices, data, local = self._couplings[trans]
+        x0, shift = x.ravel(), np.arange(width)[:, None]  # x0: x's one row, if width is 1
+        for lo, hi, ka, kz, ta, tz, blocks in self._stages[:: -1 if trans else 1]:
+            # x[lo:hi] += K[lo:hi] @ x, summed in the stored order, as csr_matvec sums
+            if trans:
+                ka, kz = ta, tz
+            if width == 1:
+                x0[lo:hi] += np.bincount(local[ka:kz], data[ka:kz] * x0[indices[ka:kz]], hi - lo)
+            else:
+                at = (local[ka:kz] + (hi - lo) * shift).ravel()
+                x[:, lo:hi] += np.bincount(at, (data[ka:kz] * x[:, indices[ka:kz]]).ravel(),
+                                           width * (hi - lo)).reshape(width, hi - lo)
             for a, z, factor in blocks:
                 if isinstance(factor, np.ndarray):
                     inv = factor.transpose(0, 2, 1) if trans else factor
-                    part = x[a:z].reshape(*inv.shape[:2], -1)
-                    x[a:z] = (inv @ part).reshape(x[a:z].shape)
+                    part = x[:, a:z].reshape(width, *inv.shape[:2], 1)
+                    x[:, a:z] = (inv @ part).reshape(width, z - a)
                 else:  # a shifted factor solves a complex copy; its real part is exact
-                    x[a:z] = factor.solve(x[a:z], trans="T" if trans else "N").real
-        return x[self._position]
+                    x[:, a:z] = factor.solve(x[:, a:z].T, trans="T" if trans else "N").real.T
+        return x.T[self._position].reshape(b.shape)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (I - W) x = b, i.e. x = U b; b may hold several columns."""

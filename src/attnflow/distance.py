@@ -18,7 +18,7 @@ import scipy.sparse as sp
 
 from .errors import UnreachablePair
 from .flowcalc import AbsorbingSolver
-from .network import cell, cells, reachable, write_csv
+from .network import cells, reachable, write_csv
 
 
 def _reachable_from_source(W: sp.csr_matrix, m0: np.ndarray) -> np.ndarray:
@@ -115,17 +115,14 @@ def symmetric_distance(fm: AbsorbingSolver, i: int, j: int) -> float:
 
 
 def write_source_distances(path, items: tuple[str, ...], l0: np.ndarray) -> None:
-    write_csv(path, ["item", "l_source"], zip(items, cells(l0)))
+    write_csv(path, ["item", "l_source"], [items, cells(l0)])
 
 
 def write_pairwise(
     path, items: tuple[str, ...], t: np.ndarray, l: np.ndarray, c: np.ndarray
 ) -> None:
     """All ordered pairs i != j with empty cells for unreachable entries."""
-    rows = (
-        [src, dst, cell(t[a, b]), cell(l[a, b]), cell(c[a, b])]
-        for a, src in enumerate(items)
-        for b, dst in enumerate(items)
-        if a != b
-    )
-    write_csv(path, ["i", "j", "t", "l", "c"], rows)
+    a, b = np.nonzero(~np.eye(len(items), dtype=bool))  # row by row
+    labels = np.array(items, dtype=object)
+    columns = [labels[a].tolist(), labels[b].tolist(), *(cells(m[a, b]) for m in (t, l, c))]
+    write_csv(path, ["i", "j", "t", "l", "c"], columns)

@@ -164,7 +164,7 @@ def flow_impact_double_sum(fm: AbsorbingSolver, source_flows: np.ndarray) -> np.
 
 def write_stats_csv(path, stats: NodeFlowStats) -> None:
     columns = stats.columns()
-    write_csv(path, STATS_HEADER, zip(stats.items, *(reprs(columns[c]) for c in STATS_HEADER[1:])))
+    write_csv(path, STATS_HEADER, [stats.items, *(reprs(columns[c]) for c in STATS_HEADER[1:])])
 
 
 def read_stats_csv(path) -> NodeFlowStats:

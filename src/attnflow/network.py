@@ -377,12 +377,23 @@ def cells(values) -> list[str]:
     return reprs(values, nan="")
 
 
-def write_csv(path, header, rows) -> None:
-    """Write a UTF-8 CSV artifact whose rows end in LF."""
+def write_csv(path, header, columns) -> None:
+    """Write a UTF-8 CSV artifact whose rows end in LF; ``columns[k][r]``,
+    a string, is cell ``k`` of row ``r``. The bytes are those csv.writer
+    writes with ``lineterminator="\\n"``, quoted by its QUOTE_MINIMAL rule
+    (:data:`_LF_QUOTE_CHARS`), laid out in one list and written in one
+    join.
+    """
+    fields = [_lf_fields([name, *column]) for name, column in zip(header, columns, strict=True)]
+    if len(fields) == 1:  # csv.writer writes a row of one empty cell as ""
+        fields = [['""' if cell == "" else cell for cell in fields[0]]]
+    parts = [None, ","] * len(fields)
+    parts[-1] = "\n"
+    parts *= len(fields[0])
+    for k, column in enumerate(fields):
+        parts[2 * k :: 2 * len(fields)] = column
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write("".join(parts))
 
 
 def split_columns(text: str, delimiter: str = ",", header: bool = False,
@@ -486,15 +497,32 @@ def write_json(path, obj) -> None:
 #: The characters that make the csv module quote a field of a CRLF file.
 _QUOTE_CHARS = frozenset(',"\r\n')
 
+#: The characters that make csv.writer quote a field of an LF file: the
+#: delimiter, the quote character and those of the line terminator, so a
+#: lone CR is written as it is. That is its rule on Python 3.10 and 3.11;
+#: the tests hold write_csv to the running interpreter's csv.writer.
+_LF_QUOTE_CHARS = frozenset(',"\n')
 
-def _quote(label: str) -> str:
-    """``label`` as an edge-file field, by the csv module's QUOTE_MINIMAL
-    rule: in double quotes, with inner quotes doubled, if it holds a
-    :data:`_QUOTE_CHARS` character; as it is otherwise.
+
+def _quote(label: str, chars: frozenset = _QUOTE_CHARS) -> str:
+    """``label`` as a CSV field, by the csv module's QUOTE_MINIMAL rule: in
+    double quotes, with inner quotes doubled, if it holds one of
+    ``chars``; as it is otherwise.
     """
-    if _QUOTE_CHARS.isdisjoint(label):
+    if chars.isdisjoint(label):
         return label
     return '"' + label.replace('"', '""') + '"'
+
+
+def _lf_fields(column: list[str]) -> list[str]:
+    """The cells of a column as fields of an LF file. One substring search
+    per quoting character over the joined column passes a column that
+    needs no quotes, as every number column does, with no per-cell work.
+    """
+    joined = "".join(column)
+    if not any(char in joined for char in _LF_QUOTE_CHARS):
+        return column
+    return [_quote(cell, _LF_QUOTE_CHARS) for cell in column]
 
 
 def _write_edge_rows(path, labels, rows: np.ndarray, cols: np.ndarray, weight: np.ndarray) -> None:

@@ -504,7 +504,7 @@ def write_estimates_csv(path, est: WalkEstimate) -> None:
     if c is not None:
         header.append("C_hat")
         columns.append(reprs(c[0]))
-    write_csv(path, header, zip(*columns))
+    write_csv(path, header, columns)
 
 
 @dataclass(frozen=True)

@@ -358,14 +358,14 @@ def regression_feature_table(
 def write_zipf_csv(path, table: list[tuple]) -> None:
     """Two-column rank,value plot data (labels, if present, are dropped)."""
     values = np.fromiter(map(itemgetter(-1), table), dtype=float, count=len(table))
-    write_csv(path, ["rank", "value"], zip(map(itemgetter(0), table), reprs(values)))
+    write_csv(path, ["rank", "value"], [list(map(str, map(itemgetter(0), table))), reprs(values)])
 
 
 def write_duplication_csv(path, report: DuplicationReport) -> None:
-    rows = zip(
+    columns = [
         report.items,
-        map(report.audience_sizes.__getitem__, report.items),
-        report._degrees(report.observed).tolist(),
-        report._degrees(report.kept).tolist(),
-    )
-    write_csv(path, ["item", "audience", "degree_before", "degree_after"], rows)
+        list(map(str, map(report.audience_sizes.__getitem__, report.items))),
+        list(map(str, report._degrees(report.observed).tolist())),
+        list(map(str, report._degrees(report.kept).tolist())),
+    ]
+    write_csv(path, ["item", "audience", "degree_before", "degree_after"], columns)

@@ -30,6 +30,7 @@ from attnflow import (
     to_transition_edges,
     transition_matrix,
     validate,
+    write_network,
 )
 from attnflow._linalg import _DENSE_ROUTE_MAX
 
@@ -383,6 +384,37 @@ def test_c11_readers_agree_at_scale(scale_network, tmp_path, check, child_env):
         "11 readers agree",
         not diff,
         f"label {plain[start:end].decode()} quoted, {len(trees[0])} artifacts compared, "
+        f"mismatches: {diff or 'none'}",
+    )
+
+
+def test_c11_dense_route_ignores_blas_threads(tmp_path, check, child_env):
+    """On a random-cyclic network, whose SCCs (at most 64 nodes) all take
+    the dense route, pipeline writes the same artifact tree, byte for
+    byte, at one and at two OpenBLAS threads: each SCC's LAPACK inverse in
+    its size's stack, and each product with it, sums in an order that
+    does not follow the thread count. (A hub core's inverse sums in one
+    that does, so this network has none.)"""
+    net = generate(GeneratorSpec(family="random-cyclic", size=3000, recirculation=0.25,
+                                 seed=3, avg_degree=6))
+    write_network(net, tmp_path / "network.csv")
+    trees = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads-{threads}"
+        cwd.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "attnflow", "pipeline", "--input", "../network.csv",
+             "--input-kind", "network", "--out", "run"],
+            cwd=cwd, env=dict(child_env, OPENBLAS_NUM_THREADS=threads), check=True,
+            stdout=subprocess.DEVNULL,
+        )
+        run = cwd / "run"
+        trees.append({name: (run / name).read_bytes() for name in os.listdir(run)})
+    diff = sorted(n for n in trees[0].keys() | trees[1].keys() if trees[0].get(n) != trees[1].get(n))
+    check(
+        "11 blas-threads",
+        not diff,
+        f"{net.n_interior} nodes, {len(trees[0])} artifacts compared at 1 and 2 threads, "
         f"mismatches: {diff or 'none'}",
     )
 

@@ -14,6 +14,7 @@ from scipy.sparse.csgraph import connected_components
 
 from attnflow import (
     DENSE_THRESHOLD,
+    AbsorbingSolver,
     SINK,
     SOURCE,
     FlowNetwork,
@@ -56,26 +57,50 @@ class _FactorProxy:
         return getattr(self._lu, name)
 
 
+def _counted(func, calls: list, record):
+    """``func``, appending ``record`` of its arguments to ``calls`` on each
+    call."""
+
+    def wrapper(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return func(*args, **kwargs)
+
+    return wrapper
+
+
 def _record_factorizations(monkeypatch) -> list:
     """A list to which each later call of splu appends (order, permc_spec),
     each LAPACK inverse of a hub core (order, "core"), each SCC
     decomposition "scc" and each np.linalg.inv the order inverted."""
     calls = []
-
-    def counted(func, record):
-        def wrapper(*args, **kwargs):
-            calls.append(record(*args, **kwargs))
-            return func(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(spla, "splu", counted(
-        spla.splu, lambda A, permc_spec=None, **kw: (A.shape[0], permc_spec)))
-    monkeypatch.setattr(csgraph, "connected_components", counted(
-        csgraph.connected_components, lambda *a, **kw: "scc"))
-    monkeypatch.setattr(np.linalg, "inv", counted(np.linalg.inv, lambda A: A.shape[-1]))
-    monkeypatch.setattr(sla, "inv", counted(sla.inv, lambda A, **kw: (A.shape[0], "core")))
+    monkeypatch.setattr(spla, "splu", _counted(
+        spla.splu, calls, lambda A, permc_spec=None, **kw: (A.shape[0], permc_spec)))
+    monkeypatch.setattr(csgraph, "connected_components", _counted(
+        csgraph.connected_components, calls, lambda *a, **kw: "scc"))
+    monkeypatch.setattr(np.linalg, "inv", _counted(np.linalg.inv, calls, lambda A: A.shape[-1]))
+    monkeypatch.setattr(sla, "inv", _counted(sla.inv, calls, lambda A, **kw: (A.shape[0], "core")))
     return calls
+
+
+def _two_cycle_chain(k: int, run: int = 5) -> TransitionMatrix:
+    """k 2-cycles, each feeding the next, with a run of ``run`` one-node
+    SCCs between the first half and the second: a stage per 2-cycle and
+    one for the run. Each node leaks what it does not pass on."""
+    n, half = 2 * k + run, k // 2
+    triples = []
+    for i in range(k):
+        x, y = 2 * i, 2 * i + 1
+        triples += [(x, y, 0.5), (y, x, 0.25)]
+        if i + 1 < k:
+            triples.append((y, 2 * k if i + 1 == half else x + 2, 0.25))
+    triples += [(2 * k + j, 2 * k + j + 1 if j + 1 < run else 2 * half, 0.5) for j in range(run)]
+    r, c, w = zip(*triples)
+    W = sp.csr_matrix((w, (r, c)), shape=(n, n))
+    leak = 1.0 - np.asarray(W.sum(axis=1)).ravel()
+    M = sp.bmat([[None, sp.csr_matrix(np.full((1, n), 1.0 / n)), None],
+                 [None, W, sp.csr_matrix(leak[:, None])],
+                 [sp.csr_matrix((1, 1)), None, None]]).tocsr()
+    return TransitionMatrix(items=tuple(map(str, range(n))), matrix=M)
 
 
 def _neumann_series(W, tol=1e-15, max_terms=5000) -> np.ndarray:
@@ -566,6 +591,78 @@ class TestFundamentalMatrix:
         hub.G = G.tocsr()
         with pytest.raises(RuntimeError, match="misses a pair"):
             fm.diagonal()
+
+    @pytest.mark.parametrize("earlier, later", [(3, 2), (2, 3), (2, 2)])
+    @pytest.mark.parametrize("leak", [1e-13, 0.0])
+    @pytest.mark.parametrize("route_max", [_DENSE_ROUTE_MAX, 2, 1, 0])
+    def test_first_refused_scc_is_named(self, earlier, later, leak, route_max,
+                                        dense_route_max):
+        """Two singular SCCs, complete digraphs: an earlier one in level
+        order (depth 1) that keeps 1 - 1e-13 of its walkers, its way out an
+        explicitly stored zero into the open node 0, and a later one (depth
+        2) that passes ``leak`` into the first and keeps the rest, so at a
+        zero leak it is exactly singular. At a cut of 2 a 3-node SCC takes
+        a hub core and a 2-node one a dense stack, in either order; at the
+        shipped cut all take dense stacks, two of one size the same one;
+        below 2 all take hub cores. Every time the refusal names the
+        earlier SCC, as a build that walks the stages in order does. (No
+        run is refused here: its pivots are its nodes' 1 - w_jj, checked
+        first.)"""
+        p, n = 1.0 - 1e-13, 1 + earlier + later
+        first, second = range(1, 1 + earlier), range(1 + earlier, n)
+        # (row, col, weight) of the full matrix: source 0, interior i at i + 1, sink n + 1
+        triples = [(0, i + 1, 1.0 / n) for i in range(n)] + [(1, n + 1, 1.0)]
+        for scc, keep in ((first, p), (second, 1.0 - leak)):
+            triples += [(i + 1, j + 1, keep / (len(scc) - 1)) for i in scc for j in scc if i != j]
+        triples += [(i + 1, n + 1, 1e-13) for i in first]
+        triples += [(i + 1, first[0] + 1, leak) for i in second]
+        triples.append((first[0] + 1, 1, 0.0))
+        r, c, w = zip(*triples)
+        M = sp.csr_matrix((w, (r, c)), shape=(n + 2, n + 2))
+        tm = TransitionMatrix(items=tuple(map(str, range(n))), matrix=M)
+        with pytest.raises(SingularSystem) as exc, dense_route_max(route_max):
+            fundamental_matrix(tm)
+        assert exc.value.component == tuple(first)
+        assert exc.value.min_pivot < PIVOT_TOL
+
+    def test_build_work_does_not_grow_with_the_stages(self, monkeypatch):
+        """A chain of 500 or of 1,000 2-cycles, a stage each, with a run
+        of one-node SCCs halfway: building the solver calls np.linalg.inv
+        and constructs scipy sparse matrices as often for either length,
+        so none of that work is done per stage."""
+        counts = []
+        for k in (500, 1000):
+            tm = _two_cycle_chain(k)
+            calls = []
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "inv", _counted(np.linalg.inv, calls, lambda A: "inv"))
+                for kind in (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix,
+                             sp.csr_array, sp.csc_array, sp.coo_array):
+                    patch.setattr(kind, "__init__",
+                                  _counted(kind.__init__, calls, lambda *a, **kw: "sparse"))
+                fm = AbsorbingSolver(tm)
+            assert len(fm._stages) == k + 1
+            counts.append((calls.count("inv"), calls.count("sparse")))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("route_max", [_DENSE_ROUTE_MAX, 8, 0])
+    def test_columns_solve_as_they_would_alone(self, balanced_cyclic_net, route_max,
+                                               dense_route_max):
+        """solve and solve_transpose of a right-hand side with several
+        columns give each column the bits of its own one-column solve, on
+        networks of many stages: the couplings, dense stacks, runs and hub
+        cores all treat a column as they treat it alone."""
+        log = generate(GeneratorSpec(family="session-log", size=200, seed=3))
+        for tm in (transition_matrix(balanced_cyclic_net), _two_cycle_chain(20),
+                   transition_matrix(build_flow_network(to_transition_edges(log)))):
+            with dense_route_max(route_max):
+                fm = fundamental_matrix(tm)
+            B = np.random.default_rng(1).uniform(-1.0, 1.0, (fm.n, 3))
+            for solve in (fm.solve, fm.solve_transpose):
+                X = solve(B)
+                assert X.shape == B.shape
+                for k in range(B.shape[1]):
+                    assert solve(B[:, k]).tobytes() == X[:, k].tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attnflow.network import cell, cells, reprs, split_columns
+from attnflow.network import cell, cells, reprs, split_columns, write_csv
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attnflow"
 SECTION = "# --- wire formats"
@@ -307,3 +307,32 @@ class TestReprs:
         assert reprs([0.0, -0.0, 0.0, -0.0]) == ["0.0", "-0.0", "0.0", "-0.0"]
         assert cells([math.nan, -0.0, math.nan]) == ["", "-0.0", ""]
         assert reprs([]) == []
+
+
+#: cells with every character csv.writer may quote for, and the empty cell
+_FIELD = st.text(alphabet=st.sampled_from(["a", "é", " ", ".", "1", ",", '"', "\r", "\n"]),
+                 max_size=6)
+
+
+class TestWriteCsv:
+    @settings(max_examples=300)
+    @given(st.integers(1, 4).flatmap(lambda width: st.tuples(
+        st.lists(_FIELD, min_size=width, max_size=width),
+        st.lists(st.lists(_FIELD, min_size=width, max_size=width), max_size=8))))
+    def test_matches_csv_writer(self, tmp_path_factory, table):
+        """The bytes of csv.writer with an LF line terminator, on the
+        running interpreter: a field holding ``,``, ``"`` or LF is quoted
+        with its quotes doubled, CR alone is not, and a row of one empty
+        cell is written as ``""``."""
+        header, rows = table
+        path = tmp_path_factory.mktemp("csv") / "table.csv"
+        write_csv(path, header, [list(column) for column in zip(*rows)] or [[]] * len(header))
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+    def test_columns_of_unequal_length_are_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [["1", "2"], ["3"]])
