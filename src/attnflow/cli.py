@@ -27,7 +27,7 @@ from .distance import (
     write_pairwise,
     write_source_distances,
 )
-from .errors import AttnFlowError
+from .errors import AttnFlowError, MalformedTallies
 from .flowcalc import (
     NodeFlowStats,
     _edge_sums,
@@ -559,22 +559,66 @@ def _tallies_to_json(est: WalkEstimate) -> dict:
     return payload
 
 
-def _tallies_from_json(payload: dict) -> WalkEstimate:
+def _tallies_from_json(path) -> WalkEstimate:
+    """Read a ``tallies.json`` as ``simulate`` writes it. Anything else
+    raises MalformedTallies naming the file and, where there is one, the
+    key.
+    """
+    def bad(reason: str) -> MalformedTallies:
+        return MalformedTallies(f"{path}: {reason}")
+
+    with open(path, encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
+            raise bad(f"not JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise bad("not a JSON object")
+    for key in ("items", "n_walkers", "seed", "total_flow", "cap_exceeded", *_TALLY_ARRAYS):
+        if key not in payload:
+            raise bad(f"key {key!r} is missing")
+    items = payload["items"]
+    if not isinstance(items, list) or not all(isinstance(item, str) for item in items):
+        raise bad("key 'items' must be a list of item names")
+
+    def whole(key: str, low: int) -> int:
+        value = payload[key]
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise bad(f"key {key!r} must be an integer >= {low}, got {value!r}")
+        return value
+
+    def tally(key: str) -> np.ndarray:
+        try:
+            values = np.array(payload[key], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            values = None
+        if values is None or values.shape != (len(items),) or not np.isfinite(values).all():
+            raise bad(f"key {key!r} must be a list of {len(items)} finite numbers, one per item")
+        return values
+
+    total_flow = payload["total_flow"]
+    if isinstance(total_flow, bool) or not isinstance(total_flow, (int, float)) or not (
+        0 < total_flow <= sys.float_info.max
+    ):
+        raise bad(f"key 'total_flow' must be a finite number > 0, got {total_flow!r}")
+    n_walkers = whole("n_walkers", 1)
+    cap_exceeded = whole("cap_exceeded", 0)
+    if cap_exceeded > n_walkers:
+        raise bad(f"key 'cap_exceeded' is {cap_exceeded}, more than the {n_walkers} walkers")
     return WalkEstimate(
-        items=tuple(payload["items"]),
-        n_walkers=payload["n_walkers"],
-        seed=payload["seed"],
-        total_flow=payload["total_flow"],
-        cap_exceeded=payload["cap_exceeded"],
-        **{name: np.array(payload[name]) for name in _TALLY_ARRAYS},
+        items=tuple(items),
+        n_walkers=n_walkers,
+        seed=whole("seed", 0),
+        total_flow=float(total_flow),
+        cap_exceeded=cap_exceeded,
+        **{name: tally(name) for name in _TALLY_ARRAYS},
     )
 
 
 def cmd_compare(run: Run) -> None:
     cfg, net = run.cfg, run.net
     if cfg.tallies:
-        with open(cfg.tallies, encoding="utf-8") as fh:
-            est = _tallies_from_json(json.load(fh))
+        est = _tallies_from_json(cfg.tallies)
     else:
         est = simulate_walkers(net, cfg.walkers, cfg.seed)
     report = compare(est, run.stats, run.l0, cfg.multiplier)

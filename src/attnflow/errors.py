@@ -118,6 +118,10 @@ class MismatchedNetworks(AttnFlowError):
     pass
 
 
+class MalformedTallies(AttnFlowError):
+    """A tallies file that ``simulate`` could not have written."""
+
+
 # --- warnings --------------------------------------------------------------
 
 class NonMonotonicTimestampsWarning(UserWarning):

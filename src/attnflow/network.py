@@ -488,10 +488,47 @@ def _reader_columns(reader, header: bool, skip_empty: bool) -> list[list[str]] |
 
 
 def write_json(path, obj) -> None:
-    """Write a JSON artifact: sorted keys, two-space indent, final newline."""
-    text = json.dumps(obj, indent=2, sort_keys=True)
+    """Write a JSON artifact: sorted keys, two-space indent, final newline.
+
+    The text is ``json.dumps(obj, indent=2, sort_keys=True)``'s, byte for
+    byte. json's ``indent`` takes its pure-Python encoder, so each dict or
+    list of scalars goes through the C encoder in one call instead, with
+    the newline and indent in its item separator and its brackets
+    re-indented; containers holding containers are laid out here.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(_indented(obj, 0) + "\n")
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(obj, depth: int) -> str:
+    if not isinstance(obj, _CONTAINERS):
+        return json.dumps(obj)
+    is_dict = isinstance(obj, dict)
+    if not obj:
+        return "{}" if is_dict else "[]"
+    pad = "\n" + "  " * (depth + 1)
+    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
+        inner = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))[1:-1]
+    elif is_dict:
+        inner = ("," + pad).join(
+            f"{_json_key(k)}: {_indented(v, depth + 1)}" for k, v in sorted(obj.items())
+        )
+    else:
+        inner = ("," + pad).join(_indented(v, depth + 1) for v in obj)
+    return ("{" if is_dict else "[") + pad + inner + "\n" + "  " * depth + ("}" if is_dict else "]")
+
+
+def _json_key(key) -> str:
+    """``key`` as json writes a dict key: a non-string scalar as its JSON
+    text, then quoted."""
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+        key = json.dumps(key)
+    return json.dumps(key)
 
 
 #: The characters that make the csv module quote a field of a CRLF file.

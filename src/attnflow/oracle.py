@@ -38,6 +38,10 @@ _BATCH_ENTRY_BUDGET = 8_000_000
 # large each step's arrays are.
 _WAVE_WALKERS = 8_192
 
+# The guide search steps at most this many entries forward before the
+# targets still short of their entry take a binary search.
+_GUIDE_PASSES = 3
+
 # Queued arrivals are folded into a batch's per-(walker, node) table once
 # they reach this count or the table's size, whichever is larger.
 _ARRIVAL_CHUNK = 1 << 20
@@ -164,17 +168,17 @@ def _gen_cyclic(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
                 j = int(rng.integers(i + 1, hi + 1))
             w = int(rng.integers(1, 2 * base + 1))
             interior[(i, j)] = interior.get((i, j), 0) + w
-    in_w = np.zeros(n, dtype=np.int64)
-    out_w = np.zeros(n, dtype=np.int64)
-    for (i, j), w in interior.items():
-        out_w[i] += w
-        in_w[j] += w
-    edges: dict[tuple[str, str], float] = {}
-    for (i, j), w in interior.items():
-        edges[(names[i], names[j])] = float(w)
-    for i in range(n):
-        edges[("__source__", names[i])] = float(base + max(0, out_w[i] - in_w[i]))
-        edges[(names[i], "__sink__")] = float(base + max(0, in_w[i] - out_w[i]))
+    ends = np.array(list(interior), dtype=np.int64).reshape(-1, 2)
+    weight = np.fromiter(interior.values(), dtype=np.float64, count=len(interior))
+    # integer sums far below 2**53, so exact in float64; the 0.0 keeps them
+    # floats where an empty interior makes bincount return integers
+    net_out = np.bincount(ends[:, 0], weight, n) - np.bincount(ends[:, 1], weight, n)
+    edges = dict(zip(((names[i], names[j]) for i, j in interior), weight.tolist()))
+    source = (base + np.maximum(net_out, 0.0)).tolist()
+    sink = (base + np.maximum(-net_out, 0.0)).tolist()
+    for name, s, d in zip(names, source, sink):
+        edges[("__source__", name)] = s
+        edges[(name, "__sink__")] = d
     return edges
 
 
@@ -359,6 +363,82 @@ class _PairTally:
         self.first = first[order][starts]
 
 
+class _GuideTable:
+    """Finds each walker's next CSR entry from per-row guide buckets: the
+    cutpoint method of Chen & Asau (1974; Devroye, *Non-Uniform Random
+    Variate Generation*, 1986, section III.2.4).
+
+    ``cum`` holds every row's cumulative weights, end to end, plus an
+    ``inf`` sentinel. Row r's stretch ``[row_base[r], row_base[r] +
+    row_mass[r])`` is cut into 2 * deg(r) buckets. A target t falls in
+    bucket ``floor((t - row_base[r]) * scale[r])``, clamped to the row's
+    last one. Subtracting a constant, multiplying by a positive one and
+    flooring are monotone in floats, so an entry whose start lies in an
+    earlier bucket starts at or below t. Each bucket stores the last such
+    entry, or the row's first, and a search steps forward from there while
+    the next start is <= t; targets still short of their entry after
+    _GUIDE_PASSES steps take a binary search. For any target at or above
+    its row's base, ``search`` returns ``searchsorted(cum, t, "right") - 1``
+    clamped to the row's entries, the index a binary search finds.
+    """
+
+    def __init__(self, indptr: np.ndarray, data: np.ndarray):
+        deg = np.diff(indptr)
+        self.indptr = indptr
+        self.row_last = indptr[1:] - 1
+        self.cum = np.concatenate([[0.0], np.cumsum(data), [np.inf]])
+        self.row_base = self.cum[indptr[:-1]]
+        self.row_mass = self.cum[indptr[1:]] - self.row_base
+        n_buckets = 2 * deg
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.scale = n_buckets / self.row_mass
+        # a row whose mass vanished beside its base keeps one wide bucket
+        self.scale[~np.isfinite(self.scale)] = 0.0
+        self.first_bucket = np.cumsum(n_buckets) - n_buckets
+        self.last_bucket = self.first_bucket + n_buckets - 1
+        # the bucket of every entry's start, non-decreasing along cum
+        rows = np.repeat(np.arange(deg.size), deg)
+        bucket = self._bucket(rows, self.cum[: indptr[-1]], self.row_base[rows])
+        del rows
+        # the last entry of each run of equal buckets opens the next bucket;
+        # a spare slot past the last bucket takes the final entry's write
+        ends = np.append(np.flatnonzero(bucket[1:] != bucket[:-1]), bucket.size - 1)
+        guide = np.zeros(int(n_buckets.sum()) + 1, dtype=np.int32)
+        guide[bucket[ends] + 1] = ends
+        open_rows = deg > 0
+        guide[self.first_bucket[open_rows]] = indptr[:-1][open_rows]
+        self.guide = np.maximum.accumulate(guide, out=guide)
+
+    def _bucket(self, rows: np.ndarray, target: np.ndarray, base: np.ndarray) -> np.ndarray:
+        at = target - base
+        at *= self.scale[rows]
+        bucket = at.astype(np.int64)  # at >= 0, so this is the floor
+        bucket += self.first_bucket[rows]
+        return np.minimum(bucket, self.last_bucket[rows], out=bucket)
+
+    def search(self, pos: np.ndarray, target: np.ndarray, base: np.ndarray) -> np.ndarray:
+        """The entry of each walker's row whose stretch of cum holds its
+        target. ``pos`` is each walker's node and ``base`` its
+        ``row_base[pos]``, which the caller gathered to make the targets.
+        """
+        cum = self.cum
+        following = cum[1:]  # following[k] is where entry k ends
+        # as intp: numpy gathers through int32 indices more slowly
+        k = self.guide[self._bucket(pos, target, base)].astype(np.int64)
+        for _ in range(_GUIDE_PASSES):
+            ahead = following[k] <= target
+            if not ahead.any():
+                break
+            k += ahead
+        else:
+            left = np.flatnonzero(following[k] <= target)
+            if left.size:
+                k[left] = np.searchsorted(cum, target[left], side="right") - 1
+        np.maximum(k, self.indptr[pos], out=k)
+        np.minimum(k, self.row_last[pos], out=k)
+        return k
+
+
 def _add_pair_sums(pairs: _PairTally, length: np.ndarray, n_total: int, sums: dict) -> None:
     """Fold one batch's pair table into the per-node sums; ``length`` is
     each walker's step count, used when ``sums`` holds ``subtree_sum``.
@@ -410,12 +490,9 @@ def simulate_walkers(
     M = transition_matrix(net).matrix.tocsr()
     n_total = M.shape[0]
     sink = net.sink_index
-    indptr = M.indptr
     indices = M.indices
-    cum = np.concatenate([[0.0], np.cumsum(M.data)])
-    row_base = cum[indptr[:-1]]
-    row_mass = cum[indptr[1:]] - row_base
-    row_last = indptr[1:] - 1
+    guide = _GuideTable(M.indptr, M.data)
+    row_base, row_mass = guide.row_base, guide.row_mass
 
     names = _SUMS + ("subtree_sum",) if track_subtree else _SUMS
     sums = {name: np.zeros(n_total) for name in names}
@@ -443,16 +520,10 @@ def simulate_walkers(
                 if hi > lo:
                     rng.random(out=target[lo:hi])
             # each walker's uniform, scaled onto its row's stretch of cum
+            base = row_base[pos]
             target *= row_mass[pos]
-            target += row_base[pos]
-            # searchsorted is several times faster on sorted keys
-            order = np.argsort(target)
-            k = np.empty(alive.size, dtype=np.int64)
-            k[order] = np.searchsorted(cum, target[order], side="right")
-            k -= 1
-            np.maximum(k, indptr[pos], out=k)
-            np.minimum(k, row_last[pos], out=k)
-            nxt = indices[k]
+            target += base
+            nxt = indices[guide.search(pos, target, base)]
             hit_sink = nxt == sink
             if hit_sink.any():
                 absorbed_from.append(pos[hit_sink])

@@ -3,6 +3,7 @@ reporting, and byte determinism of outputs.
 """
 import argparse
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -433,6 +434,93 @@ class TestSimulateCompare:
         assert report["n_walkers"] == 100000
 
 
+@pytest.fixture
+def tallies(tmp_path, network_dir):
+    """A tallies.json from 2,000 walkers on the 60-node network_dir."""
+    sim = tmp_path / "sim"
+    args = ["simulate", "--input", network_dir / "network.csv", "--walkers", "2000"]
+    assert run(args + ["--seed", "3", "--out", sim]) == 0
+    return sim / "tallies.json"
+
+
+def _without(key):
+    def edit(payload):
+        del payload[key]
+    return edit
+
+
+def _set(key, value):
+    def edit(payload):
+        payload[key] = value
+    return edit
+
+
+NOT_A_TALLY = "must be a list of 60 finite numbers, one per item"
+NOT_A_FLOW = "must be a finite number > 0"
+
+
+class TestMalformedTallies:
+    """compare --tallies refuses a file simulate could not have written,
+    naming the file and the key, and writes no compare.json."""
+
+    def _refused(self, tmp_path, network_dir, tallies, capsys) -> str:
+        out = tmp_path / "cmp"
+        args = ["compare", "--input", network_dir / "network.csv", "--tallies", tallies]
+        assert run(args + ["--out", out]) == 1
+        assert not (out / "compare.json").exists()
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (_without("fp_sum"), "key 'fp_sum' is missing"),
+            (_without("items"), "key 'items' is missing"),
+            (_set("fp_sum", [1.0] * 59), f"key 'fp_sum' {NOT_A_TALLY}"),
+            (_set("visit_sum", [[1.0]] * 60), f"key 'visit_sum' {NOT_A_TALLY}"),
+            (_set("absorption", ["x"] * 60), f"key 'absorption' {NOT_A_TALLY}"),
+            (_set("fp_count", [float("nan")] * 60), f"key 'fp_count' {NOT_A_TALLY}"),
+            (_set("fp_sumsq", [10**400] * 60), f"key 'fp_sumsq' {NOT_A_TALLY}"),
+            (_set("n_walkers", 0), "key 'n_walkers' must be an integer >= 1, got 0"),
+            (_set("n_walkers", 2.5), "key 'n_walkers' must be an integer >= 1, got 2.5"),
+            (_set("n_walkers", True), "key 'n_walkers' must be an integer >= 1, got True"),
+            (_set("cap_exceeded", -1), "key 'cap_exceeded' must be an integer >= 0, got -1"),
+            (_set("cap_exceeded", 2001), "key 'cap_exceeded' is 2001, more than the 2000 walkers"),
+            (_set("seed", "3"), "key 'seed' must be an integer >= 0, got '3'"),
+            (_set("total_flow", float("inf")), f"key 'total_flow' {NOT_A_FLOW}, got inf"),
+            (_set("total_flow", 0), f"key 'total_flow' {NOT_A_FLOW}, got 0"),
+            (_set("total_flow", 10**400), f"key 'total_flow' {NOT_A_FLOW}, got {10**400}"),
+            (_set("items", "n01"), "key 'items' must be a list of item names"),
+        ],
+        ids=[
+            "no-fp_sum", "no-items", "short", "nested", "strings", "nan", "huge",
+            "zero-walkers", "fractional-walkers", "bool-walkers", "negative-cap",
+            "cap-over-walkers", "string-seed", "infinite-flow", "zero-flow", "huge-flow",
+            "items-string",
+        ],
+    )
+    def test_bad_key_names_file_and_key(self, tmp_path, network_dir, tallies, capsys, edit, reason):
+        payload = read_json(tallies)
+        edit(payload)
+        tallies.write_text(json.dumps(payload))
+        err = self._refused(tmp_path, network_dir, tallies, capsys)
+        assert err == f"MalformedTallies: {tallies}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        ["{\"items\": [", "not json", "[1, 2]", "[" * 100_000],
+        ids=["cut-short", "text", "array", "nested-too-deep"],
+    )
+    def test_not_a_json_object(self, tmp_path, network_dir, tallies, capsys, text):
+        tallies.write_text(text)
+        err = self._refused(tmp_path, network_dir, tallies, capsys)
+        assert err.startswith(f"MalformedTallies: {tallies}: not ")
+
+    def test_not_utf8(self, tmp_path, network_dir, tallies, capsys):
+        tallies.write_bytes(b'{"items": "\xff"}')
+        err = self._refused(tmp_path, network_dir, tallies, capsys)
+        assert err.startswith(f"MalformedTallies: {tallies}: not JSON: ")
+
+
 class TestGenerate:
     def test_network_family(self, network_dir):
         info = read_json(network_dir / "generate.json")
@@ -449,6 +537,31 @@ class TestGenerate:
         assert text.count("\n") >= 12
         info = read_json(out / "generate.json")
         assert info["family"] == "session-log"
+
+    #: The SHA-256 of what ``generate`` writes, so no change to the program
+    #: moves a generator's stream unnoticed. The first is the input of the
+    #: benchmark's synthetic-audit workload at seed 3.
+    PINNED = [
+        ("random-cyclic --size 3000 --avg-degree 6 --recirculation 0.25 --seed 3", "network.csv",
+         "c0341d2d976d58709bdb18e88ced3002b7a57fc04e2738b15e800c7fa33ffd3e"),
+        ("chain --size 5", "network.csv",
+         "b157a1e182490db74666167bd19729255afea78989a68a317a913d21eb4ec7a3"),
+        ("star --size 6 --weight-scale 2", "network.csv",
+         "35a5e995568a5eb2a6e7c091d75d9cf3dbd3e22d488cef6d5e079168d401f858"),
+        ("random-tree --size 30 --seed 4", "network.csv",
+         "4a975d858870de511e1b483a0eff3b4573cedfcc5ad9b33f851e4797eaf28680"),
+        ("random-cyclic --size 200 --recirculation 0.4 --seed 7", "network.csv",
+         "37360e0f830a75fa5d496f5b3a55c9b4f4fff8a6f69d52fdde83615838b22933"),
+        ("planted-dissipation --size 20", "network.csv",
+         "d59e97b01fcc4685791b210ff413c031c1ffce3f4767b7061e83deecf59a6bff"),
+        ("session-log --size 12 --seed 1", "sessions.csv",
+         "6b3f43ee60d17e9f506da4627bef9bbd9aca36664305e6bf6630032e8d3d8400"),
+    ]
+
+    @pytest.mark.parametrize("spec, name, digest", PINNED, ids=[p[0] for p in PINNED])
+    def test_generator_stream_is_pinned(self, tmp_path, spec, name, digest):
+        assert run(["generate", "--family", *spec.split(), "--out", tmp_path]) == 0
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
 
 
 class TestPipeline:

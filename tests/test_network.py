@@ -1,6 +1,7 @@
 """Network construction, balancing, certification, and serialization."""
 import csv
 import io
+import json
 import math
 import tempfile
 import warnings
@@ -37,6 +38,7 @@ from attnflow.network import (
     read_edges,
     read_network,
     write_edges,
+    write_json,
     write_network,
 )
 
@@ -416,6 +418,52 @@ class TestSerialization:
         write_network(balanced_cyclic_net, p1)
         write_network(balanced_cyclic_net, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf])
+    | st.text(max_size=6)
+)
+
+#: Nested dicts, lists and tuples, non-ASCII keys and empty containers.
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=5)
+    | st.lists(inner, max_size=5).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=5),
+    max_leaves=30,
+)
+
+
+class TestWriteJson:
+    """write_json writes json.dumps(obj, indent=2, sort_keys=True)'s bytes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=_JSON_VALUES)
+    def test_matches_indented_dumps(self, obj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "a.json"
+            write_json(path, obj)
+            assert path.read_bytes() == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "obj", [{1.5: [1], 2: {}}, {True: [2], False: {"é": ()}}, {None: [[]]}]
+    )
+    def test_non_string_keys_beside_containers(self, tmp_path, obj):
+        path = tmp_path / "a.json"
+        write_json(path, obj)
+        assert path.read_text() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("obj", [{(1, 2): [1]}, {"a": 1, 2: [3]}, {"a": [{1, 2}]}])
+    def test_what_json_refuses_is_refused(self, tmp_path, obj):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            write_json(tmp_path / "a.json", obj)
 
 
 def _reference_write_network(net, path):

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from attnflow import oracle
 from attnflow import (
@@ -422,6 +422,95 @@ class TestSparseTallies:
             tracemalloc.stop()
         assert est.absorption.sum() == 2_000
         assert peak < 50 * 2**20
+
+
+def _csr_rows(*rows):
+    """indptr and data of CSR rows given as weight lists; [] is an empty row."""
+    indptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int32)
+    return indptr, np.concatenate([np.asarray(r, dtype=float) for r in rows])
+
+
+class TestGuideSearch:
+    """The guide search finds the entry a binary search over cum finds."""
+
+    @staticmethod
+    def _assert_matches_binary(indptr, data, row, target):
+        table = oracle._GuideTable(indptr, data)
+        pos = np.full(target.size, row)
+        k = table.search(pos, target.copy(), table.row_base[pos])
+        ref = np.searchsorted(table.cum, target, side="right") - 1
+        ref = np.minimum(np.maximum(ref, indptr[pos]), indptr[pos + 1] - 1)
+        np.testing.assert_array_equal(k, ref)
+        return table
+
+    @staticmethod
+    def _row_targets(indptr, data, row, rng, n=5_000):
+        """Uniform draws over the row as the simulator makes them, plus
+        every entry's start and the row's end and just past it.
+        """
+        table = oracle._GuideTable(indptr, data)
+        base, mass = table.row_base[row], table.row_mass[row]
+        end = base + mass
+        edges = table.cum[indptr[row] : indptr[row + 1] + 1]
+        return np.concatenate([
+            rng.random(n) * mass + base,
+            edges,
+            [np.nextafter(end, np.inf), np.nextafter(end, -np.inf), (1 - 2**-53) * mass + base],
+        ])
+
+    @pytest.mark.parametrize("passes", [0, 1, 3])
+    def test_one_dominant_weight_and_many_tiny(self, monkeypatch, passes):
+        # the tiny weights crowd into the row's last buckets, so a target
+        # there takes the binary search, not thousands of steps
+        monkeypatch.setattr(oracle, "_GUIDE_PASSES", passes)
+        rng = np.random.default_rng(1)
+        indptr, data = _csr_rows([0.5, 0.25], [1.0] + [1e-9] * 10_000, [], [3.0])
+        target = self._row_targets(indptr, data, 1, rng)
+        table = self._assert_matches_binary(indptr, data, 1, target)
+        tail = table.row_base[1] + 1.0 + rng.random(2_000) * 1e-5
+        self._assert_matches_binary(indptr, data, 1, tail)
+
+    def test_targets_on_entry_starts(self):
+        rng = np.random.default_rng(2)
+        rows = [rng.integers(1, 5, size=d).astype(float) for d in (1, 2, 7, 40)]
+        indptr, data = _csr_rows(*rows)
+        table = oracle._GuideTable(indptr, data)
+        for row in range(len(rows)):
+            starts = table.cum[indptr[row] : indptr[row + 1]]
+            self._assert_matches_binary(indptr, data, row, np.repeat(starts, 3))
+
+    def test_targets_rounding_past_the_row_end(self):
+        # thirds never sum exactly, and a base far from zero coarsens t
+        indptr, data = _csr_rows([1e6] * 3, [1 / 3] * 3, [0.1] * 10)
+        table = oracle._GuideTable(indptr, data)
+        for row in range(3):
+            end = table.row_base[row] + table.row_mass[row]
+            past = np.array([end, np.nextafter(end, np.inf), end + 1e-9, end * (1 + 1e-12)])
+            self._assert_matches_binary(indptr, data, row, past)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_weights_over_many_decades(self, seed):
+        rng = np.random.default_rng(seed)
+        rows = [10.0 ** rng.uniform(-15, 15, size=d) for d in (1, 3, 60, 2_000)]
+        indptr, data = _csr_rows(*rows)
+        for row in range(len(rows)):
+            self._assert_matches_binary(indptr, data, row, self._row_targets(indptr, data, row, rng))
+
+    @settings(max_examples=60, deadline=None)
+    @example(rows=[[16384.0], [1e-12], [1.0]], u=[0.0])  # a row whose mass rounds to 0
+    @given(
+        rows=st.lists(
+            st.lists(st.floats(1e-12, 1e12), min_size=0, max_size=30), min_size=1, max_size=6
+        ).filter(lambda rows: any(rows)),
+        u=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=30),
+    )
+    def test_property_matches_binary_search(self, rows, u):
+        indptr, data = _csr_rows(*rows)
+        table = oracle._GuideTable(indptr, data)
+        for row in np.flatnonzero(np.diff(indptr)):
+            target = np.asarray(u) * table.row_mass[row] + table.row_base[row]
+            target = np.concatenate([target, table.cum[indptr[row] : indptr[row + 1] + 1]])
+            self._assert_matches_binary(indptr, data, row, target)
 
 
 class TestCompare:

@@ -22,9 +22,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attnflow"
 SECTION = "# --- wire formats"
 
 #: the functions allowed to call each writer; all in network.py's section.
+#: write_json lays out its text through _indented and _json_key.
 OWNERS = {
     "json.dump": {"write_json"},
-    "json.dumps": {"write_json"},
+    "json.dumps": {"write_json", "_indented", "_json_key"},
     "csv.writer": {"write_csv"},
 }
 
