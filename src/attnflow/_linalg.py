@@ -3,7 +3,6 @@ for the interior transition block W (rows sum to <= 1), never formed at scale
 but answered from one factorization per strongly connected component."""
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -238,15 +237,6 @@ def _unit_lower_solve(strict: sp.csr_matrix, b: sp.csr_matrix) -> sp.csr_matrix:
     return x
 
 
-def _matvecs(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M @ v, one matrix-vector product per column of v: BLAS sums a
-    product with several columns in another order, and a column's result
-    should be the same bits as when it is solved alone."""
-    if v.ndim == 1:
-        return M @ v
-    return np.matmul(M, np.ascontiguousarray(v.T)[:, :, None])[:, :, 0].T
-
-
 class _HubCore:
     """The shifted block B = (1 - ih) I - V of one large SCC, V its block
     of W, split by _hub_core into a periphery L and a hub core T:
@@ -321,7 +311,7 @@ class _HubCore:
         parts = [lu.solve(b[:m], trans=trans)]
         if m < b.shape[0]:
             y, = parts
-            x_t = _matvecs(Z, b[m:] - into @ y)
+            x_t = Z @ (b[m:] - into @ y)
             parts = [y - lu.solve(out @ x_t, trans=trans), x_t]
         x = np.empty(b.shape, dtype=complex)
         x[self.split] = np.concatenate(parts)
@@ -445,31 +435,28 @@ class AbsorbingSolver:
                                 [steps[u:v] for u, v in zip(ends[:-1], ends[1:])]))
 
     def _sweep(self, b: np.ndarray, trans: bool) -> np.ndarray:
-        """U b by forward substitution over the stages; U^T b backwards.
-        The columns of b are swept side by side, each as it would be alone."""
+        """U b by forward substitution over the stages; U^T b backwards. A b
+        of several columns is swept one column at a time, each as it is alone."""
         b = np.asarray(b, dtype=float)
-        width = math.prod(b.shape[1:])
-        x = np.ascontiguousarray(b.reshape(self.n, width)[self._order].T)  # a row per column
+        if b.ndim != 1:
+            x = np.empty(b.shape)
+            for column in np.ndindex(b.shape[1:]):
+                x[(slice(None), *column)] = self._sweep(b[(slice(None), *column)], trans)
+            return x
+        x = b[self._order]
         indices, data, local = self._couplings[trans]
-        x0, shift = x.ravel(), np.arange(width)[:, None]  # x0: x's one row, if width is 1
         for lo, hi, ka, kz, ta, tz, blocks in self._stages[:: -1 if trans else 1]:
             # x[lo:hi] += K[lo:hi] @ x, summed in the stored order, as csr_matvec sums
             if trans:
                 ka, kz = ta, tz
-            if width == 1:
-                x0[lo:hi] += np.bincount(local[ka:kz], data[ka:kz] * x0[indices[ka:kz]], hi - lo)
-            else:
-                at = (local[ka:kz] + (hi - lo) * shift).ravel()
-                x[:, lo:hi] += np.bincount(at, (data[ka:kz] * x[:, indices[ka:kz]]).ravel(),
-                                           width * (hi - lo)).reshape(width, hi - lo)
+            x[lo:hi] += np.bincount(local[ka:kz], data[ka:kz] * x[indices[ka:kz]], hi - lo)
             for a, z, factor in blocks:
                 if isinstance(factor, np.ndarray):
                     inv = factor.transpose(0, 2, 1) if trans else factor
-                    part = x[:, a:z].reshape(width, *inv.shape[:2], 1)
-                    x[:, a:z] = (inv @ part).reshape(width, z - a)
+                    x[a:z] = (inv @ x[a:z].reshape(*inv.shape[:2], 1)).ravel()
                 else:  # a shifted factor solves a complex copy; its real part is exact
-                    x[:, a:z] = factor.solve(x[:, a:z].T, trans="T" if trans else "N").real.T
-        return x.T[self._position].reshape(b.shape)
+                    x[a:z] = factor.solve(x[a:z], trans="T" if trans else "N").real
+        return x[self._position]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x with (I - W) x = b, i.e. x = U b; b may hold several columns."""

@@ -49,6 +49,7 @@ from .network import (
 )
 from .oracle import (
     _FAMILIES,
+    _SUMS,
     GeneratorSpec,
     WalkEstimate,
     compare,
@@ -88,13 +89,10 @@ def _boolean(raw: str) -> bool:
 
 def _count(raw: str) -> int:
     """A whole number >= 1 that may be written as a float, such as ``1e6``."""
-    try:
-        value = int(float(raw))
-    except OverflowError:
-        raise ValueError(f"expected a finite number, got {raw!r}") from None
-    if value < 1:
+    value = float(raw)
+    if not (value.is_integer() and value >= 1):
         raise ValueError(f"expected a whole number >= 1, got {raw!r}")
-    return value
+    return int(value)
 
 
 def _nonnegative_float(raw: str) -> float:
@@ -535,17 +533,6 @@ def cmd_simulate(run: Run) -> None:
     )
 
 
-_TALLY_ARRAYS = (
-    "visit_sum",
-    "visit_sumsq",
-    "absorption",
-    "first_arrival",
-    "fp_sum",
-    "fp_sumsq",
-    "fp_count",
-)
-
-
 def _tallies_to_json(est: WalkEstimate) -> dict:
     payload = {
         "items": list(est.items),
@@ -554,7 +541,7 @@ def _tallies_to_json(est: WalkEstimate) -> dict:
         "total_flow": est.total_flow,
         "cap_exceeded": est.cap_exceeded,
     }
-    for name in _TALLY_ARRAYS:
+    for name in _SUMS:
         payload[name] = [float(v) for v in getattr(est, name)]
     return payload
 
@@ -574,7 +561,7 @@ def _tallies_from_json(path) -> WalkEstimate:
             raise bad(f"not JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise bad("not a JSON object")
-    for key in ("items", "n_walkers", "seed", "total_flow", "cap_exceeded", *_TALLY_ARRAYS):
+    for key in ("items", "n_walkers", "seed", "total_flow", "cap_exceeded", *_SUMS):
         if key not in payload:
             raise bad(f"key {key!r} is missing")
     items = payload["items"]
@@ -611,7 +598,7 @@ def _tallies_from_json(path) -> WalkEstimate:
         seed=whole("seed", 0),
         total_flow=float(total_flow),
         cap_exceeded=cap_exceeded,
-        **{name: tally(name) for name in _TALLY_ARRAYS},
+        **{name: tally(name) for name in _SUMS},
     )
 
 

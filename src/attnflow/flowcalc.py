@@ -18,6 +18,7 @@ numerical error; that redundancy is surfaced as a consistency check.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -170,7 +171,7 @@ def write_stats_csv(path, stats: NodeFlowStats) -> None:
 def read_stats_csv(path) -> NodeFlowStats:
     """Read a stats CSV. Raises ValueError naming the file and 1-based line
     for a wrong header, a row without one cell per column, or a cell that
-    is not a number.
+    is not a finite number.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -186,9 +187,15 @@ def read_stats_csv(path) -> NodeFlowStats:
                     f"expected {len(STATS_HEADER)} columns, got {len(row)}"
                 )
             try:
-                rows.append([float(x) for x in row[1:]])
+                values = [float(x) for x in row[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            for cell, value in zip(row[1:], values):
+                if not math.isfinite(value):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: expected a finite number, got {cell!r}"
+                    )
+            rows.append(values)
             items.append(row[0])
     data = np.array(rows) if rows else np.zeros((0, 6))
     return NodeFlowStats(

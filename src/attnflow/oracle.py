@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.csgraph as csgraph
@@ -46,7 +46,8 @@ _GUIDE_PASSES = 3
 # they reach this count or the table's size, whichever is larger.
 _ARRIVAL_CHUNK = 1 << 20
 
-# Per-node sums every simulation keeps; subtree_sum is added on request.
+# Per-node sums every simulation keeps, the arrays of tallies.json;
+# subtree_sum is added on request.
 _SUMS = (
     "visit_sum",
     "visit_sumsq",

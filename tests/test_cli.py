@@ -233,6 +233,7 @@ class TestSettings:
             ("simulate", "walkers", "lots"),
             ("simulate", "walkers", "inf"),
             ("simulate", "walkers", "0"),
+            ("simulate", "walkers", "2.5"),
             ("compare", "walkers", "-3"),
             ("ingest", "mode", "bogus"),
             ("generate", "family", "nope"),
@@ -837,7 +838,8 @@ class TestErrorHandling:
     @pytest.mark.parametrize(
         "row, reason",
         [("a,1,2,3", "expected 7 columns, got 4"),
-         ("a,1,2,x,4,5,6", "could not convert string to float: 'x'")],
+         ("a,1,2,x,4,5,6", "could not convert string to float: 'x'"),
+         ("a,1,inf,3,4,5,6", "expected a finite number, got 'inf'")],
     )
     def test_bad_stats_row_names_file_and_line(self, tmp_path, capsys, command, row, reason):
         stats = tmp_path / "stats.csv"

@@ -664,6 +664,29 @@ class TestFundamentalMatrix:
                 for k in range(B.shape[1]):
                     assert solve(B[:, k]).tobytes() == X[:, k].tobytes()
 
+    def test_edge_shapes_solve_as_their_columns(self, balanced_cyclic_net):
+        """Right-hand sides with no nodes, no columns or several column
+        axes keep their shape, and each column is its own solve's."""
+        empty = fundamental_matrix(transition_matrix(build_flow_network({(SOURCE, SINK): 1.0})))
+        assert empty.n == 0
+        assert empty.identity_residual() == 0.0
+        fm = fundamental_matrix(transition_matrix(balanced_cyclic_net))
+        U = fm.matrix()
+        rng = np.random.default_rng(2)
+        for solver, shapes in ((empty, [(0,), (0, 3)]), (fm, [(fm.n, 0), (fm.n, 2, 3)])):
+            for shape in shapes:
+                B = rng.uniform(-1.0, 1.0, shape)
+                for solve, M in ((solver.solve, U), (solver.solve_transpose, U.T)):
+                    X = solve(B)
+                    assert X.shape == B.shape
+                    for column in np.ndindex(shape[1:]):
+                        at = (slice(None), *column)
+                        x = solve(B[at])
+                        assert x.shape == (solver.n,)
+                        assert x.tobytes() == X[at].tobytes()
+                        if solver is fm:
+                            np.testing.assert_allclose(x, M @ B[at], rtol=1e-10, atol=1e-12)
+
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(min_value=1, max_value=30),
@@ -865,6 +888,9 @@ class TestStatsCsv:
             ("", "1: unexpected stats header None"),
             ("item,A,D,S,F,C,phi\na,1,2,3,4,5,6\nb,1,2,3\n", "3: expected 7 columns, got 4"),
             ("item,A,D,S,F,C,phi\na,1,2,x,4,5,6\n", "2: could not convert string to float: 'x'"),
+            ("item,A,D,S,F,C,phi\na,1,2,3,4,5,6\nb,1,nan,3,4,5,6\n",
+             "3: expected a finite number, got 'nan'"),
+            ("item,A,D,S,F,C,phi\na,1,2,3,4,5,-inf\n", "2: expected a finite number, got '-inf'"),
         ],
     )
     def test_bad_file_names_file_and_line(self, tmp_path, text, reason):
