@@ -504,15 +504,6 @@ class AbsorbingSolver:
         res = U @ (np.eye(self.n) - self.W.toarray()) - np.eye(self.n)
         return float(np.abs(res).max(initial=0.0))
 
-    def condition_estimate(self) -> float:
-        """1-norm condition estimate of (I - W) via the factorization."""
-        if self.n == 0:
-            return 1.0
-        inverse = spla.LinearOperator((self.n, self.n), matvec=self.solve,
-                                      rmatvec=self.solve_transpose)
-        norm = spla.norm(sp.identity(self.n, format="csc") - self.W, 1)
-        return float(norm * spla.onenormest(inverse))
-
 
 def fundamental_diagonals(W: sp.spmatrix, dense: list,
                           factored: list) -> tuple[np.ndarray, np.ndarray]:

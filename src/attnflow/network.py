@@ -230,9 +230,9 @@ def balance(net: FlowNetwork) -> FlowNetwork:
     difference to the sink. Compensation edges merge with existing ones.
     Idempotent: a balanced network is returned unchanged.
     """
-    res = net.residuals()
     out = net.out_flow()[1:-1]
     inn = net.in_flow()[1:-1]
+    res = out - inn
     scale = np.maximum(1.0, np.maximum(out, inn))
     needs = np.abs(res) > np.minimum(_REBALANCE_EPS * scale, BALANCE_TOL)
     if not np.any(needs):
@@ -301,37 +301,46 @@ def validate(net: FlowNetwork) -> ValidationReport:
 
 
 def drop_uncertified(net: FlowNetwork, report: ValidationReport) -> FlowNetwork:
-    """Remove unreachable and trapped nodes, then re-balance.
+    """Remove the unreachable and trapped nodes ``report`` names, then
+    re-balance; interior nodes are numbered by first appearance in the kept
+    edges' (row, col) order. Raises :class:`AllNodesDropped` if no edge survives.
 
-    Dropping a node can orphan neighbours, so the prune repeats until the
-    remainder certifies. Raises :class:`AllNodesDropped` if nothing survives.
+    One prune suffices: a kept node is reachable from the source and reaches
+    the sink, so every node on a path from the source to it, or from it to
+    the sink, is kept too. Pruning removes no path of a kept node, and
+    re-balancing only adds source and sink edges.
     """
-    dropped_total = 0
-    current = net
-    while True:
-        bad = set(report.unreachable_from_source) | set(report.cannot_reach_sink)
-        if not bad:
-            if dropped_total:
-                warnings.warn(
-                    f"dropped {dropped_total} uncertified node(s)", DroppedNodesWarning
-                )
-            return current
-        dropped_total += len(bad)
-        table = current.node_table
-        dead = np.zeros(len(table), dtype=bool)
-        dead[[table[label] for label in bad]] = True
-        rows, cols, weights = current._edge_arrays()
-        kept = ~(dead[rows] | dead[cols])
-        if not kept.any():
-            raise AllNodesDropped(f"all {dropped_total} node(s) were uncertified")
-        labels = current._labels()
-        src, dst = labels[rows[kept]].tolist(), labels[cols[kept]].tolist()
-        current = balance(build_flow_network(zip(src, dst, weights[kept].tolist())))
-        report = validate(current)
+    bad = set(report.unreachable_from_source) | set(report.cannot_reach_sink)
+    if not bad:
+        return net
+    table = net.node_table
+    dead = np.zeros(len(table), dtype=bool)
+    dead[[table[label] for label in bad]] = True
+    rows, cols, weights = net._edge_arrays()
+    kept = ~(dead[rows] | dead[cols])
+    if not kept.any():
+        raise AllNodesDropped(f"all {len(bad)} node(s) were uncertified")
+    # each node's code among the labels [SOURCE, SINK, *items]
+    code = np.concatenate(([0], np.arange(2, net.n_interior + 2), [1]))
+    codes = np.column_stack((code[rows[kept]], code[cols[kept]]))
+    pruned = build_flow_network(_EdgeRows([SOURCE, SINK, *net.items], codes, weights[kept]))
+    pruned = balance(pruned)
+    warnings.warn(f"dropped {len(bad)} uncertified node(s)", DroppedNodesWarning)
+    return pruned
+
+
+def _require_certified(report: ValidationReport) -> None:
+    """Raise :class:`NotCertified`, with the report's figures, unless it certifies."""
+    if not report.certified:
+        raise NotCertified(
+            f"network not certified: max residual {report.max_residual:.3g} "
+            f"(tolerance {BALANCE_TOL:g}), {len(report.unreachable_from_source)} "
+            f"unreachable, {len(report.cannot_reach_sink)} trapped"
+        )
 
 
 def certify(net: FlowNetwork) -> tuple[FlowNetwork, ValidationReport]:
-    """Balance, validate, and prune until the network certifies.
+    """Balance and validate; prune the nodes the report names, and validate again.
 
     Raises :class:`NotCertified` if the residuals still exceed
     ``BALANCE_TOL`` after that, as float rounding can leave them on
@@ -339,14 +348,10 @@ def certify(net: FlowNetwork) -> tuple[FlowNetwork, ValidationReport]:
     """
     net = balance(net)
     report = validate(net)
-    if not report.certified:
+    if report.unreachable_from_source or report.cannot_reach_sink:
         net = drop_uncertified(net, report)
         report = validate(net)
-    if not report.certified:
-        raise NotCertified(
-            f"network does not certify after balancing: max residual "
-            f"{report.max_residual:.3g} exceeds {BALANCE_TOL:g}"
-        )
+    _require_certified(report)
     return net, report
 
 

@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .errors import InvalidSpec, MismatchedNetworks, NotCertified, StepCapWarning
+from .errors import InvalidSpec, MismatchedNetworks, StepCapWarning
 from .flowcalc import NodeFlowStats, transition_matrix
 from .ingest import SessionLog
-from .network import FlowNetwork, build_flow_network, cells, reprs, validate, write_csv
+from .network import (FlowNetwork, _require_certified, build_flow_network, cells, reprs,
+                      validate, write_csv)
 
 STEP_CAP = 1_000_000
 
@@ -481,13 +482,7 @@ def simulate_walkers(
         raise ValueError("n_walkers must be >= 1")
     if step_cap < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
-    report = validate(net)
-    if not report.certified:
-        raise NotCertified(
-            f"network not certified (max residual {report.max_residual:.3g}, "
-            f"{len(report.unreachable_from_source)} unreachable, "
-            f"{len(report.cannot_reach_sink)} trapped)"
-        )
+    _require_certified(validate(net))
     M = transition_matrix(net).matrix.tocsr()
     n_total = M.shape[0]
     sink = net.sink_index
@@ -606,13 +601,15 @@ class ComparisonReport:
             "pass_fraction": dict(self.pass_fraction),
             "overall_pass_fraction": self.overall_pass_fraction,
             "passed": self.passed,
+            # JSON has no inf or NaN: an infinite z (a deterministic tally
+            # that misses) and a NaN estimate (no walker reached the node) are null
             "worst": [
                 {
                     "item": o.item,
                     "quantity": o.quantity,
-                    "z": o.z,
+                    "z": o.z if math.isfinite(o.z) else None,
                     "analytic": o.analytic,
-                    "estimated": o.estimated,
+                    "estimated": o.estimated if math.isfinite(o.estimated) else None,
                 }
                 for o in self.worst
             ],
@@ -667,8 +664,10 @@ def compare(
         z_l[mask] = _zscores(l0[mask], l_hat[mask], l_se[mask])
         quantities["l"] = (l0, l_hat, z_l)
 
+    # a pass fraction over zero nodes is 1.0, as flux_residual is 0.0 on none
     fractions = {
-        q: float(np.mean(np.abs(z) <= multiplier)) for q, (_, _, z) in quantities.items()
+        q: float(np.mean(np.abs(z) <= multiplier)) if z.size else 1.0
+        for q, (_, _, z) in quantities.items()
     }
     overall = float(np.mean(list(fractions.values())))
     offenders = [

@@ -362,6 +362,22 @@ def test_c11_pipeline_determinism(scale_network, tmp_path, check, child_env):
     )
 
 
+def _network_trees(tmp_path, env, networks: dict) -> list[dict]:
+    """Run the pipeline (which must exit 0) on each network's bytes, held as
+    ``network.csv`` in its own cwd so that config.json names the same
+    relative path; return each run's artifacts by name.
+    """
+    trees = []
+    for sub, data in networks.items():
+        cwd = tmp_path / sub
+        cwd.mkdir()
+        (cwd / "network.csv").write_bytes(data)
+        _run_pipeline("network.csv", cwd, env)
+        run = cwd / "run"
+        trees.append({name: (run / name).read_bytes() for name in os.listdir(run)})
+    return trees
+
+
 def test_c11_readers_agree_at_scale(scale_network, tmp_path, check, child_env):
     """The scale network with one label needlessly quoted reads as the same
     network, but through csv.reader instead of the byte-scan split; the
@@ -371,19 +387,29 @@ def test_c11_readers_agree_at_scale(scale_network, tmp_path, check, child_env):
     start = plain.index(b",", plain.index(b"\r\n")) + 1  # the first row's dst label
     end = plain.index(b",", start)
     quoted = plain[:start] + b'"' + plain[start:end] + b'"' + plain[end:]
-    trees = []
-    for sub, data in (("plain", plain), ("quoted", quoted)):
-        cwd = tmp_path / sub
-        cwd.mkdir()
-        (cwd / "network.csv").write_bytes(data)
-        _run_pipeline("network.csv", cwd, child_env)  # the same relative path in config.json
-        run = cwd / "run"
-        trees.append({name: (run / name).read_bytes() for name in os.listdir(run)})
+    trees = _network_trees(tmp_path, child_env, {"plain": plain, "quoted": quoted})
     diff = sorted(n for n in trees[0].keys() | trees[1].keys() if trees[0].get(n) != trees[1].get(n))
     check(
         "11 readers agree",
         not diff,
         f"label {plain[start:end].decode()} quoted, {len(trees[0])} artifacts compared, "
+        f"mismatches: {diff or 'none'}",
+    )
+
+
+def test_c11_prune_at_scale(scale_network, tmp_path, check, child_env):
+    """The scale network with an isolated 2-cycle appended certifies by
+    one prune of the cycle's two nodes, and the pipeline writes the same
+    artifact tree, byte for byte, as from the network alone.
+    """
+    plain = scale_network.read_bytes()
+    cycle = b"cycle-a,cycle-b,1.0\r\ncycle-b,cycle-a,1.0\r\n"
+    trees = _network_trees(tmp_path, child_env, {"plain": plain, "cycle": plain + cycle})
+    diff = sorted(n for n in trees[0].keys() | trees[1].keys() if trees[0].get(n) != trees[1].get(n))
+    check(
+        "11 prune at scale",
+        not diff,
+        f"2-cycle appended and pruned, {len(trees[0])} artifacts compared, "
         f"mismatches: {diff or 'none'}",
     )
 

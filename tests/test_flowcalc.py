@@ -744,12 +744,6 @@ class TestFundamentalMatrix:
         with pytest.raises(MemoryError):
             fm.matrix()
 
-    def test_condition_estimate_sane(self, loop_net):
-        fm = fundamental_matrix(transition_matrix(loop_net))
-        kappa = fm.condition_estimate()
-        assert kappa >= 1.0
-        assert np.isfinite(kappa)
-
 
 class TestNodeFlows:
     def test_chain_values(self, chain_net):

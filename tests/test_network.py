@@ -365,6 +365,98 @@ class TestDropUncertified:
         assert report.certified
 
 
+def _prune_until_stable(net):
+    """The prune as a loop, for reference: drop every node validate() names,
+    rebuild through label triples and re-balance, and repeat until
+    validate() names none. Returns the network and the rounds taken, and
+    warns with the number of nodes dropped, as drop_uncertified does.
+    """
+    rounds = dropped = 0
+    report = validate(net)
+    while report.unreachable_from_source or report.cannot_reach_sink:
+        bad = set(report.unreachable_from_source) | set(report.cannot_reach_sink)
+        rounds += 1
+        dropped += len(bad)
+        kept = [(s, d, w) for s, d, w in net.edges() if s not in bad and d not in bad]
+        if not kept:
+            raise AllNodesDropped(f"all {dropped} node(s) were uncertified")
+        net = balance(build_flow_network(kept))
+        report = validate(net)
+    if dropped:
+        warnings.warn(f"dropped {dropped} uncertified node(s)", DroppedNodesWarning)
+    return net, rounds
+
+
+_PRUNE_NODES = ["a", "b", "c", "d", "e"]
+_PRUNE_WEIGHTS = st.sampled_from([0.0, 1.0, 2.0, 0.5, 3.0])
+
+
+@st.composite
+def _prunable_networks(draw) -> list:
+    """Edge triples over up to nine nodes: edges among a..e that may leave
+    a node without a source edge or end in a dead end, up to two cycles
+    over c1..c4 that may touch them, and zero weights anywhere.
+    """
+    triples = draw(st.lists(
+        st.tuples(st.sampled_from([SOURCE, *_PRUNE_NODES]),
+                  st.sampled_from([SINK, *_PRUNE_NODES]), _PRUNE_WEIGHTS),
+        max_size=10,
+    ))
+    for _ in range(draw(st.integers(0, 2))):
+        cycle = draw(st.lists(st.sampled_from(["c1", "c2", "c3", "c4", *_PRUNE_NODES]),
+                              min_size=1, max_size=4, unique=True))
+        weight = draw(_PRUNE_WEIGHTS)
+        triples += [(a, b, weight) for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+    return triples
+
+
+def _outcome(prune, net):
+    """The pruned network's items, CSR bytes and report, and the warnings
+    raised; or the error's type and message.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            pruned = prune(net)
+        except AttnFlowError as exc:
+            return type(exc), str(exc)
+    flow = pruned.flow
+    report = validate(pruned)
+    return (
+        pruned.items, flow.shape, flow.indptr.tobytes(), flow.indices.tobytes(),
+        flow.data.tobytes(), report.to_dict(), report.residuals.tobytes(),
+        [(w.category, str(w.message)) for w in caught],
+    )
+
+
+class TestSinglePrune:
+    """One prune leaves what pruning until nothing more is named leaves."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(_prunable_networks())
+    def test_matches_the_prune_until_stable_loop(self, triples):
+        """On the network as drawn, whose dead ends and nodes without a
+        source edge the prune removes, and on it balanced, as certify
+        prunes it.
+        """
+        try:
+            built = build_flow_network(triples)
+        except InvalidEdge:  # every weight zero
+            return
+        rounds = []
+
+        def reference(net):
+            pruned, taken = _prune_until_stable(net)
+            rounds.append(taken)
+            return pruned
+
+        for net in (built, balance(built)):
+            assert _outcome(lambda net: drop_uncertified(net, validate(net)), net) == _outcome(
+                reference, net
+            )
+        assert set(rounds) <= {0, 1}
+
+
 class TestBalanceMeetsValidate:
     """balance() closes every residual that validate() would reject."""
 

@@ -88,8 +88,8 @@ def test_network_work_runs_inside_traced_functions(monkeypatch, tmp_path):
     with pytest.warns(network.DroppedNodesWarning):
         pruned, report = network.certify(net)
     assert report.certified and pruned.items == ("a",)
-    # certify: balance, validate, prune, validate; one prune round: balance, validate
-    assert calls == {"balance": 2, "validate": 3, "drop_uncertified": 1}
+    # certify: balance, validate, prune (its one rebuild is balanced), validate
+    assert calls == {"balance": 2, "validate": 2, "drop_uncertified": 1}
 
 
 def test_traced_pipeline_records_every_layer(tmp_path, child_env, duplication_by_dicts):
