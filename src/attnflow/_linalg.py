@@ -332,11 +332,12 @@ class AbsorbingSolver:
     Consecutive depths of one-node SCCs form a lower triangular run, one
     LU with the natural ordering, no pivoting and no fill. Runs and large
     SCCs are cut from the arrays of the edges within SCCs, and the build
-    makes no object per stage (a depth, or a run) beyond its blocks'
-    views. A solve substitutes forward over the stages, each adding its
-    coupling: its row range of one CSR K of the edges into earlier
-    stages, applied as a gather, a product and a bincount in K's stored
-    order, as csr_matvec sums. A transpose solve runs backwards over K^T.
+    makes no object per block (a run, a large SCC, or a depth's dense
+    SCCs of one size) beyond its stack's view or its factor. A solve
+    substitutes forward over the blocks, each adding its coupling: its
+    row range of one CSR K of the edges into earlier blocks, applied as a
+    gather, a product and a bincount in K's stored order, as csr_matvec
+    sums. A transpose solve runs backwards over K^T.
     A closed or numerically singular SCC raises SingularSystem naming its
     nodes, the first in level order where several are. Only the route
     depends on SCC size; ``dense_threshold`` bounds the order of a
@@ -370,49 +371,54 @@ class AbsorbingSolver:
         singles = np.bincount(depth, size > 1, n_levels) == 0
         first = np.flatnonzero(np.r_[True, ~(singles[1:] & singles[:-1])][:n_levels])
         bounds = np.searchsorted(depth[lab], np.r_[first, n_levels])
-        is_run = np.diff(np.r_[first, n_levels]) > 1
-        stage = np.repeat(np.arange(first.size), np.diff(bounds))
+        is_run = np.repeat(np.diff(np.r_[first, n_levels]) > 1, np.diff(bounds))
 
-        # the edges from each stage into earlier ones, as row ranges of one
-        # CSR K and one of K^T, each entry with its row within its stage
+        # the blocks: each run, each large SCC, and at each depth the dense
+        # SCCs of one size; SCCs of one depth share no edge, so every edge
+        # between blocks goes into an earlier one
+        dense = ~is_run & (nsize <= _DENSE_ROUTE_MAX)
+        key = np.stack([np.repeat(np.arange(first.size), np.diff(bounds)), nsize,
+                        np.where(dense | is_run, -1, lab)])
+        opens = np.diff(key, prepend=-2).any(axis=0)
+        starts = np.flatnonzero(opens)
+        stops = np.r_[starts[1:], n]
+        begin = starts[np.cumsum(opens) - 1]  # each position's block's first position
+
+        # the edges from each block into earlier ones, as row ranges of one
+        # CSR K and one of K^T, each entry with its row within its block
         # (held in K's own index type: intp would be faster to index and
         # count with, but it doubles the memory the indices hold)
         rows, cols = pos[coo.row], pos[coo.col]
-        out = cols < bounds[stage[rows]]
+        out = cols < begin[rows]
         K = sp.csr_matrix((coo.data[out], (rows[out], cols[out])), shape=(n, n))
         self._couplings, spans = [], []
         for M in (K, K.T.tocsr()):
             row = np.repeat(np.arange(n), np.diff(M.indptr))
-            local = (row - bounds[stage[row]]).astype(M.indices.dtype)
+            local = (row - begin[row]).astype(M.indices.dtype)
             self._couplings.append((M.indices, M.data, local))
-            spans.append(M.indptr[bounds].tolist())
+            spans.append(M.indptr[np.r_[starts, n]].tolist())
         # and those within it, which only SCCs and runs hold
         rows, cols, w = rows[~out], cols[~out], coo.data[~out]
-        del K, M, row, local, out, coo
+        del K, M, row, local, out, coo, begin
 
-        dense = ~is_run[stage] & (nsize <= _DENSE_ROUTE_MAX)
         stacks, refused = _dense_stacks(nsize, dense, rows, cols, w)
         self._dense = [(order[at], stack) for at, stack in stacks.values()]
         place = np.zeros(n, dtype=np.intp)  # at an SCC's first position, its index in its stack
         for at, _ in stacks.values():
             place[at[:, 0]] = np.arange(at.shape[0])
 
-        # a stage's blocks: its run, or its SCCs by size, each large SCC
-        # alone; and the edges within runs and large SCCs, by row
-        alone = (nsize > _DENSE_ROUTE_MAX) & ~is_run[stage]
-        key = np.stack([stage, nsize, np.where(alone, lab, -1)])
-        starts = np.flatnonzero(np.diff(key, prepend=-2).any(axis=0))
-        stops = np.r_[starts[1:], n]
+        # each block's inverses, or its factor from the edges within runs
+        # and large SCCs, by row
         routed = np.flatnonzero(~dense[rows])
         routed = routed[np.argsort(rows[routed], kind="stable")]
         rows, cols, w = rows[routed], cols[routed], w[routed]
         steps, self._factored = [], []
         for a, z, s, k, in_stack, run, lo, hi in zip(
                 starts.tolist(), stops.tolist(), nsize[starts].tolist(), place[starts].tolist(),
-                dense[starts].tolist(), is_run[stage[starts]].tolist(),
+                dense[starts].tolist(), is_run[starts].tolist(),
                 np.searchsorted(rows, starts).tolist(), np.searchsorted(rows, stops).tolist()):
             if in_stack:
-                steps.append((a, z, stacks[s][1][k : k + (z - a) // s]))
+                steps.append(stacks[s][1][k : k + (z - a) // s])
                 continue
             if refused is not None and refused[0] < a:
                 break  # a dense SCC earlier in level order is refused
@@ -423,19 +429,17 @@ class AbsorbingSolver:
             else:
                 factor = _HubCore(sp.csr_matrix((w[lo:hi], (r, c)), shape=(s, s)), nodes)
                 self._factored.append((nodes, factor))
-            steps.append((a, z, factor))
+            steps.append(factor)
         if refused is not None:
             a, pivot = refused
             raise SingularSystem(sorted(order[a : a + nsize[a]].tolist()), pivot)
 
-        # per stage: its positions, its ranges of K's and K^T's entries, its blocks
-        ends = np.searchsorted(stage[starts], np.arange(first.size + 1)).tolist()
-        self._stages = list(zip(bounds[:-1].tolist(), bounds[1:].tolist(), spans[0][:-1],
-                                spans[0][1:], spans[1][:-1], spans[1][1:],
-                                [steps[u:v] for u, v in zip(ends[:-1], ends[1:])]))
+        # per block: its positions, its ranges of K's and K^T's entries, its inverses or factor
+        self._blocks = list(zip(starts.tolist(), stops.tolist(), spans[0][:-1], spans[0][1:],
+                                spans[1][:-1], spans[1][1:], steps))
 
     def _sweep(self, b: np.ndarray, trans: bool) -> np.ndarray:
-        """U b by forward substitution over the stages; U^T b backwards. A b
+        """U b by forward substitution over the blocks; U^T b backwards. A b
         of several columns is swept one column at a time, each as it is alone."""
         b = np.asarray(b, dtype=float)
         if b.ndim != 1:
@@ -445,17 +449,16 @@ class AbsorbingSolver:
             return x
         x = b[self._order]
         indices, data, local = self._couplings[trans]
-        for lo, hi, ka, kz, ta, tz, blocks in self._stages[:: -1 if trans else 1]:
-            # x[lo:hi] += K[lo:hi] @ x, summed in the stored order, as csr_matvec sums
+        for a, z, ka, kz, ta, tz, factor in self._blocks[:: -1 if trans else 1]:
+            # x[a:z] += K[a:z] @ x, summed in the stored order, as csr_matvec sums
             if trans:
                 ka, kz = ta, tz
-            x[lo:hi] += np.bincount(local[ka:kz], data[ka:kz] * x[indices[ka:kz]], hi - lo)
-            for a, z, factor in blocks:
-                if isinstance(factor, np.ndarray):
-                    inv = factor.transpose(0, 2, 1) if trans else factor
-                    x[a:z] = (inv @ x[a:z].reshape(*inv.shape[:2], 1)).ravel()
-                else:  # a shifted factor solves a complex copy; its real part is exact
-                    x[a:z] = factor.solve(x[a:z], trans="T" if trans else "N").real
+            x[a:z] += np.bincount(local[ka:kz], data[ka:kz] * x[indices[ka:kz]], z - a)
+            if isinstance(factor, np.ndarray):
+                inv = factor.transpose(0, 2, 1) if trans else factor
+                x[a:z] = (inv @ x[a:z].reshape(*inv.shape[:2], 1)).ravel()
+            else:  # a shifted factor solves a complex copy; its real part is exact
+                x[a:z] = factor.solve(x[a:z], trans="T" if trans else "N").real
         return x[self._position]
 
     def solve(self, b: np.ndarray) -> np.ndarray:

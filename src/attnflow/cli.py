@@ -5,7 +5,8 @@ Every command echoes its effective configuration (defaults, then config
 file, then flags) into the output directory, writes artifacts with
 repr-precision floats and sorted JSON keys, and removes partial outputs
 on failure. Errors exit 1 with a single machine-parseable line
-``ErrorName: message`` on stderr.
+``ErrorName: message`` on stderr; warnings print as one line of the same
+shape, ``WarningName: message``.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import gc
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
@@ -735,22 +737,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warning_line(message, category, filename, lineno, line=None) -> str:
+    """A warning as one ``Name: message`` line, in the shape of an error line."""
+    return f"{category.__name__}: {message}\n"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each warning as one line, like an error's: formatwarning, unlike
+    # showwarning, leaves a caller that records warnings its record
+    saved, warnings.formatwarning = warnings.formatwarning, _warning_line
+    art = None
     try:
         cfg = merge_config(args)
         art = ArtifactDir(cfg.out)
-    except Exception as exc:
-        print(f"{_error_payload(exc)['error']['code']}: {exc}", file=sys.stderr)
-        return 1
-    try:
         _echo_config(cfg, art, args.command)
         _HANDLERS[args.command](Run(cfg, art))
     except Exception as exc:
-        art.cleanup()
+        if art is not None:
+            art.cleanup()
         print(f"{_error_payload(exc)['error']['code']}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = saved
     return 0
 
 

@@ -14,27 +14,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import UnreachablePair
 from .flowcalc import AbsorbingSolver
 from .network import cells, reachable, write_csv
-
-
-def _reachable_from_source(W: sp.csr_matrix, m0: np.ndarray) -> np.ndarray:
-    """Interior nodes reachable from any node with source flow ``m0 > 0``.
-
-    One BFS from a virtual super-source over the pattern
-    ``[0, (m0 > 0) ; 0, W]``; row 0 is built from ``m0`` itself, so explicit
-    zeros in the transition matrix cannot add start nodes.
-    """
-    start = np.flatnonzero(m0 > 0)
-    indptr = np.concatenate(([0], W.indptr + start.size))
-    indices = np.concatenate((start, W.indices)) + 1
-    data = np.concatenate((np.ones(start.size), W.data))
-    n = W.shape[0] + 1
-    pattern = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    return reachable(pattern, 0)[1:]
 
 
 def return_times(fm: AbsorbingSolver) -> np.ndarray:
@@ -53,11 +36,13 @@ def total_distance_row(fm: AbsorbingSolver, i: int) -> np.ndarray:
 
 
 def source_total_distances(fm: AbsorbingSolver) -> np.ndarray:
-    """t_0j from the source to every interior node via two transpose solves."""
-    m0 = fm.transition.source_row()
-    v = fm.solve_transpose(m0)
+    """t_0j from the source to every interior node via two transpose solves;
+    NaN where no walk from the source node reaches j. The walk matrix
+    holds no stored zeros, so its pattern is the reachability graph."""
+    tm = fm.transition
+    v = fm.solve_transpose(tm.source_row())
     w = fm.solve_transpose(v)
-    mask = _reachable_from_source(fm.transition.interior, m0)
+    mask = reachable(tm.matrix, 0)[1:-1]
     t = np.full(fm.n, np.nan)
     t[mask] = w[mask] / v[mask]
     return t

@@ -35,10 +35,17 @@ STATS_HEADER = ("item", "A", "D", "S", "F", "C", "phi")
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Row-normalized walk matrix over (source, interior..., sink)."""
+    """Row-normalized walk matrix over (source, interior..., sink). Stored
+    zeros are dropped when it is built, so the pattern of ``matrix`` is the
+    walk's graph; ``matrix`` is copied only where it holds one."""
 
     items: tuple[str, ...]
     matrix: sp.csr_matrix
+
+    def __post_init__(self):
+        if not self.matrix.data.all():
+            object.__setattr__(self, "matrix", self.matrix.copy())
+            self.matrix.eliminate_zeros()
 
     @property
     def n_interior(self) -> int:

@@ -24,7 +24,7 @@ from .errors import (
     MissingTimestamps,
     NonMonotonicTimestampsWarning,
 )
-from .network import SINK, SOURCE, _edge_rows, split_columns
+from .network import SINK, SOURCE, _edge_rows, _label_codes, _LazyMapping, split_columns
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,10 @@ class LogFormat:
     has_header: bool = False
 
 
-class _PerUser(Mapping):
+class _PerUser(_LazyMapping):
     """A read-only mapping user id -> that user's sessions, each a list of
-    one value per visit, held as :class:`SessionLog`'s columns. The dict
-    itself is made on first read; ``len()`` reads the user count.
+    one value per visit, held as :class:`SessionLog`'s columns; ``len()``
+    reads the user count.
     """
 
     def __init__(self, log: SessionLog, column: np.ndarray, labels: tuple[str, ...] | None = None):
@@ -58,17 +58,8 @@ class _PerUser(Mapping):
         cuts = np.searchsorted(self._owners, np.arange(len(self._users) + 1)).tolist()
         return {user: seqs[a:b] for user, a, b in zip(self._users, cuts, cuts[1:])}
 
-    def __getitem__(self, user):
-        return self._dict[user]
-
-    def __iter__(self):
-        return iter(self._dict)
-
     def __len__(self) -> int:
         return len(self._users)
-
-    def __repr__(self) -> str:
-        return repr(self._dict)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +100,8 @@ class SessionLog:
         if not lengths.all():
             raise ValueError("a session has no visits")
         flat = list(chain.from_iterable(seqs))
-        code = {item: k for k, item in enumerate(dict.fromkeys(flat))}
-        if SOURCE in code or SINK in code:
+        items, visits = _label_codes(flat)
+        if SOURCE in items or SINK in items:
             raise ValueError(f"{SOURCE!r} and {SINK!r} are reserved, not item ids")
         stamps = None
         if timestamps is not None:
@@ -122,8 +113,8 @@ class SessionLog:
         np.cumsum(lengths, out=starts[1:])
         return cls(
             users=users,
-            items=tuple(code),
-            visits=np.fromiter(map(code.__getitem__, flat), dtype=np.intp, count=len(flat)),
+            items=tuple(items),
+            visits=visits,
             stamps=stamps,
             starts=starts,
             owners=np.repeat(np.arange(len(users)), [len(sessions[user]) for user in users]),
@@ -240,29 +231,26 @@ def _parse_columns(text: str, fmt: LogFormat, lines=None) -> SessionLog | None:
 
     # users in order of first appearance, each one's records in file order
     # or stably by time
-    code = {user: k for k, user in enumerate(dict.fromkeys(users))}
-    user_code = np.fromiter(map(code.__getitem__, users), dtype=np.intp, count=n)
+    user_ids, user_code = _label_codes(users)
     if stamps is None:
         order = np.argsort(user_code, kind="stable")
     else:
         order = np.lexsort((stamps, user_code))
-    starts = np.zeros(len(code) + 1, dtype=np.intp)
+    starts = np.zeros(len(user_ids) + 1, dtype=np.intp)
     np.cumsum(np.bincount(user_code), out=starts[1:])
     if stamps is not None:
         # the stable sort moves a user's records only where their stamps decrease
         moved = np.diff(order) < 0
         moved[starts[1:-1] - 1] = False
-        by_code = list(code)
         for k in np.unique(user_code[order[1:][moved]]).tolist():
             warnings.warn(
-                f"user {by_code[k]!r}: timestamps not non-decreasing; re-sorting",
+                f"user {user_ids[k]!r}: timestamps not non-decreasing; re-sorting",
                 NonMonotonicTimestampsWarning,
             )
         stamps = stamps[order]
-    item_code = {item: k for k, item in enumerate(dict.fromkeys(items))}
-    visits = np.fromiter(map(item_code.__getitem__, items), dtype=np.intp, count=n)[order]
-    return SessionLog(users=tuple(code), items=tuple(item_code), visits=visits, stamps=stamps,
-                      starts=starts, owners=np.arange(len(code)), n_records=n)
+    item_ids, item_code = _label_codes(items)
+    return SessionLog(users=tuple(user_ids), items=tuple(item_ids), visits=item_code[order],
+                      stamps=stamps, starts=starts, owners=np.arange(len(user_ids)), n_records=n)
 
 
 def _raise_bad_record(lines, fmt: LogFormat) -> None:

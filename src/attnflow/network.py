@@ -138,19 +138,30 @@ def _check_edge(src: str, dst: str, weight: float) -> None:
         raise InvalidEdge(f"edge {src}->{dst}: no flow may leave {SINK}")
 
 
-def _label_codes(ends: list) -> tuple[list, np.ndarray]:
-    """``[SOURCE, SINK]`` followed by every other label of ``ends`` once, in
-    order of first appearance, and the position in that list of each label
-    of ``ends``.
+def _bad_edges(codes: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Which edges :func:`_check_edge` raises for, from the ``(m, 2)`` codes
+    of their ends (0 is SOURCE, 1 SINK) and their weights: weights that are
+    not finite or are negative, edges into SOURCE and edges out of SINK.
     """
-    index = {label: i for i, label in enumerate(dict.fromkeys(chain((SOURCE, SINK), ends)))}
-    return list(index), np.fromiter(map(index.__getitem__, ends), dtype=np.intp, count=len(ends))
+    return ~np.isfinite(weight) | (weight < 0) | (codes[:, 1] == 0) | (codes[:, 0] == 1)
+
+
+def _label_codes(values: list, leading: tuple = ()) -> tuple[list, np.ndarray]:
+    """``leading`` followed by every other value of ``values`` once, in
+    order of first appearance, and the position in that list of each value
+    of ``values``. The one first-appearance coder: of edge labels (with
+    ``(SOURCE, SINK)`` leading), and of a log's users and items.
+    """
+    index = {label: i for i, label in enumerate(dict.fromkeys(chain(leading, values)))}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+    return list(index), codes
 
 
 def _coded_edges(edges) -> tuple[list, np.ndarray, np.ndarray]:
-    """Labels as :func:`_label_codes` lists them, the ``(m, 2)`` codes of
-    every edge's ends and the edges' float weights, from a mapping
-    ``(src, dst) -> weight`` or an iterable of ``(src, dst, weight)`` triples.
+    """Labels as :func:`_label_codes` lists them, SOURCE and SINK first,
+    the ``(m, 2)`` codes of every edge's ends and the edges' float weights,
+    from a mapping ``(src, dst) -> weight`` or an iterable of ``(src, dst,
+    weight)`` triples.
     """
     if isinstance(edges, _EdgeRows) and tuple(edges.labels[:2]) == (SOURCE, SINK):
         return edges.labels, edges.codes, edges.weight.astype(float, copy=False)
@@ -161,7 +172,7 @@ def _coded_edges(edges) -> tuple[list, np.ndarray, np.ndarray]:
         triples = list(edges)
         ends = [label for s, d, _ in triples for label in (s, d)]
         weight = np.array([w for _, _, w in triples], dtype=float)
-    labels, codes = _label_codes(ends)
+    labels, codes = _label_codes(ends, (SOURCE, SINK))
     return labels, codes.reshape(-1, 2), weight
 
 
@@ -176,10 +187,8 @@ def build_flow_network(edges) -> FlowNetwork:
     """
     labels, codes, weight = _coded_edges(edges)
 
-    # _check_edge raises for exactly these edges (code 0 is SOURCE, code 1
-    # SINK); the first one in input order names the error
-    bad = ~np.isfinite(weight) | (weight < 0) | (codes[:, 1] == 0) | (codes[:, 0] == 1)
-    if bad.any():
+    bad = _bad_edges(codes, weight)
+    if bad.any():  # the first one in input order names the error
         first = int(np.argmax(bad))
         src, dst = codes[first]
         _check_edge(labels[src], labels[dst], float(weight[first]))
@@ -385,20 +394,10 @@ def cells(values) -> list[str]:
 def write_csv(path, header, columns) -> None:
     """Write a UTF-8 CSV artifact whose rows end in LF; ``columns[k][r]``,
     a string, is cell ``k`` of row ``r``. The bytes are those csv.writer
-    writes with ``lineterminator="\\n"``, quoted by its QUOTE_MINIMAL rule
-    (:data:`_LF_QUOTE_CHARS`), laid out in one list and written in one
-    join.
+    writes with ``lineterminator="\\n"``.
     """
-    fields = [_lf_fields([name, *column]) for name, column in zip(header, columns, strict=True)]
-    if len(fields) == 1:  # csv.writer writes a row of one empty cell as ""
-        fields = [['""' if cell == "" else cell for cell in fields[0]]]
-    parts = [None, ","] * len(fields)
-    parts[-1] = "\n"
-    parts *= len(fields[0])
-    for k, column in enumerate(fields):
-        parts[2 * k :: 2 * len(fields)] = column
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("".join(parts))
+    fields = [_fields([name, *column], "\n") for name, column in zip(header, columns, strict=True)]
+    _write_rows(path, fields, "\n")
 
 
 def split_columns(text: str, delimiter: str = ",", header: bool = False,
@@ -536,35 +535,38 @@ def _json_key(key) -> str:
     return json.dumps(key)
 
 
-#: The characters that make the csv module quote a field of a CRLF file.
-_QUOTE_CHARS = frozenset(',"\r\n')
-
-#: The characters that make csv.writer quote a field of an LF file: the
-#: delimiter, the quote character and those of the line terminator, so a
-#: lone CR is written as it is. That is its rule on Python 3.10 and 3.11;
-#: the tests hold write_csv to the running interpreter's csv.writer.
-_LF_QUOTE_CHARS = frozenset(',"\n')
-
-
-def _quote(label: str, chars: frozenset = _QUOTE_CHARS) -> str:
-    """``label`` as a CSV field, by the csv module's QUOTE_MINIMAL rule: in
-    double quotes, with inner quotes doubled, if it holds one of
-    ``chars``; as it is otherwise.
+def _fields(cells: list[str], line_end: str) -> list[str]:
+    """``cells`` as the fields of a CSV file whose rows end in ``line_end``,
+    by csv.writer's QUOTE_MINIMAL rule (on Python 3.10 and 3.11; the tests
+    hold both writers to the running interpreter's): a cell holding ``,``,
+    ``"`` or a character of the line end is double-quoted, inner quotes
+    doubled, so a lone CR in an LF file is not. One substring search per
+    such character over the joined cells passes a column that needs no
+    quotes, as every number column does, with no per-cell work.
     """
-    if chars.isdisjoint(label):
-        return label
-    return '"' + label.replace('"', '""') + '"'
+    special = ',"' + line_end
+    joined = "".join(cells)
+    if not any(char in joined for char in special):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"' if any(char in cell for char in special) else cell
+            for cell in cells]
 
 
-def _lf_fields(column: list[str]) -> list[str]:
-    """The cells of a column as fields of an LF file. One substring search
-    per quoting character over the joined column passes a column that
-    needs no quotes, as every number column does, with no per-cell work.
+def _write_rows(path, fields: list[list[str]], line_end: str) -> None:
+    """Write the CSV file whose row ``r`` holds ``fields[k][r]``, already a
+    field, as cell ``k``, each row ending in ``line_end``: laid out in one
+    list and written in one join. As csv.writer does, a row of one empty
+    cell is written as ``""``.
     """
-    joined = "".join(column)
-    if not any(char in joined for char in _LF_QUOTE_CHARS):
-        return column
-    return [_quote(cell, _LF_QUOTE_CHARS) for cell in column]
+    if len(fields) == 1:
+        fields = [['""' if cell == "" else cell for cell in fields[0]]]
+    parts = [None, ","] * len(fields)
+    parts[-1] = line_end
+    parts *= len(fields[0])
+    for k, column in enumerate(fields):
+        parts[2 * k :: 2 * len(fields)] = column
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(parts))
 
 
 def _write_edge_rows(path, labels, rows: np.ndarray, cols: np.ndarray, weight: np.ndarray) -> None:
@@ -572,14 +574,10 @@ def _write_edge_rows(path, labels, rows: np.ndarray, cols: np.ndarray, weight: n
     and ``weight``, each label quoted once and each weight at ``repr``
     precision. Unlike the other artifacts its rows end in CRLF.
     """
-    quoted = np.array([_quote(label) for label in labels], dtype=object)
-    parts = [None, ",", None, ",", None, "\r\n"] * len(weight)
-    parts[0::6] = quoted[rows].tolist()
-    parts[2::6] = quoted[cols].tolist()
-    parts[4::6] = reprs(weight)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("src,dst,weight\r\n")
-        fh.write("".join(parts))
+    quoted = np.array(_fields(labels, "\r\n"), dtype=object)
+    fields = [["src", *quoted[rows].tolist()], ["dst", *quoted[cols].tolist()],
+              ["weight", *reprs(weight)]]
+    _write_rows(path, fields, "\r\n")
 
 
 def write_edges(path, edges) -> None:
@@ -650,25 +648,36 @@ def _read_edge_rows(path) -> tuple[list, np.ndarray, np.ndarray]:
             pass
         else:
             del weights
-            labels, codes = _label_codes(ends)
+            labels, codes = _label_codes(ends, (SOURCE, SINK))
             del ends
             codes = codes.reshape(-1, 2)
-            # the rows _raise_bad_row raises for: weights that are not
-            # finite or are negative, edges into SOURCE (code 0) or out of
-            # SINK (code 1)
-            if (np.isfinite(weight).all() and not (weight < 0).any()
-                    and not (codes[:, 1] == 0).any() and not (codes[:, 0] == 1).any()):
+            if not _bad_edges(codes, weight).any():  # else _raise_bad_row raises
                 return labels, codes, weight
     _raise_bad_row(path)
 
 
-class _EdgeRows(Mapping):
+class _LazyMapping(Mapping):
+    """A read-only mapping held as arrays, whose dict, the ``_dict`` a
+    subclass defines, is made only when the mapping is read as one; a
+    subclass gives ``len()`` from its arrays.
+    """
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __repr__(self) -> str:
+        return repr(self._dict)
+
+
+class _EdgeRows(_LazyMapping):
     """A read-only mapping ``(labels[i], labels[j]) -> weight``, held as
     labels, the ``(m, 2)`` codes ``[i, j]`` and the weights, one row per
     distinct pair. :func:`read_edges` and ``ingest.to_transition_edges``
     return one whose labels are those of :func:`_coded_edges`, SOURCE and
     SINK first; ``stats.duplication_filter`` one over sorted item pairs.
-    The dict itself is made only when the rows are used as a mapping.
     """
 
     def __init__(self, labels: list | tuple, codes: np.ndarray, weight: np.ndarray):
@@ -682,17 +691,8 @@ class _EdgeRows(Mapping):
         dst = map(self.labels.__getitem__, self.codes[:, 1].tolist())
         return dict(zip(zip(src, dst), self.weight.tolist()))
 
-    def __getitem__(self, key):
-        return self._dict[key]
-
-    def __iter__(self):
-        return iter(self._dict)
-
     def __len__(self) -> int:
         return len(self.weight)
-
-    def __repr__(self) -> str:
-        return repr(self._dict)
 
 
 def _edge_rows(labels: list, codes: np.ndarray, weight: np.ndarray | None = None) -> _EdgeRows:

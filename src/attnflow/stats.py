@@ -32,6 +32,9 @@ from .network import _EdgeRows, reprs, write_csv
 # rank deficient.
 _RANK_TOL = 1e-10
 
+# Fewest rows regression_feature_table keeps without raising TooFewRows.
+_MIN_ROWS = 6
+
 
 @dataclass(frozen=True)
 class PowerLawFit:
@@ -315,21 +318,16 @@ class FeatureTable:
 
     items: tuple[str, ...]
     columns: dict[str, np.ndarray]
-    response: np.ndarray | None
+    response: np.ndarray
     dropped: int
 
 
-def regression_feature_table(
-    stats: NodeFlowStats,
-    source_distance: np.ndarray,
-    with_response: bool = True,
-    min_rows: int = 6,
-) -> FeatureTable:
+def regression_feature_table(stats: NodeFlowStats, source_distance: np.ndarray) -> FeatureTable:
     """Feature columns ln_D, ln_S, ln_C and unlogged l per node.
 
     Nodes with any nonpositive value among D, S, C, or without a finite
     source distance, are dropped and counted; the response column is ln_A.
-    Raises TooFewRows when fewer than min_rows rows survive.
+    Raises TooFewRows when fewer than _MIN_ROWS (6) rows survive.
     """
     D = stats.dissipation
     S = stats.source_inflow
@@ -340,9 +338,9 @@ def regression_feature_table(
         raise ValueError("source_distance length does not match stats")
     keep = (D > 0) & (S > 0) & (C > 0) & (A > 0) & np.isfinite(l0)
     dropped = int(len(stats) - keep.sum())
-    if keep.sum() < min_rows:
+    if keep.sum() < _MIN_ROWS:
         raise TooFewRows(
-            f"{int(keep.sum())} usable rows after dropping {dropped}; need {min_rows}"
+            f"{int(keep.sum())} usable rows after dropping {dropped}; need {_MIN_ROWS}"
         )
     items = tuple(item for item, k in zip(stats.items, keep) if k)
     columns = {
@@ -351,8 +349,7 @@ def regression_feature_table(
         "ln_C": np.log(C[keep]),
         "l": l0[keep],
     }
-    response = np.log(A[keep]) if with_response else None
-    return FeatureTable(items=items, columns=columns, response=response, dropped=dropped)
+    return FeatureTable(items=items, columns=columns, response=np.log(A[keep]), dropped=dropped)
 
 
 def write_zipf_csv(path, table: list[tuple]) -> None:

@@ -417,10 +417,13 @@ def test_c11_prune_at_scale(scale_network, tmp_path, check, child_env):
 def test_c11_dense_route_ignores_blas_threads(tmp_path, check, child_env):
     """On a random-cyclic network, whose SCCs (at most 64 nodes) all take
     the dense route, pipeline writes the same artifact tree, byte for
-    byte, at one and at two OpenBLAS threads: each SCC's LAPACK inverse in
-    its size's stack, and each product with it, sums in an order that
-    does not follow the thread count. (A hub core's inverse sums in one
-    that does, so this network has none.)"""
+    byte, at one and at two OpenBLAS threads: for SCCs this small each
+    LAPACK inverse in its size's stack, and each product with it, sums in
+    an order that does not follow the thread count. That does not hold
+    for larger dense-route SCCs: on session logs, a 97-node giant SCC gave
+    the same stats.csv at both counts, but 116-, 238- and 288-node ones
+    differed in the last digits on 36 of 120, 102 of 250 and 143 of 300
+    rows. A hub core's inverse follows the thread count too."""
     net = generate(GeneratorSpec(family="random-cyclic", size=3000, recirculation=0.25,
                                  seed=3, avg_degree=6))
     write_network(net, tmp_path / "network.csv")

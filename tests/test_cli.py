@@ -1099,3 +1099,42 @@ class TestEntryPoints:
         assert proc.returncode == 0
         for command in ("ingest", "pipeline", "simulate", "compare"):
             assert command in proc.stdout
+
+
+class TestWarningLines:
+    """A library warning prints as one ``Name: message`` line, the shape of
+    an error line, with no file, line number or source line."""
+
+    def _stderr(self, tmp_path, child_env, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "attnflow", *map(str, argv)],
+            cwd=tmp_path,
+            env={**child_env, "PYTHONWARNINGS": ""},
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr
+
+    def test_dropped_nodes(self, tmp_path, child_env):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight\n__source__,a,1\na,__sink__,1\nc1,c2,1\nc2,c1,1\n")
+        err = self._stderr(tmp_path, child_env, ["build", "--input", edges, "--out", "b"])
+        assert err == "DroppedNodesWarning: dropped 2 uncertified node(s)\n"
+
+    def test_out_of_order_timestamps(self, tmp_path, child_env):
+        log = tmp_path / "log.csv"
+        log.write_text("u1,a,5\nu1,b,3\nu2,a,1\nu3,b,9\nu3,a,2\n")
+        err = self._stderr(tmp_path, child_env, ["ingest", "--input", log, "--out", "i"])
+        assert err == (
+            "NonMonotonicTimestampsWarning: user 'u1': timestamps not non-decreasing; re-sorting\n"
+            "NonMonotonicTimestampsWarning: user 'u3': timestamps not non-decreasing; re-sorting\n"
+        )
+
+    def test_main_leaves_the_warning_state_as_found(self, tmp_path):
+        edges = tmp_path / "edges.csv"
+        edges.write_text("src,dst,weight\n__source__,a,1\na,__sink__,1\nc1,c2,1\nc2,c1,1\n")
+        before = (warnings.formatwarning, warnings.showwarning, list(warnings.filters))
+        with pytest.warns(Warning, match="dropped 2 "):
+            assert run(["build", "--input", edges, "--out", tmp_path / "b"]) == 0
+        assert (warnings.formatwarning, warnings.showwarning, list(warnings.filters)) == before

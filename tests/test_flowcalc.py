@@ -626,10 +626,10 @@ class TestFundamentalMatrix:
         assert exc.value.min_pivot < PIVOT_TOL
 
     def test_build_work_does_not_grow_with_the_stages(self, monkeypatch):
-        """A chain of 500 or of 1,000 2-cycles, a stage each, with a run
+        """A chain of 500 or of 1,000 2-cycles, a block each, with a run
         of one-node SCCs halfway: building the solver calls np.linalg.inv
         and constructs scipy sparse matrices as often for either length,
-        so none of that work is done per stage."""
+        so none of that work is done per block."""
         counts = []
         for k in (500, 1000):
             tm = _two_cycle_chain(k)
@@ -641,7 +641,7 @@ class TestFundamentalMatrix:
                     patch.setattr(kind, "__init__",
                                   _counted(kind.__init__, calls, lambda *a, **kw: "sparse"))
                 fm = AbsorbingSolver(tm)
-            assert len(fm._stages) == k + 1
+            assert len(fm._blocks) == k + 1
             counts.append((calls.count("inv"), calls.count("sparse")))
         assert counts[0] == counts[1]
 

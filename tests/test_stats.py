@@ -428,17 +428,6 @@ class TestFeatureTable:
         with pytest.raises(TooFewRows):
             regression_feature_table(stats, l0)
 
-    def test_min_rows_override(self, single_node_net):
-        stats, l0 = self._stats_and_distance(single_node_net)
-        table = regression_feature_table(stats, l0, min_rows=1)
-        assert table.items == ("X",)
-        assert table.dropped == 0
-
-    def test_without_response(self, balanced_cyclic_net):
-        stats, l0 = self._stats_and_distance(balanced_cyclic_net)
-        table = regression_feature_table(stats, l0, with_response=False)
-        assert table.response is None
-
     def test_length_mismatch(self, balanced_cyclic_net):
         stats, _ = self._stats_and_distance(balanced_cyclic_net)
         with pytest.raises(ValueError):

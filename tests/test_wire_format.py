@@ -1,9 +1,11 @@
 """The artifact format has one owner, the wire-format section of
 ``network.py``. An AST scan of ``src/attnflow/*.py`` checks that every
 text-mode ``open()`` names UTF-8, that no other code writes JSON or CSV
-to a file, and that csv.reader turns text into columns in one place. The
-section's tokenizer, ``split_columns``, reads what csv.reader reads, and
-its float formatter writes what ``repr`` writes.
+to a file, that csv.reader turns text into columns in one place, and
+that labels are coded by first appearance, and reachability found, in
+one place each. The section's tokenizer, ``split_columns``, reads what
+csv.reader reads, its float formatter writes what ``repr`` writes, and
+both CSV writers write what csv.writer writes.
 """
 import ast
 import csv
@@ -16,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attnflow.network import cell, cells, reprs, split_columns, write_csv
+from attnflow.network import cell, cells, reprs, split_columns, write_csv, write_edges
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attnflow"
 SECTION = "# --- wire formats"
@@ -36,6 +38,14 @@ READERS = {
     "network._raise_bad_row",
     "ingest._raise_bad_record",
     "flowcalc.read_stats_csv",
+}
+
+#: the one function allowed to call each of these, by the last part of the
+#: call's dotted name: the first-appearance coder (``dict.fromkeys``) and
+#: the reachability helper (scipy's ``breadth_first_order``)
+JOBS = {
+    "fromkeys": "network._label_codes",
+    "breadth_first_order": "network.reachable",
 }
 
 
@@ -147,6 +157,16 @@ def test_csv_reader_has_one_column_builder(path):
         assert name == "csv.reader" and owner in READERS, (
             f"{path.name}:{call.lineno}: {name} outside {sorted(READERS)}"
         )
+
+
+@pytest.mark.parametrize("path", _modules(), ids=lambda p: p.name)
+def test_each_job_has_one_owner(path):
+    for name, call, function in _scan(path).calls:
+        job = name.rpartition(".")[2]
+        if job not in JOBS:
+            continue
+        owner = f"{path.stem}.{function.name if function else '<module>'}"
+        assert owner == JOBS[job], f"{path.name}:{call.lineno}: {name} outside {JOBS[job]}"
 
 
 def _csv_rows(text: str, delimiter: str, newline: str):
@@ -337,3 +357,24 @@ class TestWriteCsv:
     def test_columns_of_unequal_length_are_refused(self, tmp_path):
         with pytest.raises(ValueError):
             write_csv(tmp_path / "t.csv", ["a", "b"], [["1", "2"], ["3"]])
+
+
+#: edge labels with every character csv.writer may quote for in a CRLF file
+_LABEL = st.text(alphabet=st.sampled_from(["a", "é", " ", ",", '"', "\r", "\n"]), max_size=6)
+
+
+class TestWriteEdges:
+    @settings(max_examples=300)
+    @given(st.lists(st.tuples(_LABEL, _LABEL, st.floats(allow_nan=False, allow_infinity=False)),
+                    max_size=8))
+    def test_matches_csv_writer(self, tmp_path_factory, triples):
+        """The bytes of csv.writer with a CRLF line terminator, weights at
+        ``repr`` precision: a label holding ``,``, ``"``, CR or LF is quoted
+        with its quotes doubled."""
+        path = tmp_path_factory.mktemp("edges") / "edges.csv"
+        write_edges(path, triples)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\r\n")
+        writer.writerow(["src", "dst", "weight"])
+        writer.writerows((src, dst, repr(weight)) for src, dst, weight in triples)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
