@@ -176,58 +176,58 @@ def _coded_edges(edges) -> tuple[list, np.ndarray, np.ndarray]:
     return labels, codes.reshape(-1, 2), weight
 
 
+def _raise_first(labels, codes: np.ndarray, weight: np.ndarray, bad: np.ndarray) -> None:
+    """Raise :func:`_check_edge`'s error for the first edge ``bad`` marks, if any."""
+    if bad.any():
+        first = int(np.argmax(bad))
+        src, dst = codes[first]
+        _check_edge(labels[src], labels[dst], float(weight[first]))
+
+
 def build_flow_network(edges) -> FlowNetwork:
     """Assemble a FlowNetwork from a weighted edge list.
 
     ``edges`` is either a mapping ``(src, dst) -> weight`` or an iterable of
-    ``(src, dst, weight)`` triples. Duplicate edges are merged by summing
-    their weights in input order. Interior node indices follow first
-    appearance in the edge list, so the same input always produces the same
-    network.
+    ``(src, dst, weight)`` triples. Every edge is checked in input order.
+    Duplicate triples are summed in input order, each pair at its first
+    triple, as a dict accumulating them would hold them, and pairs whose
+    sum is zero are dropped. Interior node indices follow first appearance
+    over the pairs that remain, so the triples build the network that
+    :func:`read_network` reads from the same rows.
     """
     labels, codes, weight = _coded_edges(edges)
-
-    bad = _bad_edges(codes, weight)
-    if bad.any():  # the first one in input order names the error
-        first = int(np.argmax(bad))
-        src, dst = codes[first]
-        _check_edge(labels[src], labels[dst], float(weight[first]))
+    _raise_first(labels, codes, weight, _bad_edges(codes, weight))
+    if not hasattr(edges, "items"):  # a mapping holds each pair once
+        merged = _edge_rows(labels, codes, weight)
+        codes, weight = merged.codes, merged.weight
+        # finite duplicates can sum past the largest float
+        _raise_first(labels, codes, weight, ~np.isfinite(weight))
 
     nonzero = weight != 0.0
     codes, weight = codes[nonzero], weight[nonzero]
     if not weight.size:
         raise InvalidEdge("edge list is empty")
 
-    # interior nodes in order of first appearance over src0, dst0, src1, ...
-    # That is code order where every interior code (2 and up) first appears
-    # as a new running maximum, as the codes of _label_codes do unless
-    # dropped edges held a first appearance; only otherwise is it sorted.
+    # interior nodes in order of first appearance over src0, dst0, src1, ...:
+    # mark each label's first position, then read the marked labels in order
     flat = codes.ravel()
-    top = np.maximum.accumulate(flat)
-    climbs = top[np.concatenate(([True], top[1:] != top[:-1]))]
-    interior = climbs[climbs > 1]
-    if interior.size != np.count_nonzero(np.bincount(flat)[2:]):
-        seen, first = np.unique(flat, return_index=True)
-        kept = seen > 1
-        interior = seen[kept][np.argsort(first[kept])]
+    first = np.full(len(labels), flat.size)
+    np.minimum.at(first, flat, np.arange(flat.size))
+    marked = np.zeros(flat.size + 1, dtype=bool)  # the last slot takes unseen labels
+    marked[first] = True
+    interior = flat[marked[:-1] & (flat > 1)]
     items = tuple(map(labels.__getitem__, interior.tolist()))
     size = len(items) + 2
-    index = np.zeros(len(labels), dtype=np.intp)  # SOURCE, and labels of dropped edges
+    index = np.zeros(len(labels), dtype=np.intp)  # SOURCE, and labels of dropped pairs
     index[1] = size - 1
     index[interior] = np.arange(1, size - 1)
 
-    # bincount adds each edge's weight to its (src, dst) pair in input
-    # order; the sorted pairs are the CSR entries in (row, col) order
-    pairs, inverse = np.unique(index[codes[:, 0]] * size + index[codes[:, 1]], return_inverse=True)
-    rows, cols = np.divmod(pairs, size)
+    # the pairs are distinct, so sorted they are the CSR entries in (row, col) order
+    pairs = index[codes[:, 0]] * size + index[codes[:, 1]]
+    order = np.argsort(pairs)
+    rows, cols = np.divmod(pairs[order], size)
     indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=size))))
-    merged = np.bincount(inverse, weights=weight)
-    overflow = ~np.isfinite(merged)
-    if overflow.any():  # finite duplicates can sum past the largest float
-        first = int(np.argmax(overflow[inverse]))
-        src, dst = codes[first]
-        _check_edge(labels[src], labels[dst], float(merged[inverse[first]]))
-    flow = sp.csr_matrix((merged, cols, indptr), shape=(size, size))
+    flow = sp.csr_matrix((weight[order], cols, indptr), shape=(size, size))
     return FlowNetwork(items=items, flow=flow)
 
 
@@ -742,4 +742,10 @@ def write_network(net: FlowNetwork, csv_path, json_path=None,
 
 
 def read_network(csv_path) -> FlowNetwork:
+    """The network of an edge file: :func:`read_edges`'s pairs, each at its
+    first row with its rows summed, built by :func:`build_flow_network`,
+    which drops zero sums and numbers the interior nodes by first
+    appearance over the pairs that remain. The same rows as triples build
+    the same network.
+    """
     return build_flow_network(read_edges(csv_path))

@@ -98,11 +98,13 @@ class TestBuild:
 
 
 def _reference_build(edges) -> FlowNetwork:
-    """Per-edge builder: check, number and place one edge at a time."""
+    """Per-edge builder: check one edge at a time in input order, sum the
+    edges as a dict does, then number and place one non-zero sum at a time.
+    """
     if hasattr(edges, "items"):
-        triples = ((s, d, w) for (s, d), w in edges.items())
+        triples = [(s, d, float(w)) for (s, d), w in edges.items()]
     else:
-        triples = iter(edges)
+        triples = [(s, d, float(w)) for s, d, w in edges]
 
     index: dict[str, int] = {}
     rows: list[int] = []
@@ -114,10 +116,11 @@ def _reference_build(edges) -> FlowNetwork:
             index[label] = len(index)
         return index[label]
 
-    staged: list[tuple[str, str, float]] = []
     for src, dst, weight in triples:
-        weight = float(weight)
         _check_edge(src, dst, weight)
+    staged: list[tuple[str, str, float]] = []
+    for (src, dst), weight in _dict_merged(triples).items():
+        _check_edge(src, dst, weight)  # a sum past the largest float
         if weight == 0.0:
             continue
         if src != SOURCE:
@@ -933,6 +936,39 @@ class TestBuildFromEdgeRows:
         assert build_flow_network(rows).items == ("b", "c", "a")
         assert _build_outcome(build_flow_network, rows) == _build_outcome(
             _reference_build, dict(rows))
+
+
+def _entry_outcomes(triples) -> tuple:
+    """build_flow_network's outcome on the triples, and read_network's on
+    the same rows as an edge file; an error as its type alone, since the
+    reader's message also names the file and line.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.csv"
+        _write_triples(path, triples)
+        outcomes = _build_outcome(build_flow_network, triples), _build_outcome(read_network, path)
+    return tuple(outcome[0] if isinstance(outcome[0], type) else outcome
+                 for outcome in outcomes)
+
+
+class TestEntryPointsAgree:
+    """build_flow_network on triples and read_network on the same rows
+    merge each pair at its first row and number the nodes alike.
+    """
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(_BUILD_EDGE, max_size=14))
+    def test_same_network_or_same_error_type(self, triples):
+        built, read = _entry_outcomes(triples)
+        assert built == read
+
+    def test_zero_row_first_in_a_duplicated_pair(self):
+        # x->y's first row weighs 0, so its pair sits before S->y's row
+        triples = [(SOURCE, "a", 1), ("x", "y", 0), (SOURCE, "y", 1), ("x", "y", 2),
+                   ("a", SINK, 1), ("y", SINK, 3), (SOURCE, "x", 2)]
+        built, read = _entry_outcomes(triples)
+        assert built == read
+        assert built[0] == ("a", "x", "y")
 
 
 _POSITIVE_WEIGHT = st.sampled_from([0.1, 1 / 3, 2.5, 7.0, 1e-300, 1e300, 5e-324])

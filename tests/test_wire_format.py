@@ -41,11 +41,13 @@ READERS = {
 }
 
 #: the one function allowed to call each of these, by the last part of the
-#: call's dotted name: the first-appearance coder (``dict.fromkeys``) and
-#: the reachability helper (scipy's ``breadth_first_order``)
+#: call's dotted name: the first-appearance coder (``dict.fromkeys``), the
+#: reachability helper (scipy's ``breadth_first_order``) and the builder's
+#: numbering pass (``np.minimum.at``)
 JOBS = {
     "fromkeys": "network._label_codes",
     "breadth_first_order": "network.reachable",
+    "at": "network.build_flow_network",
 }
 
 
