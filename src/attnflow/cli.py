@@ -544,7 +544,7 @@ def _tallies_to_json(est: WalkEstimate) -> dict:
         "cap_exceeded": est.cap_exceeded,
     }
     for name in _SUMS:
-        payload[name] = [float(v) for v in getattr(est, name)]
+        payload[name] = getattr(est, name).tolist()
     return payload
 
 

@@ -17,7 +17,6 @@ numerical error; that redundancy is surfaced as a consistency check.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,7 +27,7 @@ import scipy.sparse as sp
 # fundamental_diagonals is re-exported: the solver layer is reached through flowcalc
 from ._linalg import DENSE_THRESHOLD, AbsorbingSolver, fundamental_diagonals
 from .errors import ZeroOutflowRow
-from .network import FlowNetwork, reprs, write_csv
+from .network import FlowNetwork, _numbered_rows, reprs, write_csv
 
 STATS_HEADER = ("item", "A", "D", "S", "F", "C", "phi")
 
@@ -177,31 +176,29 @@ def write_stats_csv(path, stats: NodeFlowStats) -> None:
 
 def read_stats_csv(path) -> NodeFlowStats:
     """Read a stats CSV. Raises ValueError naming the file and 1-based line
-    for a wrong header, a row without one cell per column, or a cell that
-    is not a finite number.
+    for a wrong header, a row csv.reader refuses, a row without one cell
+    per column, or a cell that is not a finite number.
     """
+    def refuse(line: int, reason: str) -> ValueError:
+        return ValueError(f"{path}:{line}: {reason}")
+
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        numbered = _numbered_rows(fh, refuse)
+        _, header = next(numbered, (1, None))
         if header is None or tuple(header) != STATS_HEADER:
-            raise ValueError(f"{path}:1: unexpected stats header {header!r}")
+            raise refuse(1, f"unexpected stats header {header!r}")
         items: list[str] = []
         rows: list[list[float]] = []
-        for row in reader:
+        for line, row in numbered:
             if len(row) != len(STATS_HEADER):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: "
-                    f"expected {len(STATS_HEADER)} columns, got {len(row)}"
-                )
+                raise refuse(line, f"expected {len(STATS_HEADER)} columns, got {len(row)}")
             try:
                 values = [float(x) for x in row[1:]]
             except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                raise refuse(line, str(exc)) from None
             for cell, value in zip(row[1:], values):
                 if not math.isfinite(value):
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: expected a finite number, got {cell!r}"
-                    )
+                    raise refuse(line, f"expected a finite number, got {cell!r}")
             rows.append(values)
             items.append(row[0])
     data = np.array(rows) if rows else np.zeros((0, 6))

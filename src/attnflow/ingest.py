@@ -24,7 +24,8 @@ from .errors import (
     MissingTimestamps,
     NonMonotonicTimestampsWarning,
 )
-from .network import SINK, SOURCE, _edge_rows, _label_codes, _LazyMapping, split_columns
+from .network import (SINK, SOURCE, _edge_rows, _label_codes, _LazyMapping, _numbered_rows,
+                      split_columns)
 
 
 @dataclass(frozen=True)
@@ -258,30 +259,24 @@ def _raise_bad_record(lines, fmt: LogFormat) -> None:
     at a time, that :func:`_parse_columns` refuses, naming the row's last
     line; EmptyInput where there is none.
     """
-    reader = csv.reader(lines, delimiter=fmt.delimiter)
     n_columns: int | None = None
-    try:
-        if fmt.has_header:
-            next(reader, None)
-        for row in filter(None, reader):
-            lineno = reader.line_num
-            if n_columns is None:
-                if len(row) not in (2, 3):
-                    raise MalformedRecord(lineno, f"expected 2 or 3 columns, got {len(row)}")
-                n_columns = len(row)
-            if len(row) != n_columns:
-                raise MalformedRecord(lineno, f"expected {n_columns} columns, got {len(row)}")
-            if not row[0] or not row[1]:
-                raise MalformedRecord(lineno, "empty user or item field")
-            if row[1] in (SOURCE, SINK):
-                raise MalformedRecord(lineno, f"reserved token {row[1]!r} used as item id")
-            if n_columns == 3:
-                try:
-                    int(row[2])
-                except ValueError:
-                    raise MalformedRecord(lineno, f"bad timestamp {row[2]!r}") from None
-    except csv.Error as exc:
-        raise MalformedRecord(reader.line_num, str(exc)) from None
+    for lineno, row in _numbered_rows(lines, MalformedRecord, fmt.delimiter, fmt.has_header,
+                                      skip_empty=True):
+        if n_columns is None:
+            if len(row) not in (2, 3):
+                raise MalformedRecord(lineno, f"expected 2 or 3 columns, got {len(row)}")
+            n_columns = len(row)
+        if len(row) != n_columns:
+            raise MalformedRecord(lineno, f"expected {n_columns} columns, got {len(row)}")
+        if not row[0] or not row[1]:
+            raise MalformedRecord(lineno, "empty user or item field")
+        if row[1] in (SOURCE, SINK):
+            raise MalformedRecord(lineno, f"reserved token {row[1]!r} used as item id")
+        if n_columns == 3:
+            try:
+                int(row[2])
+            except ValueError:
+                raise MalformedRecord(lineno, f"bad timestamp {row[2]!r}") from None
     if n_columns is None:
         raise EmptyInput("no records in input")
     raise AssertionError("the row checks pass a log the column checks reject")

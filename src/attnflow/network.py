@@ -491,48 +491,30 @@ def _reader_columns(reader, header: bool, skip_empty: bool) -> list[list[str]] |
     return [cells[k::step] for k in range(width)]
 
 
-def write_json(path, obj) -> None:
-    """Write a JSON artifact: sorted keys, two-space indent, final newline.
+def _numbered_rows(lines, refuse, delimiter: str = ",", header: bool = False,
+                   skip_empty: bool = False):
+    """The rows csv.reader reads from ``lines``, one at a time, as ``(line,
+    row)`` with the 1-based number of the row's last line; with ``header``
+    the first row is left out, and with ``skip_empty`` every empty row. A
+    row csv.reader refuses raises ``refuse(line, reason)``, an exception.
+    """
+    reader = csv.reader(lines, delimiter=delimiter)
+    try:
+        if header:
+            next(reader, None)
+        for row in reader:
+            if row or not skip_empty:
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise refuse(reader.line_num, str(exc)) from None
 
-    The text is ``json.dumps(obj, indent=2, sort_keys=True)``'s, byte for
-    byte. json's ``indent`` takes its pure-Python encoder, so each dict or
-    list of scalars goes through the C encoder in one call instead, with
-    the newline and indent in its item separator and its brackets
-    re-indented; containers holding containers are laid out here.
+
+def write_json(path, obj) -> None:
+    """Write a JSON artifact: ``json.dumps(obj, indent=2, sort_keys=True)``
+    and a final newline.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_indented(obj, 0) + "\n")
-
-
-_CONTAINERS = (dict, list, tuple)
-
-
-def _indented(obj, depth: int) -> str:
-    if not isinstance(obj, _CONTAINERS):
-        return json.dumps(obj)
-    is_dict = isinstance(obj, dict)
-    if not obj:
-        return "{}" if is_dict else "[]"
-    pad = "\n" + "  " * (depth + 1)
-    if not any(isinstance(v, _CONTAINERS) for v in (obj.values() if is_dict else obj)):
-        inner = json.dumps(obj, sort_keys=True, separators=("," + pad, ": "))[1:-1]
-    elif is_dict:
-        inner = ("," + pad).join(
-            f"{_json_key(k)}: {_indented(v, depth + 1)}" for k, v in sorted(obj.items())
-        )
-    else:
-        inner = ("," + pad).join(_indented(v, depth + 1) for v in obj)
-    return ("{" if is_dict else "[") + pad + inner + "\n" + "  " * depth + ("}" if is_dict else "]")
-
-
-def _json_key(key) -> str:
-    """``key`` as json writes a dict key: a non-string scalar as its JSON
-    text, then quoted."""
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = json.dumps(key)
-    return json.dumps(key)
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def _fields(cells: list[str], line_end: str) -> list[str]:
@@ -592,31 +574,23 @@ def _raise_bad_row(path) -> None:
     """Raise the error of the first row of an edge file that no network may
     hold, or that csv.reader refuses, naming the file and 1-based line.
     """
+    def refuse(line: int, reason: str) -> InvalidEdge:
+        return InvalidEdge(f"{path}:{line}: {reason}")
+
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader)
-            for row in reader:
-                if len(row) != 3:
-                    raise InvalidEdge(
-                        f"{path}:{reader.line_num}: expected 3 columns, got {len(row)}"
-                    )
-                try:
-                    weight = float(row[2])
-                except ValueError:
-                    raise InvalidEdge(
-                        f"{path}:{reader.line_num}: weight {row[2]!r} is not a number"
-                    ) from None
-                if not math.isfinite(weight):
-                    raise InvalidEdge(
-                        f"{path}:{reader.line_num}: weight {row[2]!r} is not finite"
-                    )
-                try:
-                    _check_edge(row[0], row[1], weight)
-                except AttnFlowError as exc:
-                    raise type(exc)(f"{path}:{reader.line_num}: {exc}") from None
-        except csv.Error as exc:
-            raise InvalidEdge(f"{path}:{reader.line_num}: {exc}") from None
+        for line, row in _numbered_rows(fh, refuse, header=True):
+            if len(row) != 3:
+                raise refuse(line, f"expected 3 columns, got {len(row)}")
+            try:
+                weight = float(row[2])
+            except ValueError:
+                raise refuse(line, f"weight {row[2]!r} is not a number") from None
+            if not math.isfinite(weight):
+                raise refuse(line, f"weight {row[2]!r} is not finite")
+            try:
+                _check_edge(row[0], row[1], weight)
+            except AttnFlowError as exc:
+                raise type(exc)(f"{path}:{line}: {exc}") from None
     raise AssertionError(f"{path}: the row checks pass a row the column checks reject")
 
 

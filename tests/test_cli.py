@@ -839,13 +839,18 @@ class TestErrorHandling:
         "row, reason",
         [("a,1,2,3", "expected 7 columns, got 4"),
          ("a,1,2,x,4,5,6", "could not convert string to float: 'x'"),
-         ("a,1,inf,3,4,5,6", "expected a finite number, got 'inf'")],
+         ("a,1,inf,3,4,5,6", "expected a finite number, got 'inf'"),
+         ("LONG_ITEM_LABEL,1,2,3,4,5,6", "field larger than field limit (12)")],
     )
     def test_bad_stats_row_names_file_and_line(self, tmp_path, capsys, command, row, reason):
         stats = tmp_path / "stats.csv"
         stats.write_text(f"item,A,D,S,F,C,phi\nb,1,1,1,0,1,1\n{row}\n")
         out = tmp_path / "out"
-        assert run([command, "--input", stats, "--out", out]) == 1
+        default = csv.field_size_limit(12)  # a row csv.reader refuses
+        try:
+            assert run([command, "--input", stats, "--out", out]) == 1
+        finally:
+            csv.field_size_limit(default)
         assert capsys.readouterr().err == f"ValueError: {stats}:3: {reason}\n"
         assert os.listdir(out) == []
 

@@ -1,7 +1,7 @@
 """The artifact format has one owner, the wire-format section of
 ``network.py``. An AST scan of ``src/attnflow/*.py`` checks that every
 text-mode ``open()`` names UTF-8, that no other code writes JSON or CSV
-to a file, that csv.reader turns text into columns in one place, and
+to a file, that csv.reader is run by one tokenizer and one row loop, and
 that labels are coded by first appearance, and reachability found, in
 one place each. The section's tokenizer, ``split_columns``, reads what
 csv.reader reads, its float formatter writes what ``repr`` writes, and
@@ -24,21 +24,16 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "attnflow"
 SECTION = "# --- wire formats"
 
 #: the functions allowed to call each writer; all in network.py's section.
-#: write_json lays out its text through _indented and _json_key.
+#: write_json is the one JSON layout, a single json.dumps call.
 OWNERS = {
     "json.dump": {"write_json"},
-    "json.dumps": {"write_json", "_indented", "_json_key"},
+    "json.dumps": {"write_json"},
     "csv.writer": {"write_csv"},
 }
 
-#: the functions allowed to call csv.reader: the one tokenizer, the two
-#: row loops that only raise the first bad row's error, and the stats reader
-READERS = {
-    "network.split_columns",
-    "network._raise_bad_row",
-    "ingest._raise_bad_record",
-    "flowcalc.read_stats_csv",
-}
+#: the functions allowed to call csv.reader: the one tokenizer, which reads
+#: a column at a time, and the one row loop every row-wise reader iterates
+READERS = {"network.split_columns", "network._numbered_rows"}
 
 #: the one function allowed to call each of these, by the last part of the
 #: call's dotted name: the first-appearance coder (``dict.fromkeys``), the
