@@ -19,8 +19,8 @@ import scipy.sparse.csgraph as csgraph
 from .errors import InvalidSpec, MismatchedNetworks, StepCapWarning
 from .flowcalc import NodeFlowStats, transition_matrix
 from .ingest import SessionLog
-from .network import (FlowNetwork, _require_certified, build_flow_network, cells, reprs,
-                      validate, write_csv)
+from .network import (SINK, SOURCE, FlowNetwork, _edge_rows, _require_certified, balance,
+                      build_flow_network, cells, reprs, validate, write_csv)
 
 STEP_CAP = 1_000_000
 
@@ -98,17 +98,17 @@ def _names(n: int) -> list[str]:
     return [f"n{i:0{width}d}" for i in range(1, n + 1)]
 
 
-def _gen_chain(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
+def _gen_chain(spec: GeneratorSpec) -> FlowNetwork:
     names = _names(spec.size)
     w = spec.weight_scale
     edges = {("__source__", names[0]): w}
     for a, b in zip(names, names[1:]):
         edges[(a, b)] = w
     edges[(names[-1], "__sink__")] = w
-    return edges
+    return build_flow_network(edges)
 
 
-def _gen_star(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
+def _gen_star(spec: GeneratorSpec) -> FlowNetwork:
     if spec.size < 2:
         raise InvalidSpec("star needs size >= 2 (hub plus leaves)")
     names = _names(spec.size)
@@ -118,10 +118,10 @@ def _gen_star(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
     for leaf in leaves:
         edges[(hub, leaf)] = w
         edges[(leaf, "__sink__")] = w
-    return edges
+    return build_flow_network(edges)
 
 
-def _gen_tree(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
+def _gen_tree(spec: GeneratorSpec) -> FlowNetwork:
     rng = np.random.default_rng(spec.seed)
     n = spec.size
     names = _names(n)
@@ -137,26 +137,27 @@ def _gen_tree(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
         edges[(names[parent[i]], names[i])] = float(subtree[i]) * w
     for i in range(n):
         edges[(names[i], "__sink__")] = w
-    return edges
+    return build_flow_network(edges)
 
 
-def _gen_cyclic(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
+def _gen_cyclic(spec: GeneratorSpec) -> FlowNetwork:
     """Random interior digraph with guaranteed source and sink edges at
     every node, so the result is certified and all D, S are positive.
 
     Forward edges are windowed to keep the matrix banded; backward
     (cycle-forming) edges stay within disjoint 64-node blocks so
     recurrent components remain small enough for exact per-component
-    diagonal computations at any overall size.
+    diagonal computations at any overall size. ``_edge_rows`` merges the
+    draws with a source and a sink edge of weight ``base`` at every node,
+    and ``balance`` closes each budget; integer weights keep sums exact.
     """
     rng = np.random.default_rng(spec.seed)
     n = spec.size
-    names = _names(n)
     degree = spec.avg_degree if spec.avg_degree is not None else min(6.0, max(1.0, n / 4))
     fwd_window = max(1, min(n - 1, 200))
     block = 64
     base = max(1, round(spec.weight_scale))
-    interior: dict[tuple[int, int], int] = {}
+    drawn: list[int] = []  # source, target and weight of every draw, in draw order
     for i in range(n):
         k = rng.poisson(degree)
         for _ in range(k):
@@ -168,23 +169,17 @@ def _gen_cyclic(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
                 if i >= hi:
                     continue
                 j = int(rng.integers(i + 1, hi + 1))
-            w = int(rng.integers(1, 2 * base + 1))
-            interior[(i, j)] = interior.get((i, j), 0) + w
-    ends = np.array(list(interior), dtype=np.int64).reshape(-1, 2)
-    weight = np.fromiter(interior.values(), dtype=np.float64, count=len(interior))
-    # integer sums far below 2**53, so exact in float64; the 0.0 keeps them
-    # floats where an empty interior makes bincount return integers
-    net_out = np.bincount(ends[:, 0], weight, n) - np.bincount(ends[:, 1], weight, n)
-    edges = dict(zip(((names[i], names[j]) for i, j in interior), weight.tolist()))
-    source = (base + np.maximum(net_out, 0.0)).tolist()
-    sink = (base + np.maximum(-net_out, 0.0)).tolist()
-    for name, s, d in zip(names, source, sink):
-        edges[("__source__", name)] = s
-        edges[(name, "__sink__")] = d
-    return edges
+            drawn += [i, j, int(rng.integers(1, 2 * base + 1))]
+    rows = np.array(drawn, dtype=np.int64).reshape(-1, 3)
+    # code 0 is SOURCE, 1 SINK, k + 2 item k; each item's source, then sink edge
+    node = np.arange(2, n + 2)
+    closing = np.stack((np.zeros_like(node), node, node, np.ones_like(node)), axis=1)
+    codes = np.concatenate((rows[:, :2] + 2, closing.reshape(-1, 2)))
+    weight = np.concatenate((rows[:, 2], np.full(2 * n, base))).astype(float)
+    return balance(build_flow_network(_edge_rows([SOURCE, SINK, *_names(n)], codes, weight)))
 
 
-def _gen_planted(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
+def _gen_planted(spec: GeneratorSpec) -> FlowNetwork:
     """Descending chain whose dissipation follows D = c * A**exponent
     exactly, noise free, while staying balanced and certified.
     """
@@ -210,7 +205,7 @@ def _gen_planted(spec: GeneratorSpec) -> dict[tuple[str, str], float]:
         if i + 1 < n:
             edges[(name, names[i + 1])] = float(F[i])
         S_prev_pass = F[i]
-    return edges
+    return build_flow_network(edges)
 
 
 def _gen_session_log(spec: GeneratorSpec) -> SessionLog:
@@ -229,16 +224,19 @@ def _gen_session_log(spec: GeneratorSpec) -> SessionLog:
         sessions[f"u{i + 1:05d}"] = [[name]]
     popularity = 1.0 / np.arange(1, n + 1) ** 0.8
     popularity /= popularity.sum()
+    # the picks of Generator.choice(n, length, p=popularity), cdf built once
+    cdf = popularity.cumsum()
+    cdf /= cdf[-1]
     n_extra = max(1, int(round(3 * n * spec.weight_scale)))
     for k in range(n_extra):
         length = 1 + int(rng.geometric(0.35))
-        picks = rng.choice(n, size=length, p=popularity)
+        picks = cdf.searchsorted(rng.random(length), side="right")
         sessions[f"x{k + 1:06d}"] = [[names[i] for i in picks]]
     return SessionLog.from_sessions(sessions)
 
 
 #: Every generator family, in the order the CLI lists them. A network
-#: family returns an edge mapping; ``session-log`` returns a SessionLog.
+#: family returns its FlowNetwork; ``session-log`` returns a SessionLog.
 _GENERATORS = {
     "chain": _gen_chain,
     "star": _gen_star,
@@ -250,10 +248,9 @@ _GENERATORS = {
 _FAMILIES = tuple(_GENERATORS)
 
 
-def generate(spec: GeneratorSpec):
-    """Deterministic network (or session log) from a GeneratorSpec."""
-    result = _GENERATORS[spec.family](spec)
-    return result if isinstance(result, SessionLog) else build_flow_network(result)
+def generate(spec: GeneratorSpec) -> FlowNetwork | SessionLog:
+    """Deterministic network (or session log) from a GeneratorSpec, drawn in one pass."""
+    return _GENERATORS[spec.family](spec)
 
 
 @dataclass

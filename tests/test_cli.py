@@ -557,6 +557,13 @@ class TestGenerate:
          "d59e97b01fcc4685791b210ff413c031c1ffce3f4767b7061e83deecf59a6bff"),
         ("session-log --size 12 --seed 1", "sessions.csv",
          "6b3f43ee60d17e9f506da4627bef9bbd9aca36664305e6bf6630032e8d3d8400"),
+        ("random-cyclic --size 500 --weight-scale 2.6 --recirculation 0.9 --seed 2", "network.csv",
+         "86094564bc5cc0341f1b01c5fbbebb4b0daf16a39fdb065210da0f9e2de22366"),
+        # no interior edge: every node's budget is its source and sink edge alone
+        ("random-cyclic --size 400 --avg-degree 0 --seed 4", "network.csv",
+         "2dd0d9d2a1a331b5a44732632fdcb3c8eccddbe1ec0001856377c4bfb9001596"),
+        ("session-log --size 2000 --seed 5", "sessions.csv",
+         "f73cf1bf61d59f99da88aa6961a80b29c0409d72079ecee939c17fc241297576"),
     ]
 
     @pytest.mark.parametrize("spec, name, digest", PINNED, ids=[p[0] for p in PINNED])

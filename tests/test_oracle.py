@@ -135,6 +135,101 @@ class TestGenerate:
         assert net.total_source_outflow() == pytest.approx(5.0)
 
 
+def _reference_cyclic_edges(spec):
+    """random-cyclic drawn into a dict: each draw merged into its pair's
+    entry, then every node's source and sink edge sized from its net
+    out-flow, as the generator built it before it handed both rules to
+    the network module.
+    """
+    rng = np.random.default_rng(spec.seed)
+    n = spec.size
+    names = oracle._names(n)
+    degree = spec.avg_degree if spec.avg_degree is not None else min(6.0, max(1.0, n / 4))
+    fwd_window = max(1, min(n - 1, 200))
+    block = 64
+    base = max(1, round(spec.weight_scale))
+    interior = {}
+    for i in range(n):
+        k = rng.poisson(degree)
+        for _ in range(k):
+            if rng.random() < spec.recirculation:
+                lo = (i // block) * block
+                j = int(rng.integers(lo, i + 1))
+            else:
+                hi = min(n - 1, i + fwd_window)
+                if i >= hi:
+                    continue
+                j = int(rng.integers(i + 1, hi + 1))
+            w = int(rng.integers(1, 2 * base + 1))
+            interior[(i, j)] = interior.get((i, j), 0) + w
+    ends = np.array(list(interior), dtype=np.int64).reshape(-1, 2)
+    weight = np.fromiter(interior.values(), dtype=np.float64, count=len(interior))
+    net_out = np.bincount(ends[:, 0], weight, n) - np.bincount(ends[:, 1], weight, n)
+    edges = dict(zip(((names[i], names[j]) for i, j in interior), weight.tolist()))
+    source = (base + np.maximum(net_out, 0.0)).tolist()
+    sink = (base + np.maximum(-net_out, 0.0)).tolist()
+    for name, s, d in zip(names, source, sink):
+        edges[("__source__", name)] = s
+        edges[(name, "__sink__")] = d
+    return edges
+
+
+def _reference_session_log(spec):
+    """session-log drawn with one Generator.choice call per session."""
+    rng = np.random.default_rng(spec.seed)
+    n = spec.size
+    names = oracle._names(n)
+    sessions = {f"u{i + 1:05d}": [[name]] for i, name in enumerate(names)}
+    popularity = 1.0 / np.arange(1, n + 1) ** 0.8
+    popularity /= popularity.sum()
+    for k in range(max(1, int(round(3 * n * spec.weight_scale)))):
+        length = 1 + int(rng.geometric(0.35))
+        picks = rng.choice(n, size=length, p=popularity)
+        sessions[f"x{k + 1:06d}"] = [[names[i] for i in picks]]
+    return SessionLog.from_sessions(sessions)
+
+
+class TestGeneratorsMatchReference:
+    """The generators build, bit for bit, what the plain references above
+    build: any change to how draws are merged, balanced or ordered fails.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @example(size=1, recirculation=1.0, avg_degree=None, weight_scale=1.0, seed=0)
+    @example(size=400, recirculation=0.0, avg_degree=0.0, weight_scale=1000.0, seed=4)
+    @given(
+        size=st.integers(1, 400),
+        recirculation=st.floats(0.0, 1.0),
+        avg_degree=st.none() | st.floats(0.0, 10.0),
+        weight_scale=st.sampled_from([0.3, 1.0, 2.6, 1000.0]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_random_cyclic(self, size, recirculation, avg_degree, weight_scale, seed):
+        spec = GeneratorSpec(family="random-cyclic", size=size, recirculation=recirculation,
+                             avg_degree=avg_degree, weight_scale=weight_scale, seed=seed)
+        net = generate(spec)
+        ref = build_flow_network(_reference_cyclic_edges(spec))
+        assert net.items == ref.items
+        for part in ("indptr", "indices", "data"):
+            got, want = getattr(net.flow, part), getattr(ref.flow, part)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), part
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        size=st.integers(2, 300),
+        weight_scale=st.sampled_from([0.3, 1.0, 2.6]),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_session_log(self, size, weight_scale, seed):
+        spec = GeneratorSpec(family="session-log", size=size, weight_scale=weight_scale,
+                             seed=seed)
+        log, ref = generate(spec), _reference_session_log(spec)
+        assert (log.users, log.items, log.n_records) == (ref.users, ref.items, ref.n_records)
+        assert log.stamps is None and ref.stamps is None
+        for column in ("visits", "starts", "owners"):
+            np.testing.assert_array_equal(getattr(log, column), getattr(ref, column))
+
+
 class TestSimulateWalkers:
     def test_chain_deterministic_tallies(self, chain_net):
         est = simulate_walkers(chain_net, 500, seed=3)
