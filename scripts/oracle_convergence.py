@@ -1,8 +1,9 @@
 """Monte Carlo oracle convergence sweep.
 
 Doubles the walker count repeatedly on one cyclic network and reports the
-error of the simulated through-flow, dissipation, and source distances
-against the analytic values, together with the 3-sigma pass fraction.
+error of the simulated through-flow, dissipation, impact and source
+distances against the analytic values, together with the 3-sigma pass
+fraction.
 The error columns should shrink roughly as 1/sqrt(walkers).
 
 Usage:
@@ -49,7 +50,7 @@ def main() -> int:
     stats = node_flows(net, fm)
     l0 = source_distances(fm)
 
-    print(f"{'walkers':>9} {'rms A err':>10} {'rms D err':>10} "
+    print(f"{'walkers':>9} {'rms A err':>10} {'rms D err':>10} {'rms C err':>10} "
           f"{'rms l err':>10} {'pass frac':>10} {'sim s':>6}")
     walkers = 1000
     while walkers <= args.max_walkers:
@@ -58,12 +59,13 @@ def main() -> int:
         elapsed = time.monotonic() - t0
         a_err = np.sqrt(np.mean((est.through_flow_estimate()[0] - stats.through_flow) ** 2))
         d_err = np.sqrt(np.mean((est.dissipation_estimate()[0] - stats.dissipation) ** 2))
+        c_err = np.sqrt(np.mean((est.impact_estimate()[0] - stats.impact) ** 2))
         l_hat = est.source_distance_estimate()[0]
         mask = np.isfinite(l0) & np.isfinite(l_hat)
         l_err = np.sqrt(np.mean((l_hat[mask] - l0[mask]) ** 2))
         report = compare(est, stats, source_distance=l0)
         print(
-            f"{walkers:>9} {a_err:>10.4f} {d_err:>10.4f} {l_err:>10.4f} "
+            f"{walkers:>9} {a_err:>10.4f} {d_err:>10.4f} {c_err:>10.4f} {l_err:>10.4f} "
             f"{report.overall_pass_fraction:>10.3f} {elapsed:>6.1f}"
         )
         walkers *= 4

@@ -60,11 +60,6 @@ class TransitionMatrix:
         n = self.n_interior
         return np.asarray(self.matrix[0, 1 : n + 1].todense()).ravel()
 
-    def dissipation_column(self) -> np.ndarray:
-        """Per-interior-node probability of stepping straight to the sink."""
-        n = self.n_interior
-        return np.asarray(self.matrix[1 : n + 1, n + 1].todense()).ravel()
-
 
 def transition_matrix(net: FlowNetwork) -> TransitionMatrix:
     """Normalize each row of the weight matrix by its out-flow.

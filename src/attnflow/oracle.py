@@ -47,8 +47,9 @@ _GUIDE_PASSES = 3
 # they reach this count or the table's size, whichever is larger.
 _ARRIVAL_CHUNK = 1 << 20
 
-# Per-node sums every simulation keeps, the arrays of tallies.json;
-# subtree_sum is added on request.
+# Per-node sums every simulation keeps, the arrays of tallies.json.
+# subtree_sum and subtree_sumsq add up each walker's onward count at a
+# node: its arrivals anywhere from its first arrival there to absorption.
 _SUMS = (
     "visit_sum",
     "visit_sumsq",
@@ -57,6 +58,8 @@ _SUMS = (
     "fp_sum",
     "fp_sumsq",
     "fp_count",
+    "subtree_sum",
+    "subtree_sumsq",
 )
 
 
@@ -259,7 +262,8 @@ class WalkEstimate:
 
     visit_* accumulate every arrival (through-flow semantics); fp_*
     record only the first arrival per walker (first-passage semantics);
-    absorption counts the last interior node before the sink.
+    absorption counts the last interior node before the sink; subtree_*
+    sum each walker's onward count from its first arrival (impact semantics).
     """
 
     items: tuple[str, ...]
@@ -273,8 +277,9 @@ class WalkEstimate:
     fp_sum: np.ndarray
     fp_sumsq: np.ndarray
     fp_count: np.ndarray
+    subtree_sum: np.ndarray
+    subtree_sumsq: np.ndarray
     cap_exceeded: int = 0
-    subtree_sum: np.ndarray | None = None
 
     def through_flow_estimate(self) -> tuple[np.ndarray, np.ndarray]:
         """(A_hat, standard error) from per-walker visit counts."""
@@ -306,15 +311,17 @@ class WalkEstimate:
             se = np.sqrt(np.maximum(var, 0.0) / np.maximum(self.fp_count, 1))
         return mean, se
 
-    def impact_estimate(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """(C_hat, crude standard error); valid on acyclic networks only,
-        where impact equals flow times expected onward visit count.
+    def impact_estimate(self) -> tuple[np.ndarray, np.ndarray]:
+        """(C_hat, standard error) from per-walker onward counts. From its
+        first arrival at node i a walker makes rowsum(U)_i arrivals on
+        average, so the mean onward count is P(reach i) * rowsum(U)_i, and
+        flow times that is C = phi * rowsum(U) / diag(U) on any network,
+        cyclic or not.
         """
-        if self.subtree_sum is None:
-            return None
         n = self.n_walkers
         mean = self.subtree_sum / n
-        return self.total_flow * mean, self.total_flow * np.sqrt(np.maximum(mean, 0.0) / n)
+        var = np.maximum(self.subtree_sumsq / n - mean**2, 0.0) * n / max(n - 1, 1)
+        return self.total_flow * mean, self.total_flow * np.sqrt(var / n)
 
 
 def _batch_size(n_nodes: int, n_walkers: int) -> int:
@@ -440,10 +447,10 @@ class _GuideTable:
 
 def _add_pair_sums(pairs: _PairTally, length: np.ndarray, n_total: int, sums: dict) -> None:
     """Fold one batch's pair table into the per-node sums; ``length`` is
-    each walker's step count, used when ``sums`` holds ``subtree_sum``.
+    each walker's step count.
     """
     pairs.fold()
-    node = pairs.keys % n_total
+    walker, node = np.divmod(pairs.keys, n_total)
     first = pairs.first
     sums["first_arrival"] += np.bincount(node[first == 1], minlength=n_total)
     sums["visit_sum"] += np.bincount(node, weights=pairs.counts, minlength=n_total)
@@ -451,9 +458,9 @@ def _add_pair_sums(pairs: _PairTally, length: np.ndarray, n_total: int, sums: di
     sums["fp_count"] += np.bincount(node, minlength=n_total)
     sums["fp_sum"] += np.bincount(node, weights=first, minlength=n_total)
     sums["fp_sumsq"] += np.bincount(node, weights=first * first, minlength=n_total)
-    if "subtree_sum" in sums:
-        onward = length[pairs.keys // n_total] - first + 1
-        sums["subtree_sum"] += np.bincount(node, weights=onward, minlength=n_total)
+    onward = length[walker] - first + 1
+    sums["subtree_sum"] += np.bincount(node, weights=onward, minlength=n_total)
+    sums["subtree_sumsq"] += np.bincount(node, weights=onward * onward, minlength=n_total)
 
 
 def simulate_walkers(
@@ -461,7 +468,6 @@ def simulate_walkers(
     n_walkers: int,
     seed: int = 0,
     step_cap: int = STEP_CAP,
-    track_subtree: bool = False,
 ) -> WalkEstimate:
     """Drop seeded random walkers at the source and tally their paths.
 
@@ -487,8 +493,7 @@ def simulate_walkers(
     guide = _GuideTable(M.indptr, M.data)
     row_base, row_mass = guide.row_base, guide.row_mass
 
-    names = _SUMS + ("subtree_sum",) if track_subtree else _SUMS
-    sums = {name: np.zeros(n_total) for name in names}
+    sums = {name: np.zeros(n_total) for name in _SUMS}
     cap_exceeded = 0
 
     batch = _batch_size(n_total, n_walkers)
@@ -555,20 +560,19 @@ def simulate_walkers(
 
 
 def write_estimates_csv(path, est: WalkEstimate) -> None:
-    """Stats-schema mirror with _hat suffixes; impact column only when
-    subtree tracking was on.
+    """Stats-schema mirror with _hat suffixes: A, D, S, F, l and C. An
+    l_hat no walker reached is an empty cell.
     """
     a_hat, _ = est.through_flow_estimate()
     d_hat, _ = est.dissipation_estimate()
     s_hat, _ = est.source_inflow_estimate()
     l_hat, _ = est.source_distance_estimate()
-    c = est.impact_estimate()
-    header = ["item", "A_hat", "D_hat", "S_hat", "F_hat", "l_hat"]
-    columns = [est.items, *map(reprs, (a_hat, d_hat, s_hat, a_hat - d_hat)), cells(l_hat)]
-    if c is not None:
-        header.append("C_hat")
-        columns.append(reprs(c[0]))
-    write_csv(path, header, columns)
+    c_hat, _ = est.impact_estimate()
+    write_csv(
+        path,
+        ["item", "A_hat", "D_hat", "S_hat", "F_hat", "l_hat", "C_hat"],
+        [est.items, *map(reprs, (a_hat, d_hat, s_hat, a_hat - d_hat)), cells(l_hat), reprs(c_hat)],
+    )
 
 
 @dataclass(frozen=True)
@@ -634,10 +638,11 @@ def compare(
 ) -> ComparisonReport:
     """z-score the simulator against analytic per-node values.
 
-    Covers through-flow, dissipation, and (when given) source distances;
-    a node passes a quantity when |z| <= multiplier, and the report
-    passes when every quantity's pass fraction reaches MIN_PASS_FRACTION.
-    A multiplier that is not a finite number > 0 raises ValueError.
+    Covers through-flow, dissipation, impact and (when given) source
+    distances; a node passes a quantity when |z| <= multiplier, and the
+    report passes when every quantity's pass fraction reaches
+    MIN_PASS_FRACTION. A multiplier that is not a finite number > 0
+    raises ValueError.
     """
     if not (math.isfinite(multiplier) and multiplier > 0):
         raise ValueError(f"multiplier must be a finite number > 0, got {multiplier!r}")
@@ -648,10 +653,12 @@ def compare(
         )
     a_hat, a_se = est.through_flow_estimate()
     d_hat, d_se = est.dissipation_estimate()
+    c_hat, c_se = est.impact_estimate()
     # quantity -> (analytic, estimated, z-scores), each per node
     quantities = {
         "A": (stats.through_flow, a_hat, _zscores(stats.through_flow, a_hat, a_se)),
         "D": (stats.dissipation, d_hat, _zscores(stats.dissipation, d_hat, d_se)),
+        "C": (stats.impact, c_hat, _zscores(stats.impact, c_hat, c_se)),
     }
     if source_distance is not None:
         l0 = np.asarray(source_distance)

@@ -160,17 +160,6 @@ class DuplicationReport:
     expected: Mapping[tuple[str, str], float]
     kept: Mapping[tuple[str, str], int]
 
-    @property
-    def degrees_before(self) -> dict[str, int]:
-        return dict(zip(self.items, self._degrees(self.observed).tolist()))
-
-    @property
-    def degrees_after(self) -> dict[str, int]:
-        return dict(zip(self.items, self._degrees(self.kept).tolist()))
-
-    def _degrees(self, edges: _EdgeRows) -> np.ndarray:
-        return np.bincount(edges.codes.ravel(), minlength=len(self.items))
-
     def retained_fraction(self) -> float:
         return len(self.kept) / len(self.observed) if self.observed else 0.0
 
@@ -359,10 +348,14 @@ def write_zipf_csv(path, table: list[tuple]) -> None:
 
 
 def write_duplication_csv(path, report: DuplicationReport) -> None:
+    """One row per item: its audience and its degree before and after the filter."""
+    degrees = [
+        list(map(str, np.bincount(edges.codes.ravel(), minlength=len(report.items)).tolist()))
+        for edges in (report.observed, report.kept)
+    ]
     columns = [
         report.items,
         list(map(str, map(report.audience_sizes.__getitem__, report.items))),
-        list(map(str, report._degrees(report.observed).tolist())),
-        list(map(str, report._degrees(report.kept).tolist())),
+        *degrees,
     ]
     write_csv(path, ["item", "audience", "degree_before", "degree_after"], columns)

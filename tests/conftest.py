@@ -192,8 +192,6 @@ def _duplication_by_dicts(log) -> dict:
         "observed": observed,
         "expected": expected,
         "kept": kept,
-        "degrees_before": degrees[0],
-        "degrees_after": degrees[1],
         "audience_sizes": audience,
         "csv": text.getvalue().encode("utf-8"),
     }

@@ -112,8 +112,8 @@ def test_c04_impact_cross_form(random_suite, check):
 
 def test_c05_monte_carlo_agreement(check):
     """One million walkers on a 20-node cyclic network match analytic
-    dissipation and source distances within 3 standard errors for at least
-    95% of nodes, inside 60 s.
+    dissipation, impact and source distances within 3 standard errors for
+    at least 95% of nodes, inside 60 s.
     """
     net = generate(
         GeneratorSpec(
@@ -130,6 +130,7 @@ def test_c05_monte_carlo_agreement(check):
     elapsed = time.monotonic() - start
     ok = (
         report.pass_fraction["D"] >= 0.95
+        and report.pass_fraction["C"] >= 0.95
         and report.pass_fraction["l"] >= 0.95
         and elapsed < 60.0
     )
@@ -137,6 +138,7 @@ def test_c05_monte_carlo_agreement(check):
         "5 monte-carlo",
         ok,
         f"pass fractions D {report.pass_fraction['D']:.2f}, "
+        f"C {report.pass_fraction['C']:.2f}, "
         f"l {report.pass_fraction['l']:.2f}, {elapsed:.1f} s",
     )
 

@@ -397,6 +397,7 @@ class TestSimulateCompare:
         assert info["absorbed"] + info["cap_exceeded"] == 2000
         tallies = read_json(out / "tallies.json")
         assert len(tallies["visit_sum"]) == 60
+        assert len(tallies["subtree_sumsq"]) == 60
 
     def test_compare_from_tallies(self, tmp_path, network_dir, capsys):
         sim = tmp_path / "sim"
@@ -444,9 +445,10 @@ def tallies(tmp_path, network_dir):
     return sim / "tallies.json"
 
 
-def _without(key):
+def _without(*keys):
     def edit(payload):
-        del payload[key]
+        for key in keys:
+            del payload[key]
     return edit
 
 
@@ -476,6 +478,8 @@ class TestMalformedTallies:
         [
             (_without("fp_sum"), "key 'fp_sum' is missing"),
             (_without("items"), "key 'items' is missing"),
+            # a file written before simulate tallied onward counts
+            (_without("subtree_sum", "subtree_sumsq"), "key 'subtree_sum' is missing"),
             (_set("fp_sum", [1.0] * 59), f"key 'fp_sum' {NOT_A_TALLY}"),
             (_set("visit_sum", [[1.0]] * 60), f"key 'visit_sum' {NOT_A_TALLY}"),
             (_set("absorption", ["x"] * 60), f"key 'absorption' {NOT_A_TALLY}"),
@@ -493,7 +497,8 @@ class TestMalformedTallies:
             (_set("items", "n01"), "key 'items' must be a list of item names"),
         ],
         ids=[
-            "no-fp_sum", "no-items", "short", "nested", "strings", "nan", "huge",
+            "no-fp_sum", "no-items", "no-onward-counts", "short", "nested", "strings",
+            "nan", "huge",
             "zero-walkers", "fractional-walkers", "bool-walkers", "negative-cap",
             "cap-over-walkers", "string-seed", "infinite-flow", "zero-flow", "huge-flow",
             "items-string",

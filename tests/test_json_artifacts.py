@@ -13,8 +13,9 @@ from attnflow.errors import DroppedNodesWarning
 #: Source to sink directly, and a 2-cycle that certification prunes, so no
 #: interior node is left.
 ALL_PRUNED = "src,dst,weight\n__source__,__sink__,1\nc1,c2,1\nc2,c1,1\n"
-#: Two parallel nodes; one walker visits only one of them.
-PARALLEL = "src,dst,weight\n__source__,a,1\n__source__,b,1\na,__sink__,1\nb,__sink__,1\n"
+#: One node beside a direct source-to-sink edge, so a walker may skip it.
+#: With one node, each quantity's offender is in the five-entry worst list.
+SKIPPABLE = "src,dst,weight\n__source__,a,1\n__source__,__sink__,1\na,__sink__,1\n"
 LOG = "u1,A\nu1,B\nu1,A\nu2,A\nu2,C\nu3,B\n"
 
 
@@ -54,14 +55,14 @@ def _all_pruned(tmp_path):
     _run("simulate", "--walkers", 10, "--input", network, "--out", tmp_path / "sim")
     _run("pipeline", "--input", network, "--input-kind", "network", "--out", tmp_path / "run")
     report = _strict_json(tmp_path / "cmp" / "compare.json")
-    assert report["pass_fraction"] == {"A": 1.0, "D": 1.0, "l": 1.0}
+    assert report["pass_fraction"] == {"A": 1.0, "D": 1.0, "C": 1.0, "l": 1.0}
     assert report["overall_pass_fraction"] == 1.0 and report["passed"] is True
 
 
 def _unvisited(tmp_path):
     """One walker: the node it misses has no source-distance estimate."""
     network = tmp_path / "network.csv"
-    network.write_text(PARALLEL)
+    network.write_text(SKIPPABLE)
     _run("compare", "--walkers", 1, "--seed", 5, "--input", network, "--out", tmp_path / "cmp")
     worst = _strict_json(tmp_path / "cmp" / "compare.json")["worst"]
     assert None in [offender["estimated"] for offender in worst]

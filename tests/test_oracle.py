@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from attnflow import oracle
+from attnflow._linalg import _DENSE_ROUTE_MAX, _HubCore
 from attnflow import (
     GeneratorSpec,
     InvalidSpec,
@@ -25,6 +26,7 @@ from attnflow import (
     node_flows,
     simulate_walkers,
     source_distances,
+    to_transition_edges,
     transition_matrix,
     validate,
     write_estimates_csv,
@@ -310,15 +312,11 @@ class TestSimulateWalkers:
     def test_subtree_impact_on_dag(self):
         net = generate(GeneratorSpec(family="random-tree", size=10, seed=3))
         stats = node_flows(net)
-        est = simulate_walkers(net, 50_000, seed=5, track_subtree=True)
+        est = simulate_walkers(net, 50_000, seed=5)
         c_hat, c_se = est.impact_estimate()
         z = np.abs(c_hat - stats.impact) / np.where(c_se > 0, c_se, 1.0)
         assert np.all(z <= 4.0)
         np.testing.assert_allclose(c_hat, stats.impact, rtol=0.1)
-
-    def test_impact_estimate_requires_tracking(self, chain_net):
-        est = simulate_walkers(chain_net, 100, seed=0)
-        assert est.impact_estimate() is None
 
 
 TALLIES = (
@@ -330,14 +328,14 @@ TALLIES = (
     "fp_sumsq",
     "fp_count",
     "subtree_sum",
+    "subtree_sumsq",
 )
 
 
 def _dense_reference(net, n_walkers, seed, step_cap=oracle.STEP_CAP):
     """The simulator as it was before its tallies went sparse: two dense
     batch x N int32 matrices per batch, on the same seeded streams.
-    Returns every tally over interior nodes (subtree tracking on) plus
-    cap_exceeded.
+    Returns every tally over interior nodes plus cap_exceeded.
     """
     M = transition_matrix(net).matrix.tocsr()
     n_total = M.shape[0]
@@ -395,6 +393,7 @@ def _dense_reference(net, n_walkers, seed, step_cap=oracle.STEP_CAP):
         out["visit_sumsq"] += (visits.astype(np.float64) ** 2).sum(axis=0)
         onward = (length[:, None] - first_step + 1) * (first_step > 0)
         out["subtree_sum"] += onward.sum(axis=0, dtype=np.float64)
+        out["subtree_sumsq"] += (onward.astype(np.float64) ** 2).sum(axis=0)
     interior = slice(1, net.n_interior + 1)
     return {name: tally[interior] for name, tally in out.items()}, cap_exceeded
 
@@ -412,9 +411,7 @@ class TestSparseTallies:
     def _assert_matches_dense(self, net, n_walkers, seed, step_cap=oracle.STEP_CAP):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", StepCapWarning)
-            est = simulate_walkers(
-                net, n_walkers, seed=seed, step_cap=step_cap, track_subtree=True
-            )
+            est = simulate_walkers(net, n_walkers, seed=seed, step_cap=step_cap)
         ref, ref_cap = _dense_reference(net, n_walkers, seed, step_cap)
         for name in TALLIES:
             np.testing.assert_array_equal(getattr(est, name), ref[name], err_msg=name)
@@ -616,9 +613,24 @@ class TestCompare:
         est = simulate_walkers(balanced_cyclic_net, 200_000, seed=42)
         report = compare(est, stats, source_distance=l0)
         assert report.passed
-        assert set(report.pass_fraction) == {"A", "D", "l"}
+        assert set(report.pass_fraction) == {"A", "D", "l", "C"}
         for fraction in report.pass_fraction.values():
             assert fraction >= 0.95
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_passes_through_hub_core(self, seed):
+        """The walks audit a giant SCC that the hub-core factor solves: a
+        400-item session log ties 382 items into one component.
+        """
+        log = generate(GeneratorSpec(family="session-log", size=400, seed=seed))
+        net = build_flow_network(to_transition_edges(log))
+        fm = fundamental_matrix(transition_matrix(net))
+        (nodes, factor), = fm._factored
+        assert nodes.size > _DENSE_ROUTE_MAX and isinstance(factor, _HubCore)
+        est = simulate_walkers(net, 200_000, seed=seed)
+        report = compare(est, node_flows(net, fm), source_distance=source_distances(fm))
+        assert report.passed
+        assert report.pass_fraction["C"] >= 0.95
 
     def test_impossible_multiplier_fails(self, balanced_cyclic_net):
         stats = node_flows(balanced_cyclic_net)
@@ -748,14 +760,14 @@ class TestEstimatesCsv:
         write_estimates_csv(p2, simulate_walkers(chain_net, 200, seed=4))
         assert p1.read_bytes() == p2.read_bytes()
         lines = p1.read_text().splitlines()
-        assert lines[0] == "item,A_hat,D_hat,S_hat,F_hat,l_hat"
+        assert lines[0] == "item,A_hat,D_hat,S_hat,F_hat,l_hat,C_hat"
         assert len(lines) == 3
 
     def test_matches_row_by_row(self, tmp_path, star_net):
         """The columns hold each value at repr precision, as a row at a
         time did; a leaf no walker reached has an empty l_hat.
         """
-        est = simulate_walkers(star_net, 2, seed=1, track_subtree=True)
+        est = simulate_walkers(star_net, 2, seed=1)
         path = tmp_path / "e.csv"
         write_estimates_csv(path, est)
         a, d, s = (f()[0] for f in (est.through_flow_estimate, est.dissipation_estimate,
@@ -768,9 +780,3 @@ class TestEstimatesCsv:
             rows.append(",".join([item, *cells]))
         assert np.isnan(l_hat).any()
         assert path.read_text() == "\n".join(rows) + "\n"
-
-    def test_impact_column_when_tracked(self, tmp_path, chain_net):
-        est = simulate_walkers(chain_net, 200, seed=4, track_subtree=True)
-        path = tmp_path / "c.csv"
-        write_estimates_csv(path, est)
-        assert path.read_text().splitlines()[0].endswith(",C_hat")

@@ -34,7 +34,7 @@ def test_oracle_convergence(child_env):
         "oracle_convergence.py", ["--size", "20", "--max-walkers", "4000"], child_env
     )
     assert lines[0].split() == [
-        "walkers", "rms", "A", "err", "rms", "D", "err", "rms", "l", "err",
+        "walkers", "rms", "A", "err", "rms", "D", "err", "rms", "C", "err", "rms", "l", "err",
         "pass", "frac", "sim", "s",
     ]
     # the walker count quadruples from 1000 up to --max-walkers

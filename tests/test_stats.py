@@ -221,7 +221,9 @@ class TestDuplicationFilter:
         report = duplication_filter(_audience_log(members))
         assert report.observed[("a", "b")] == 10
         assert ("a", "b") not in report.kept
-        assert report.degrees_after["a"] <= report.degrees_before["a"]
+        degree = {name: sum("a" in pair for pair in getattr(report, name))
+                  for name in ("observed", "kept")}
+        assert degree["kept"] <= degree["observed"]
 
     def test_disjoint_audiences_never_form_edge(self):
         members = {"u1": ["a"], "u2": ["a"], "u3": ["b"], "u4": ["b"]}
@@ -307,8 +309,6 @@ class TestDuplicationArrays:
         assert [(pair, value.hex()) for pair, value in report.expected.items()] == [
             (pair, value.hex()) for pair, value in ref["expected"].items()
         ]
-        assert report.degrees_before == ref["degrees_before"]
-        assert report.degrees_after == ref["degrees_after"]
         assert report.audience_sizes == ref["audience_sizes"]
         assert report.retained_fraction() == (
             len(ref["kept"]) / len(ref["observed"]) if ref["observed"] else 0.0
